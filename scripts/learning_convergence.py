@@ -5,7 +5,7 @@ i-QoS within 0.05, as a function of the sample budget."""
 import argparse
 import sys
 
-from bpviral.wm import PostModel, UserMix, design_eh2, learned_design
+from bpviral.wm import NAIVE_POST, design_eh2, learned_design, naive_mix
 from bpviral.wm_dynamics import LearnConfig, learn_wm
 
 
@@ -17,10 +17,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=61_000)
     args = ap.parse_args(argv)
 
-    post = PostModel(m_f=30, eta_f=0.52, eta_r=0.4, eta_a=0.55, gamma=0.1,
-                     rho=0.9, alpha_x_f=0.3, alpha_y_f=0.225,
-                     alpha_x_r=0.12, alpha_y_r=0.09)
-    mix = UserMix(mu0=0.35 - args.mua, mu1=0.15, mu2=0.5, mua=args.mua)
+    post = NAIVE_POST
+    mix = naive_mix(args.mua)
     perfect = design_eh2(post, mix, 0.05, iqos=True)
     print(f"perfect-knowledge i-QoS: {perfect.iqos:.4f}")
     kappa = 1 - post.alpha_y_r / post.alpha_x_r + 1e-3

@@ -10,18 +10,14 @@ import sys
 
 import numpy as np
 
-from bpviral.wm import (PostModel, UserMix, design_ea, design_eh, design_eh2,
-                        optimize_eo)
+from bpviral.wm import (NAIVE_POST, SMART_POST, UserMix, design_ea, design_eh,
+                        design_eh2, naive_mix, optimize_eo)
 
+# profile -> (post, user mix at adversary fraction mua, real-post target)
 PROFILES = {
-    "smart": (PostModel(m_f=28, eta_f=0.08, eta_r=0.05, eta_a=0.55, gamma=0.1,
-                        rho=0.9, alpha_x_f=0.85, alpha_y_f=0.6375,
-                        alpha_x_r=0.3, alpha_y_r=0.09),
-              dict(mu1=0.0, mu2=0.5, delta=0.02)),
-    "naive": (PostModel(m_f=30, eta_f=0.52, eta_r=0.4, eta_a=0.55, gamma=0.1,
-                        rho=0.9, alpha_x_f=0.3, alpha_y_f=0.225,
-                        alpha_x_r=0.12, alpha_y_r=0.09),
-              dict(mu1=0.15, mu2=0.5, delta=0.05)),
+    "smart": (SMART_POST, lambda mua: UserMix(mu0=0.5 - mua, mu1=0.0, mu2=0.5, mua=mua),
+              0.02),
+    "naive": (NAIVE_POST, naive_mix, 0.05),
 }
 
 
@@ -33,11 +29,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rows = []
-    for name, (post, cfg) in PROFILES.items():
-        mu1, mu2, delta = cfg["mu1"], cfg["mu2"], cfg["delta"]
+    for name, (post, make_mix, delta) in PROFILES.items():
         for mua in np.linspace(0.0, args.mua_max, args.steps):
             mua = round(float(mua), 6)
-            mix = UserMix(mu0=1 - mu1 - mu2 - mua, mu1=mu1, mu2=mu2, mua=mua)
+            mix = make_mix(mua)
             vals = {}
             vals["eo"] = optimize_eo(post, mix, delta).iqos
             if mua > 0:

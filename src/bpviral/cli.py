@@ -3,10 +3,12 @@
 Subcommands: ``bp simulate|ratios``, ``attack analyze|simulate``,
 ``wm optimize|design|learn|simulate``, ``market
 fit|simulate|closed-form|metrics|propagate``, ``game
-design|verify|simulate|study``.  Parameters resolve as defaults < JSON
-config (--config) < explicit flags; every run echoes its fully resolved
-parameters (seed included) into a sidecar JSON next to the output so the
-artifact can be regenerated byte-identically.
+design|verify|simulate|study``.  A subcommand is one ``_COMMANDS`` entry:
+its handler and its parameter spec.  ``main`` resolves the spec as
+defaults < JSON config (--config) < explicit flags, draws a seed when the
+spec has one, runs the handler on the resolved parameters and echoes them
+(seed included) into a sidecar JSON next to the output so the artifact can
+be regenerated byte-identically.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +42,6 @@ def write_csv(path, header, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def emit_plotdata(path, header, rows):
-    write_csv(path, header, rows)
 
 
 def _write_sidecar(out, command, params):
@@ -118,23 +117,10 @@ def _load_config(args):
 def _seed_of(params):
     if params.get("seed") is None:
         params["seed"] = secrets.randbits(32)
-    return int(params["seed"])
 
 
 # ---------------------------------------------------------------------------
-# bp
-
-BP_SIM_SPEC = {
-    "model": (str, "ramp"),
-    "m0": (float, 3.0), "slope": (float, 0.002), "floor": (float, 1.2),
-    "a-break": (float, 400.0),
-    "m-xx": (float, 1.5), "m-xy": (float, 0.5), "m-yx": (float, 0.5), "m-yy": (float, 1.5),
-    "cx0": (int, 2), "cy0": (int, 0),
-    "max-events": (int, 10_000), "record-every": (int, 1),
-    "seed": (int, None), "replications": (int, 1), "jobs": (int, 1),
-    "out": (str, None),
-}
-
+# bp and attack: replicated trajectories of the generic simulator
 
 def _bp_model(p):
     if p["model"] == "ramp":
@@ -145,36 +131,40 @@ def _bp_model(p):
     raise ParamError(f"unknown bp model {p['model']!r}")
 
 
-def _run_bp_replication(argpack):
-    p, rep = argpack
-    model = _bp_model(p)
-    deaths = bp_core.DeathModel()
+def _attack_limits(p):
+    return bp_attack.AttackLimits(e_xx=p["e-xx"], e_xy=p["e-xy"],
+                                  e_yy=p["e-yy"], e_yx=p["e-yx"])
+
+
+def _attack_model(p):
+    return bp_attack.attack_model(_attack_limits(p))
+
+
+def _run_replication(argpack):
+    build_model, p, rep = argpack
     init = bp_core.PopulationState(cx=p["cx0"], cy=p["cy0"], ax=p["cx0"], ay=p["cy0"])
-    traj = bp_core.simulate(model, deaths, init, max_events=p["max-events"],
-                            seed=p["seed"] ^ rep, record_every=p["record-every"])
-    return rep, list(traj.rows())
+    traj = bp_core.simulate(build_model(p), bp_core.DeathModel(), init,
+                            max_events=p["max-events"], seed=p["seed"] ^ rep,
+                            record_every=p["record-every"])
+    return list(traj.rows())
 
 
-def cmd_bp_simulate(args):
-    p = resolve(args, _load_config(args), BP_SIM_SPEC)
-    _seed_of(p)
-    packs = [(p, r) for r in range(p["replications"])]
+def cmd_simulate(build_model, p):
+    """Replications ``seed ^ rep``, one CSV each (first rows to stdout
+    without --out); ``--jobs`` > 1 runs them in a process pool."""
+    packs = [(build_model, p, r) for r in range(p["replications"])]
     if p["jobs"] > 1 and len(packs) > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
-            results = list(ex.map(_run_bp_replication, packs))
+            results = list(ex.map(_run_replication, packs))
     else:
-        results = [_run_bp_replication(a) for a in packs]
-    results.sort()
-    out = p["out"]
-    for rep, rows in results:
-        path = _rep_path(out, rep, p["replications"])
+        results = [_run_replication(a) for a in packs]
+    for rep, rows in enumerate(results):
+        path = _rep_path(p["out"], rep, p["replications"])
         if path is None:
             for row in rows[:10]:
                 print(",".join(_fmt(v) for v in row))
         else:
             write_csv(path, bp_core.CSV_HEADER, rows)
-    _write_sidecar(out, "bp simulate", p)
-    return 0
 
 
 def _rep_path(out, rep, total):
@@ -186,14 +176,7 @@ def _rep_path(out, rep, total):
     return stem.with_name(f"{stem.stem}_rep{rep:03d}{stem.suffix}")
 
 
-BP_RATIOS_SPEC = {
-    "in": (str, REQUIRED), "lam": (float, 1.0),
-    "offspring-low-mean": (float, None), "out": (str, None),
-}
-
-
-def cmd_bp_ratios(args):
-    p = resolve(args, _load_config(args), BP_RATIOS_SPEC)
+def cmd_bp_ratios(p):
     data = np.genfromtxt(p["in"], delimiter=",", names=True)
     data = np.atleast_1d(data)
     traj = bp_core.Trajectory(
@@ -205,70 +188,16 @@ def cmd_bp_ratios(args):
     ups, info = bp_core.ratios_and_dichotomy(traj, lam=p["lam"],
                                              offspring_low_mean=p["offspring-low-mean"])
     _emit_json(info, p["out"])
-    _write_sidecar(p["out"], "bp ratios", p)
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# attack
-
-ATTACK_SPEC = {
-    "e-xx": (float, REQUIRED), "e-xy": (float, REQUIRED),
-    "e-yy": (float, REQUIRED), "e-yx": (float, REQUIRED),
-    "out": (str, None),
-}
-
-
-def cmd_attack_analyze(args):
-    p = resolve(args, _load_config(args), ATTACK_SPEC)
-    limits = bp_attack.AttackLimits(e_xx=p["e-xx"], e_xy=p["e-xy"],
-                                    e_yy=p["e-yy"], e_yx=p["e-yx"])
+def cmd_attack_analyze(p):
+    limits = _attack_limits(p)
     in_e, report = bp_attack.classify_regime_and_limits(limits)
     payload = {"in_regime_e": in_e}
     payload.update(report.to_dict())
     if in_e:
         payload["beta_r"] = bp_attack.interior_repeller(limits)
     _emit_json(payload, p["out"])
-    _write_sidecar(p["out"], "attack analyze", p)
-    return 0
-
-
-ATTACK_SIM_SPEC = dict(ATTACK_SPEC)
-ATTACK_SIM_SPEC.update({
-    "cx0": (int, 5), "cy0": (int, 5), "max-events": (int, 100_000),
-    "record-every": (int, 100), "seed": (int, None),
-    "replications": (int, 1), "jobs": (int, 1),
-})
-
-
-def _run_attack_replication(argpack):
-    p, rep = argpack
-    limits = bp_attack.AttackLimits(e_xx=p["e-xx"], e_xy=p["e-xy"],
-                                    e_yy=p["e-yy"], e_yx=p["e-yx"])
-    model = bp_attack.attack_model(limits)
-    deaths = bp_core.DeathModel()
-    init = bp_core.PopulationState(cx=p["cx0"], cy=p["cy0"], ax=p["cx0"], ay=p["cy0"])
-    traj = bp_core.simulate(model, deaths, init, max_events=p["max-events"],
-                            seed=p["seed"] ^ rep, record_every=p["record-every"])
-    return rep, list(traj.rows())
-
-
-def cmd_attack_simulate(args):
-    p = resolve(args, _load_config(args), ATTACK_SIM_SPEC)
-    _seed_of(p)
-    packs = [(p, r) for r in range(p["replications"])]
-    if p["jobs"] > 1 and len(packs) > 1:
-        with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
-            results = list(ex.map(_run_attack_replication, packs))
-    else:
-        results = [_run_attack_replication(a) for a in packs]
-    results.sort()
-    for rep, rows in results:
-        path = _rep_path(p["out"], rep, p["replications"])
-        if path:
-            write_csv(path, bp_core.CSV_HEADER, rows)
-    _write_sidecar(p["out"], "attack simulate", p)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -283,34 +212,13 @@ def _post_mix_from(params_file):
     return post, mix, delta
 
 
-WM_DESIGN_SPEC = {
-    "kind": (str, "eo"), "params": (str, REQUIRED),
-    "iqos": (bool, True), "out": (str, None),
-}
-
-
-def cmd_wm_design(args):
-    p = resolve(args, _load_config(args), WM_DESIGN_SPEC)
+def cmd_wm_design(p):
     post, mix, delta = _post_mix_from(p["params"])
     design = wm.design_for_kind(p["kind"], post, mix, delta, iqos=p["iqos"])
     _emit_json(design.to_dict(), p["out"])
-    _write_sidecar(p["out"], "wm design", p)
-    return 0
 
 
-WM_LEARN_SPEC = {
-    "params": (str, REQUIRED), "budget": (int, 100_000), "seed": (int, None),
-    "kappa-margin": (float, 1e-3), "w0": (float, 6.0), "b0": (float, 1e-4),
-    "eta0": (float, 0.008), "eps-scale": (float, 2.2), "eps-power": (float, 0.7),
-    "eta-scale": (float, 1.5), "eta-power": (float, 0.8),
-    "seed-users": (int, 20), "record-every": (int, 1000),
-    "target-beta": (float, None), "out": (str, None),
-}
-
-
-def cmd_wm_learn(args):
-    p = resolve(args, _load_config(args), WM_LEARN_SPEC)
-    _seed_of(p)
+def cmd_wm_learn(p):
     post, mix, delta = _post_mix_from(p["params"])
     target = p["target-beta"] if p["target-beta"] is not None else delta
     cfg = wm_dynamics.LearnConfig(
@@ -325,21 +233,9 @@ def cmd_wm_learn(args):
         write_csv(p["out"], "k,w,b,beta",
                   [(int(k), w_, b_, beta) for k, w_, b_, beta in res.trace])
     print(json.dumps({"w": res.w, "b": res.b, "extinct": res.extinct}))
-    _write_sidecar(p["out"], "wm learn", p)
-    return 0
 
 
-WM_SIM_SPEC = {
-    "kind": (str, "eo"), "params": (str, REQUIRED), "actuality": (str, "F"),
-    "init-fake": (int, 1), "init-real": (int, 1),
-    "max-events": (int, 100_000), "record-every": (int, 100),
-    "seed": (int, None), "iqos": (bool, True), "out": (str, None),
-}
-
-
-def cmd_wm_simulate(args):
-    p = resolve(args, _load_config(args), WM_SIM_SPEC)
-    _seed_of(p)
+def cmd_wm_simulate(p):
     post, mix, delta = _post_mix_from(p["params"])
     design = wm.design_for_kind(p["kind"], post, mix, delta, iqos=p["iqos"])
     path = wm_dynamics.simulate_tagging(
@@ -349,39 +245,24 @@ def cmd_wm_simulate(args):
     if p["out"]:
         write_csv(p["out"], "k,beta",
                   [(int(k), b) for k, b in zip(path.epoch, path.beta)])
-    _write_sidecar(p["out"], "wm simulate", p)
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # market
-
-MARKET_TEF_SPEC = {
-    "m-bar": (float, 21.321042), "kappa1": (float, 532e-6),
-    "kappa2": (float, 83e-6), "a-break": (float, 35000.0), "rho": (float, 0.6),
-    "a0": (int, 2), "out": (str, None),
-}
-
 
 def _tef_params(p):
     return market.TefParams(m_bar=p["m-bar"], kappa1=p["kappa1"],
                             kappa2=p["kappa2"], a_break=p["a-break"], rho=p["rho"])
 
 
-def cmd_market_metrics(args):
-    p = resolve(args, _load_config(args), MARKET_TEF_SPEC)
+def cmd_market_metrics(p):
     params = _tef_params(p)
     m = market.metrics(params, a0=p["a0"])
     m["common_fit_ok"] = params.common_fit_ok
     _emit_json(m, p["out"])
-    _write_sidecar(p["out"], "market metrics", p)
-    return 0
 
 
-def cmd_market_closed_form(args):
-    spec = dict(MARKET_TEF_SPEC)
-    spec["n-points"] = (int, 2000)
-    p = resolve(args, _load_config(args), spec)
+def cmd_market_closed_form(p):
     cf = market.closed_form(_tef_params(p), a0=p["a0"])
     n_max = cf.n_e
     ns = np.unique(np.round(np.geomspace(1, max(n_max, 2), p["n-points"])).astype(np.int64))
@@ -391,16 +272,9 @@ def cmd_market_closed_form(args):
         rows.append((int(n), t, cf.a_epoch(float(n)), cf.c_epoch(float(n))))
     if p["out"]:
         write_csv(p["out"], "n,t,a,c", rows)
-    _write_sidecar(p["out"], "market closed-form", p)
-    return 0
 
 
-def cmd_market_simulate(args):
-    spec = dict(MARKET_TEF_SPEC)
-    spec.update({"max-events": (int, 200_000), "record-every": (int, 1),
-                 "seed": (int, None), "offspring": (str, "poisson")})
-    p = resolve(args, _load_config(args), spec)
-    _seed_of(p)
+def cmd_market_simulate(p):
     path = market.simulate_stpbp(_tef_params(p), a0=p["a0"],
                                  max_events=p["max-events"], seed=p["seed"],
                                  record_every=p["record-every"],
@@ -409,15 +283,9 @@ def cmd_market_simulate(args):
         rows = [(int(n), t, int(a), int(c)) for n, t, a, c
                 in zip(path.epoch, path.tau, path.a, path.c)]
         write_csv(p["out"], "n,t,a,c", rows)
-    _write_sidecar(p["out"], "market simulate", p)
-    return 0
 
 
-def cmd_market_propagate(args):
-    spec = {"graph": (str, REQUIRED), "seeds": (str, None), "n-seeds": (int, 2),
-            "rho": (float, 0.6), "seed": (int, None), "out": (str, None)}
-    p = resolve(args, _load_config(args), spec)
-    _seed_of(p)
+def cmd_market_propagate(p):
     g = parse_graph(p["graph"])
     if p["seeds"]:
         seeds = [int(s) for s in p["seeds"].split(",")]
@@ -432,17 +300,9 @@ def cmd_market_propagate(args):
                 in zip(log.epoch, log.reader, log.forwards, log.a, log.c)]
         write_csv(p["out"], "epoch,reader,forwards,a,c", rows)
     print(json.dumps({"reach": log.reach, "events": int(log.epoch[-1])}))
-    _write_sidecar(p["out"], "market propagate", p)
-    return 0
 
 
-def cmd_market_fit(args):
-    spec = {"graph": (str, REQUIRED), "rho": (float, 1.0),
-            "bin-width": (int, 1000), "runs": (int, 100),
-            "viral-threshold": (int, None), "seeds-per-run": (int, 2),
-            "seed": (int, None), "out": (str, None)}
-    p = resolve(args, _load_config(args), spec)
-    _seed_of(p)
+def cmd_market_fit(p):
     g = parse_graph(p["graph"])
     fit = market_graph.estimate_tef(g, p["rho"], p["bin-width"], p["runs"],
                                     p["seed"], seeds_per_run=p["seeds-per-run"],
@@ -457,8 +317,6 @@ def cmd_market_fit(args):
                   for a, m, w in zip(fit.a_centers, fit.m_hat, fit.weights)],
     }
     _emit_json(payload, p["out"])
-    _write_sidecar(p["out"], "market fit", p)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +328,20 @@ def _game_params(path):
     return game.GameParams(**blob)
 
 
-def cmd_game_design(args):
-    p = resolve(args, _load_config(args), {"params": (str, REQUIRED), "out": (str, None)})
+def cmd_game_design(p):
     design = game.design_ai_game(_game_params(p["params"]))
     _emit_json(design.to_dict(), p["out"])
-    _write_sidecar(p["out"], "game design", p)
-    return 0
 
 
-def cmd_game_verify(args):
-    p = resolve(args, _load_config(args), {"params": (str, REQUIRED), "out": (str, None)})
+def cmd_game_verify(p):
     params = _game_params(p["params"])
     design = game.design_ai_game(params)
     report = game.verify_equilibria(design, params)
     report["ne_list"] = [{"mu": list(d["mu"]), "ai": d["ai"]} for d in report["ne_list"]]
     _emit_json(report, p["out"])
-    _write_sidecar(p["out"], "game verify", p)
-    return 0
 
 
-def cmd_game_simulate(args):
-    spec = {"params": (str, REQUIRED), "actuality": (str, "F"),
-            "k-max": (int, 100_000), "seed": (int, None),
-            "record-every": (int, 100), "out": (str, None)}
-    p = resolve(args, _load_config(args), spec)
-    _seed_of(p)
+def cmd_game_simulate(p):
     params = _game_params(p["params"])
     design = game.design_ai_game(params)
     betas = game.simulate_tagging_game(design.mu_eta(), design, params,
@@ -508,16 +355,9 @@ def cmd_game_simulate(args):
     print(json.dumps({"terminal_beta": float(betas[-1]),
                       "predicted": game.beta_fixed_point(
                           design.mu_eta(), design.w, params, p["actuality"])}))
-    _write_sidecar(p["out"], "game simulate", p)
-    return 0
 
 
-def cmd_game_study(args):
-    spec = {"samples": (int, 10_000), "d": (float, 0.10), "seed": (int, None),
-            "theta": (float, 0.75), "gamma-margin": (float, 1000.0),
-            "out": (str, None)}
-    p = resolve(args, _load_config(args), spec)
-    _seed_of(p)
+def cmd_game_study(p):
     res = game.random_study(p["samples"], p["d"], p["seed"], theta=p["theta"],
                             gamma_margin=p["gamma-margin"], verify=False,
                             collect_rows=True)
@@ -527,11 +367,90 @@ def cmd_game_study(args):
         "feasible_fraction": res["feasible_fraction"],
         "second_ne_fraction": res["second_ne_fraction"],
         "small_degradation_fraction": res["small_degradation_fraction"]}))
-    _write_sidecar(p["out"], "game study", p)
-    return 0
 
 
 # ---------------------------------------------------------------------------
+# registry: (module, subcommand) -> (handler, spec); a spec's key order is
+# its flag order in --help.
+
+ATTACK_SPEC = {
+    "e-xx": (float, REQUIRED), "e-xy": (float, REQUIRED),
+    "e-yy": (float, REQUIRED), "e-yx": (float, REQUIRED),
+    "out": (str, None),
+}
+
+MARKET_TEF_SPEC = {
+    "m-bar": (float, 21.321042), "kappa1": (float, 532e-6),
+    "kappa2": (float, 83e-6), "a-break": (float, 35000.0), "rho": (float, 0.6),
+    "a0": (int, 2), "out": (str, None),
+}
+
+WM_DESIGN_SPEC = {
+    "kind": (str, "eo"), "params": (str, REQUIRED),
+    "iqos": (bool, True), "out": (str, None),
+}
+
+GAME_PARAMS_SPEC = {"params": (str, REQUIRED), "out": (str, None)}
+
+_COMMANDS = {
+    ("bp", "simulate"): (partial(cmd_simulate, _bp_model), {
+        "model": (str, "ramp"),
+        "m0": (float, 3.0), "slope": (float, 0.002), "floor": (float, 1.2),
+        "a-break": (float, 400.0),
+        "m-xx": (float, 1.5), "m-xy": (float, 0.5), "m-yx": (float, 0.5),
+        "m-yy": (float, 1.5),
+        "cx0": (int, 2), "cy0": (int, 0),
+        "max-events": (int, 10_000), "record-every": (int, 1),
+        "seed": (int, None), "replications": (int, 1), "jobs": (int, 1),
+        "out": (str, None)}),
+    ("bp", "ratios"): (cmd_bp_ratios, {
+        "in": (str, REQUIRED), "lam": (float, 1.0),
+        "offspring-low-mean": (float, None), "out": (str, None)}),
+    ("attack", "analyze"): (cmd_attack_analyze, ATTACK_SPEC),
+    ("attack", "simulate"): (partial(cmd_simulate, _attack_model), dict(ATTACK_SPEC, **{
+        "cx0": (int, 5), "cy0": (int, 5), "max-events": (int, 100_000),
+        "record-every": (int, 100), "seed": (int, None),
+        "replications": (int, 1), "jobs": (int, 1)})),
+    ("wm", "optimize"): (cmd_wm_design, WM_DESIGN_SPEC),
+    ("wm", "design"): (cmd_wm_design, WM_DESIGN_SPEC),
+    ("wm", "learn"): (cmd_wm_learn, {
+        "params": (str, REQUIRED), "budget": (int, 100_000), "seed": (int, None),
+        "kappa-margin": (float, 1e-3), "w0": (float, 6.0), "b0": (float, 1e-4),
+        "eta0": (float, 0.008), "eps-scale": (float, 2.2), "eps-power": (float, 0.7),
+        "eta-scale": (float, 1.5), "eta-power": (float, 0.8),
+        "seed-users": (int, 20), "record-every": (int, 1000),
+        "target-beta": (float, None), "out": (str, None)}),
+    ("wm", "simulate"): (cmd_wm_simulate, {
+        "kind": (str, "eo"), "params": (str, REQUIRED), "actuality": (str, "F"),
+        "init-fake": (int, 1), "init-real": (int, 1),
+        "max-events": (int, 100_000), "record-every": (int, 100),
+        "seed": (int, None), "iqos": (bool, True), "out": (str, None)}),
+    ("market", "fit"): (cmd_market_fit, {
+        "graph": (str, REQUIRED), "rho": (float, 1.0),
+        "bin-width": (int, 1000), "runs": (int, 100),
+        "viral-threshold": (int, None), "seeds-per-run": (int, 2),
+        "seed": (int, None), "out": (str, None)}),
+    ("market", "simulate"): (cmd_market_simulate, dict(MARKET_TEF_SPEC, **{
+        "max-events": (int, 200_000), "record-every": (int, 1),
+        "seed": (int, None), "offspring": (str, "poisson")})),
+    ("market", "closed-form"): (cmd_market_closed_form,
+                                dict(MARKET_TEF_SPEC, **{"n-points": (int, 2000)})),
+    ("market", "metrics"): (cmd_market_metrics, MARKET_TEF_SPEC),
+    ("market", "propagate"): (cmd_market_propagate, {
+        "graph": (str, REQUIRED), "seeds": (str, None), "n-seeds": (int, 2),
+        "rho": (float, 0.6), "seed": (int, None), "out": (str, None)}),
+    ("game", "design"): (cmd_game_design, GAME_PARAMS_SPEC),
+    ("game", "verify"): (cmd_game_verify, GAME_PARAMS_SPEC),
+    ("game", "simulate"): (cmd_game_simulate, {
+        "params": (str, REQUIRED), "actuality": (str, "F"),
+        "k-max": (int, 100_000), "seed": (int, None),
+        "record-every": (int, 100), "out": (str, None)}),
+    ("game", "study"): (cmd_game_study, {
+        "samples": (int, 10_000), "d": (float, 0.10), "seed": (int, None),
+        "theta": (float, 0.75), "gamma-margin": (float, 1000.0),
+        "out": (str, None)}),
+}
+
 
 def _add_flags(parser, spec):
     for name, (typ, default) in spec.items():
@@ -547,74 +466,35 @@ def _add_flags(parser, spec):
                         help="JSON file with parameter values (flags win)")
 
 
-_COMMANDS = {
-    ("bp", "simulate"): (cmd_bp_simulate, BP_SIM_SPEC),
-    ("bp", "ratios"): (cmd_bp_ratios, BP_RATIOS_SPEC),
-    ("attack", "analyze"): (cmd_attack_analyze, ATTACK_SPEC),
-    ("attack", "simulate"): (cmd_attack_simulate, ATTACK_SIM_SPEC),
-    ("wm", "optimize"): (cmd_wm_design, WM_DESIGN_SPEC),
-    ("wm", "design"): (cmd_wm_design, WM_DESIGN_SPEC),
-    ("wm", "learn"): (cmd_wm_learn, WM_LEARN_SPEC),
-    ("wm", "simulate"): (cmd_wm_simulate, WM_SIM_SPEC),
-    ("market", "fit"): (cmd_market_fit,
-                        {"graph": (str, REQUIRED), "rho": (float, 1.0),
-                         "bin-width": (int, 1000), "runs": (int, 100),
-                         "viral-threshold": (int, None), "seeds-per-run": (int, 2),
-                         "seed": (int, None), "out": (str, None)}),
-    ("market", "simulate"): (cmd_market_simulate, None),
-    ("market", "closed-form"): (cmd_market_closed_form, None),
-    ("market", "metrics"): (cmd_market_metrics, MARKET_TEF_SPEC),
-    ("market", "propagate"): (cmd_market_propagate,
-                              {"graph": (str, REQUIRED), "seeds": (str, None),
-                               "n-seeds": (int, 2), "rho": (float, 0.6),
-                               "seed": (int, None), "out": (str, None)}),
-    ("game", "design"): (cmd_game_design, {"params": (str, REQUIRED), "out": (str, None)}),
-    ("game", "verify"): (cmd_game_verify, {"params": (str, REQUIRED), "out": (str, None)}),
-    ("game", "simulate"): (cmd_game_simulate,
-                           {"params": (str, REQUIRED), "actuality": (str, "F"),
-                            "k-max": (int, 100_000), "seed": (int, None),
-                            "record-every": (int, 100), "out": (str, None)}),
-    ("game", "study"): (cmd_game_study,
-                        {"samples": (int, 10_000), "d": (float, 0.10),
-                         "seed": (int, None), "theta": (float, 0.75),
-                         "gamma-margin": (float, 1000.0), "out": (str, None)}),
-}
-
-_EXTRA_SPECS = {
-    ("market", "simulate"): dict(MARKET_TEF_SPEC, **{
-        "max-events": (int, 200_000), "record-every": (int, 1),
-        "seed": (int, None), "offspring": (str, "poisson")}),
-    ("market", "closed-form"): dict(MARKET_TEF_SPEC, **{"n-points": (int, 2000)}),
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="bpviral",
                                      description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="module", required=True)
     groups = {}
-    for (mod, sub), (fn, spec) in _COMMANDS.items():
+    for (mod, sub), (_, spec) in _COMMANDS.items():
         if mod not in groups:
             gp = top.add_parser(mod)
             groups[mod] = gp.add_subparsers(dest="subcommand", required=True)
-        sp = groups[mod].add_parser(sub)
-        eff_spec = _EXTRA_SPECS.get((mod, sub), spec)
-        _add_flags(sp, eff_spec)
-        sp.set_defaults(_handler=fn)
+        _add_flags(groups[mod].add_parser(sub), spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, spec = _COMMANDS[(args.module, args.subcommand)]
     try:
-        return args._handler(args)
+        p = resolve(args, _load_config(args), spec)
+        if "seed" in spec:
+            _seed_of(p)
+        handler(p)
+        _write_sidecar(p["out"], f"{args.module} {args.subcommand}", p)
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, game.GameVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bp_core import make_rng
-
-EULER_GAMMA = float(np.euler_gamma)
+from .ode_engine import EULER_GAMMA, bisect_root, epochs_before, harmonic_number
 
 
 @dataclass(frozen=True)
@@ -236,16 +235,7 @@ def closed_form(params: TefParams, a0: float, c0: float | None = None) -> Closed
         raise ValueError("degenerate parameters: current shares never die out")
     while cf.c(lo) <= 0 and lo > 1e-9:
         lo = max(lo - 1.0, 0.0)
-    a_, b_ = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a_ + b_)
-        if cf.c(mid) > 0:
-            a_ = mid
-        else:
-            b_ = mid
-        if b_ - a_ < 1e-8:
-            break
-    cf.tau_e = 0.5 * (a_ + b_)
+    cf.tau_e = bisect_root(cf.c, lo, hi, cf.c(lo), tol=1e-8)
     cf.n_e = _solve_life_span(cf)
     return cf
 
@@ -264,16 +254,7 @@ def _solve_life_span(cf: ClosedFormShares) -> float:
         hi = min(hi, w1) if hi is not None else w1
         if hi <= lo or resid(lo, w) < 0 or resid(hi, w) > 0:
             continue
-        a_, b_ = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a_ + b_)
-            if resid(mid, w) > 0:
-                a_ = mid
-            else:
-                b_ = mid
-            if b_ - a_ < 1e-8:
-                break
-        return 0.5 * (a_ + b_)
+        return bisect_root(lambda n: resid(n, w), lo, hi, resid(lo, w), tol=1e-8)
     raise ValueError("degenerate parameters: no life-span fixed point in (0, w1]")
 
 
@@ -304,8 +285,6 @@ def stpbp_nonauto_rhs(params: TefParams, n_start: int):
     """Drift of the 2-D ratio ODE for the saturated process, anchored at
     epoch ``n_start``: the total shares are reconstructed as psi_a * eta(t)
     on the harmonic clock, so the drift follows the transient TeF."""
-    from .ode_engine import epochs_before, harmonic_number
-
     t0 = harmonic_number(n_start)
 
     def rhs(upsilon, t):
@@ -340,11 +319,4 @@ def extinction_prob_pgf(pgf, tol: float = 1e-12) -> float:
             break
     if idx is None:
         return 1.0
-    lo, hi = float(xs[idx]), float(xs[idx + 1])
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(g, float(xs[idx]), float(xs[idx + 1]), vals[idx], tol)

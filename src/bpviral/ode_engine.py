@@ -98,15 +98,23 @@ class EquilibriumReport:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _bisect_root(g, lo, hi, f_lo, tol):
-    """Refine a bracketed sign change of g to width <= tol."""
+def bisect_root(f, lo, hi, f_lo, tol):
+    """Refine a sign change of f on [lo, hi], given f_lo = f(lo) != 0.
+
+    ``lo`` moves while f(mid) has the sign of f_lo, and an exact zero at a
+    midpoint is returned at once.  Stops once the bracket is no wider than
+    ``tol`` or its midpoint no longer splits it, so ``tol=0`` ends at
+    adjacent floats.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        f_mid = g(mid)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -171,7 +179,7 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
         if f_lo == 0.0 or f_hi == 0.0:
             continue
         if (f_lo > 0) != (f_hi > 0):
-            roots.append(_bisect_root(g, lo, hi, f_lo, refine_tol))
+            roots.append(bisect_root(g, lo, hi, f_lo, refine_tol))
     roots = sorted(roots)
 
     # de-duplicate refined roots that collapsed onto the same point

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ode_engine import ScalarField, classify_scalar
+from .ode_engine import ScalarField, bisect_root, classify_scalar
 
 FAKE, REAL = "F", "R"
 
@@ -114,6 +114,22 @@ class MechanismDesign:
         }
 
 
+# Benchmark posts of the crowd-tagging study: well-discriminating (smart)
+# and weakly discriminating (naive) users.
+SMART_POST = PostModel(m_f=28, eta_f=0.08, eta_r=0.05, eta_a=0.55, gamma=0.1,
+                       rho=0.9, alpha_x_f=0.85, alpha_y_f=0.6375,
+                       alpha_x_r=0.3, alpha_y_r=0.09)
+NAIVE_POST = PostModel(m_f=30, eta_f=0.52, eta_r=0.4, eta_a=0.55, gamma=0.1,
+                       rho=0.9, alpha_x_f=0.3, alpha_y_f=0.225,
+                       alpha_x_r=0.12, alpha_y_r=0.09)
+
+
+def naive_mix(mua: float) -> UserMix:
+    """User mix of the naive-user benchmark at adversary fraction mua."""
+    return UserMix(mu0=0.35 - mua if mua <= 0.35 else 0.0, mu1=0.15,
+                   mu2=0.5, mua=mua)
+
+
 def delta_a_value(delta: float, post: PostModel, mix: UserMix) -> float:
     """Real-post target rescaled to count only non-adversarial tags."""
     non_adv = (mix.mu1 + mix.mu2) * post.eta_r
@@ -130,7 +146,7 @@ def iqos_scale(post: PostModel, mix: UserMix) -> float:
 def eo_warning(beta: float, w: float, b: float, gamma: float) -> float:
     """w*beta/(beta + b(1-beta)) + gamma; at beta=b=0 the ratio limit is 0."""
     if beta <= 0.0:
-        return gamma if b > 0 else gamma
+        return gamma
     denom = beta + b * (1.0 - beta)
     return w * beta / denom + gamma
 
@@ -172,17 +188,10 @@ def _warning_kinks(kind, design, post, mix, u) -> list:
     beta for every mechanism here, so each threshold has at most one root."""
     kinks = [0.0, 1.0]
     for alpha in (post.alpha_x(u), post.alpha_y(u)):
-        lo, hi = 0.0, 1.0
         f = lambda b: warning_value(kind, b, design, post, mix) * alpha - 1.0
-        f_lo, f_hi = f(1e-12), f(1.0)
-        if f_lo < 0 < f_hi:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if f(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            kinks.append(0.5 * (lo + hi))
+        f_lo = f(1e-12)
+        if f_lo < 0 < f(1.0):
+            kinks.append(bisect_root(f, 0.0, 1.0, f_lo, tol=0.0))
     return sorted(set(kinks))
 
 

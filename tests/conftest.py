@@ -1,27 +1,21 @@
 import pytest
 
-from bpviral.wm import PostModel, UserMix
+from bpviral.wm import NAIVE_POST, SMART_POST, naive_mix as _naive_mix
 
 
 @pytest.fixture
 def smart_post():
     """Sharing/sensitivity parameters of the crowd-tagging benchmark with
     well-discriminating users."""
-    return PostModel(m_f=28, eta_f=0.08, eta_r=0.05, eta_a=0.55, gamma=0.1,
-                     rho=0.9, alpha_x_f=0.85, alpha_y_f=0.6375,
-                     alpha_x_r=0.3, alpha_y_r=0.09)
+    return SMART_POST
 
 
 @pytest.fixture
 def naive_post():
     """Benchmark parameters with weakly discriminating (naive) users."""
-    return PostModel(m_f=30, eta_f=0.52, eta_r=0.4, eta_a=0.55, gamma=0.1,
-                     rho=0.9, alpha_x_f=0.3, alpha_y_f=0.225,
-                     alpha_x_r=0.12, alpha_y_r=0.09)
+    return NAIVE_POST
 
 
 @pytest.fixture
 def naive_mix():
-    def make(mua=0.1):
-        return UserMix(mu0=0.35 - mua, mu1=0.15, mu2=0.5, mua=mua)
-    return make
+    return _naive_mix

@@ -23,22 +23,11 @@ from bpviral.market_graph import parse_graph, propagate_on_graph
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, ScalarField,
                                 classify_scalar, finite_time_gap,
                                 make_autonomous_rhs, picard_solve)
-from bpviral.wm import (EO, FAKE, REAL, MechanismDesign, PostModel, UserMix,
-                        beta_bounds, design_ea, design_eh, design_eh2,
-                        gbeta_field, learned_design, optimize_eo)
+from bpviral.wm import (EO, FAKE, NAIVE_POST, REAL, SMART_POST, MechanismDesign,
+                        PostModel, UserMix, beta_bounds, design_ea, design_eh,
+                        design_eh2, gbeta_field, learned_design, naive_mix,
+                        optimize_eo)
 from bpviral.wm_dynamics import LearnConfig, learn_wm
-
-SMART_POST = PostModel(m_f=28, eta_f=0.08, eta_r=0.05, eta_a=0.55, gamma=0.1,
-                       rho=0.9, alpha_x_f=0.85, alpha_y_f=0.6375,
-                       alpha_x_r=0.3, alpha_y_r=0.09)
-NAIVE_POST = PostModel(m_f=30, eta_f=0.52, eta_r=0.4, eta_a=0.55, gamma=0.1,
-                       rho=0.9, alpha_x_f=0.3, alpha_y_f=0.225,
-                       alpha_x_r=0.12, alpha_y_r=0.09)
-
-
-def naive_mix(mua):
-    return UserMix(mu0=0.35 - mua if mua <= 0.35 else 0.0, mu1=0.15,
-                   mu2=0.5, mua=mua)
 
 
 def report(line):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bpviral.cli import main
+from bpviral.cli import _COMMANDS, main
 
 
 @pytest.fixture
@@ -64,20 +64,69 @@ def test_deterministic_artifacts(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sidecar_roundtrip(tmp_path, capsys):
-    out1 = tmp_path / "a.csv"
-    assert main(["bp", "simulate", "--seed", "41", "--max-events", "300",
-                 "--out", str(out1)]) == 0
+def test_registry_matches_subcommand_list():
+    assert sorted(_COMMANDS) == sorted(tuple(c) for c in ALL_SUBCOMMANDS)
+
+
+# small runs of every subcommand; {wm}, {game}, {graph} and {bp_csv} name
+# input files written by the test
+SMALL_ARGS = {
+    "bp simulate": ["--seed", "41", "--max-events", "300"],
+    "bp ratios": ["--in", "{bp_csv}"],
+    "attack analyze": ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"],
+    "attack simulate": ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1",
+                        "--max-events", "300", "--record-every", "1", "--seed", "41"],
+    "wm optimize": ["--params", "{wm}"],
+    "wm design": ["--kind", "eh", "--params", "{wm}"],
+    "wm learn": ["--params", "{wm}", "--budget", "500", "--record-every", "50",
+                 "--seed", "41"],
+    "wm simulate": ["--params", "{wm}", "--max-events", "500", "--record-every", "10",
+                    "--seed", "41"],
+    "market fit": ["--graph", "{graph}", "--runs", "2", "--bin-width", "10",
+                   "--seed", "41"],
+    "market simulate": ["--max-events", "500", "--seed", "41"],
+    "market closed-form": ["--n-points", "50"],
+    "market metrics": ["--rho", "0.4"],
+    "market propagate": ["--graph", "{graph}", "--seed", "41"],
+    "game design": ["--params", "{game}"],
+    "game verify": ["--params", "{game}"],
+    "game simulate": ["--params", "{game}", "--k-max", "500", "--seed", "41"],
+    "game study": ["--samples", "20", "--seed", "41"],
+}
+
+
+@pytest.mark.parametrize("cmd", ALL_SUBCOMMANDS, ids=lambda c: " ".join(c))
+def test_sidecar_roundtrip(cmd, tmp_path, wm_params_file, game_params_file, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("".join(f"{i} {(i * 7 + 1) % 40}\n{i} {(i + 1) % 40}\n"
+                             for i in range(40)))
+    bp_csv = tmp_path / "bp.csv"
+    assert main(["bp", "simulate", "--seed", "3", "--max-events", "200",
+                 "--out", str(bp_csv)]) == 0
+    files = {"wm": wm_params_file, "game": game_params_file, "graph": str(graph),
+             "bp_csv": str(bp_csv)}
+    args = [a.format(**files) for a in SMALL_ARGS[" ".join(cmd)]]
+    out1 = tmp_path / "a.out"
+    assert main([*cmd, *args, "--out", str(out1)]) == 0
     sidecar = Path(str(out1) + ".config.json")
-    assert sidecar.exists()
     blob = json.loads(sidecar.read_text())
-    assert blob["command"] == "bp simulate"
-    assert blob["params"]["seed"] == 41
+    assert blob["command"] == " ".join(cmd)
+    if "--seed" in args:
+        assert blob["params"]["seed"] == 41
     # re-running from the echoed config reproduces the artifact exactly
-    out2 = tmp_path / "b.csv"
-    rc = main(["bp", "simulate", "--config", str(sidecar), "--out", str(out2)])
-    assert rc == 0
+    out2 = tmp_path / "b.out"
+    assert main([*cmd, "--config", str(sidecar), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("cmd", [["bp", "simulate"], ["attack", "simulate", "--e-xx", "3",
+                                  "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]],
+                         ids=lambda c: " ".join(c[:2]))
+def test_simulate_prints_first_rows_without_out(cmd, capsys):
+    assert main([*cmd, "--seed", "3", "--max-events", "50", "--record-every", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert [int(line.split(",")[0]) for line in lines] == list(range(1, 11))
 
 
 def test_generated_seed_recorded(tmp_path):

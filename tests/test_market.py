@@ -171,6 +171,16 @@ class TestPgf:
         assert extinction_prob_pgf(lambda s: s) == 0.0
 
 
+def test_root_solves_pinned():
+    """Closed-form extinction time, life span and PGF root, bit for bit."""
+    expect = {0.4: (11.608284343487341, 61762.85633906735),
+              0.6: (11.672380208132664, 65851.35164392681)}
+    for rho, (tau_e, n_e) in expect.items():
+        cf = closed_form(TefParams(rho=rho, **SNAP_FIT), a0=2)
+        assert (cf.tau_e, cf.n_e) == (tau_e, n_e)
+    assert extinction_prob_pgf(lambda s: math.exp(1.5 * (s - 1.0))) == 0.41718835613457483
+
+
 class TestGraph:
     def test_parse_triangle(self, tmp_path):
         f = tmp_path / "g.txt"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from bpviral.bp_attack import AttackLimits, build_gbeta, h_limits
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE,
                                 DegenerateFieldError, OdeTrajectory,
-                                ScalarField, classify_scalar, epochs_before,
+                                ScalarField, bisect_root, classify_scalar,
+                                epochs_before,
                                 finite_time_gap, harmonic_number,
                                 harmonic_times, hover_classify, lift_limits,
                                 make_autonomous_rhs, make_h, nonauto_rhs,
@@ -49,6 +50,41 @@ class TestClassifyScalar:
         rep = classify_scalar(ScalarField(g=g, kinks=[0.0, 1.0]), grid_points=4000)
         betas = sorted(round(e.beta, 6) for e in rep.equilibria)
         assert 0.9998 in betas and 1.0 in betas
+
+
+class TestBisectRoot:
+    def test_exact_zero_at_midpoint_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+        assert bisect_root(f, 0.0, 1.0, f(0.0), tol=1e-12) == 0.5
+        assert calls == [0.0, 0.5]
+
+    def test_stops_at_tol(self):
+        root = math.sqrt(2.0) - 1.0
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root
+        x = bisect_root(f, 0.0, 1.0, -root, tol=1e-3)
+        # 2**-10 is the first bracket width <= 1e-3
+        assert len(calls) == 10
+        assert abs(x - root) <= 2.0 ** -11
+
+    def test_tol_zero_ends_at_adjacent_floats(self):
+        seen = []
+
+        def step(x):            # a sign change at 0.3 and no zero anywhere
+            seen.append(x)
+            return 1.0 if x >= 0.3 else -1.0
+        x = bisect_root(step, 0.0, 1.0, -1.0, tol=0.0)
+        lo = max(v for v in seen if v < 0.3)
+        hi = min(v for v in seen if v >= 0.3)
+        assert (lo, hi) == (np.nextafter(0.3, 0.0), 0.3)
+        assert x in (lo, hi)
 
 
 def _poly_field(roots, sign):

@@ -253,6 +253,28 @@ class TestEaEh:
             design_for_kind("nope", naive_post, mix, 0.05)
 
 
+def test_naive_designs_pinned(naive_post, naive_mix):
+    """eo and eh designs at the naive operating point, bit for bit."""
+    bounds = {'F': [0.04073658555456692, 0.7112976646420881],
+              'R': [0.015508328546812179, 0.6537111494032805]}
+    eo = {'kind': 'eo', 'w': 3.2333333333333334, 'b': 0.36342092562340306, 'zeta': 1.0,
+          'delta_target': 0.041269841269841276, 'iqos_mode': True,
+          'predicted_limits': {'F': [0.441299625938592], 'R': [0.041269841269739246]},
+          'bounds': bounds, 'qos': 0.441299625938592, 'iqos': 0.5131087366682445,
+          'constraint_ok': True, 'extras': {}}
+    eh = {'kind': 'eh', 'w': 3.2333333333333334, 'b': 0.4473219491174556,
+          'zeta': 1.0481238626098235, 'delta_target': 0.041269841269841276,
+          'iqos_mode': True,
+          'predicted_limits': {'F': [0.6560966421876343], 'R': [0.041269841269739246]},
+          'bounds': bounds, 'qos': 0.6560966421876343, 'iqos': 0.7628579301175749,
+          'constraint_ok': True,
+          'extras': {'zeta_bar': 1.0481238626098235, 'ea_qos': 0.5825177965544593,
+                     'ea_iqos': 0.6773061954020785}}
+    mix = naive_mix(0.1)
+    assert optimize_eo(naive_post, mix, 0.05).to_dict() == eo
+    assert design_eh(naive_post, mix, 0.05).to_dict() == eh
+
+
 def test_learned_design_handles_large_w(naive_post, naive_mix):
     d = learned_design(8.0, 1.0, naive_post, naive_mix(0.1), 0.05)
     assert d.predicted_limits[FAKE]
