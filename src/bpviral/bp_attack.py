@@ -118,21 +118,6 @@ def classify_regime_and_limits(limits: AttackLimits):
     return in_e, lift_limits(report, h_limits(limits))
 
 
-def sample_attack_offspring(state: PopulationState, dist_own, dist_attack,
-                            rng) -> OffspringSample:
-    """One offspring draw for a death of the majority-proportion type.
-
-    ``dist_own(state, rng)`` and ``dist_attack(state, rng)`` return integer
-    draws; the attack is capped at the other type's current count and the
-    captured individuals are acquired (added to own offspring).
-    """
-    ptype = "x" if rng.random() < state.beta else "y"
-    other = state.cy if ptype == "x" else state.cx
-    own = int(dist_own(state, rng))
-    captured = min(int(dist_attack(state, rng)), other)
-    return OffspringSample(parent_type=ptype, own=own + captured, cross=-captured)
-
-
 def attack_model(limits: AttackLimits, transient_scale: float = 0.0,
                  transient_power: float = 1.0, cap: int | None = None) -> MeanModel:
     """Mean model with Poisson own/attack draws converging to the limits.
@@ -229,12 +214,12 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
 
 def terminal_beta_study(limits: AttackLimits, replications: int,
                         max_events: int, seed: int,
-                        init: PopulationState | None = None,
-                        record_every: int = 200) -> dict:
+                        init: PopulationState | None = None) -> dict:
     """Replicated attack runs: terminal proportions and hover flags.
 
     Reports, per surviving replication, the terminal beta and a finite-sample
-    hover verdict against the theoretical limit set of the regime.
+    hover verdict against the theoretical limit set of the regime, read from
+    the proportions recorded every 200 events.
     """
     from .ode_engine import hover_classify, HOVERING, SADDLE
 
@@ -246,7 +231,7 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     terminal, hovering, n_extinct = [], [], 0
     for r in range(replications):
         betas, extinct = simulate_attack_betas(limits, init, max_events,
-                                               seed ^ (r + 1), record_every)
+                                               seed ^ (r + 1), 200)
         if extinct:
             n_extinct += 1
             continue

@@ -40,10 +40,6 @@ class PopulationState:
         return self.cx + self.cy
 
     @property
-    def s_total(self) -> int:
-        return self.ax + self.ay
-
-    @property
     def beta(self) -> float:
         s = self.cx + self.cy
         return self.cx / s if s > 0 else 0.0
@@ -95,13 +91,12 @@ class DeathModel:
     """Death kinds and their (possibly population-dependent) rates.
 
     ``rate(ptype, kind, state)`` must return a strictly positive value; a
-    configured lower bound ``lambda_floor`` is asserted, the thesis never
-    fixes one numerically.
+    lower bound of 1e-12 is asserted, the thesis never fixes one
+    numerically.
     """
     kinds_x: tuple = (0,)
     kinds_y: tuple = (0,)
     rate: callable = None
-    lambda_floor: float = 1e-12
 
     def __post_init__(self):
         if self.rate is None:
@@ -109,27 +104,27 @@ class DeathModel:
 
     def rate_checked(self, ptype, kind, state):
         lam = float(self.rate(ptype, kind, state))
-        if not lam > 0 or lam < self.lambda_floor:
+        if not lam >= 1e-12:
             raise ValueError(f"death rate {lam} below floor for ({ptype},{kind})")
         return lam
 
 
-def death_probabilities(state: PopulationState, deaths: DeathModel) -> dict:
-    """P(next death is of type i by kind d | state), memoryless-minimum rule."""
+def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
+    """Weight count * rate of each (type, kind) the next death can take.
+
+    By the memoryless-minimum rule the next death is (type, kind) with
+    probability weight / total weight, and the total is the rate of the
+    next death.  Types with no living member are left out.
+    """
     if state.extinct:
         raise ValueError("absorbing state has no death event")
-    beta = state.beta
-    probs = {}
-    denom = 0.0
-    for d in deaths.kinds_x:
-        w = deaths.rate_checked("x", d, state) * beta
-        probs[("x", d)] = w
-        denom += w
-    for d in deaths.kinds_y:
-        w = deaths.rate_checked("y", d, state) * (1.0 - beta)
-        probs[("y", d)] = w
-        denom += w
-    return {k: v / denom for k, v in probs.items()}
+    weights = {}
+    for ptype, count, kinds in (("x", state.cx, deaths.kinds_x),
+                                ("y", state.cy, deaths.kinds_y)):
+        if count:
+            for d in kinds:
+                weights[(ptype, d)] = count * deaths.rate_checked(ptype, d, state)
+    return weights
 
 
 def step_embedded(state: PopulationState, sample: OffspringSample) -> PopulationState:
@@ -282,7 +277,7 @@ CSV_HEADER = "epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta"
 
 def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
              max_events: int = 1_000_000, seed: int = 0,
-             record_every: int = 1, rng: np.random.Generator | None = None) -> Trajectory:
+             record_every: int = 1) -> Trajectory:
     """Run the embedded chain until extinction or the event cap.
 
     Inter-death times are exponential with the total rate summed over living
@@ -292,43 +287,29 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
     init.validate()
-    if rng is None:
-        rng = make_rng(seed)
+    rng = make_rng(seed)
     state = init
     keep_events = record_every == 1
     rec_epoch, rec_tau = [], []
     rec_cx, rec_cy, rec_ax, rec_ay = [], [], [], []
     ev_parent, ev_own, ev_cross = [], [], []
     t = 0.0
-    kinds_x, kinds_y = deaths.kinds_x, deaths.kinds_y
-    ratefn = deaths.rate_checked
     sample_offspring = model.sampler
     extinct = state.extinct
     for n in range(1, max_events + 1):
         if state.extinct:
             extinct = True
             break
-        wx = [ratefn("x", d, state) for d in kinds_x] if state.cx else []
-        wy = [ratefn("y", d, state) for d in kinds_y] if state.cy else []
-        total_rate = state.cx * sum(wx) + state.cy * sum(wy)
+        weights = death_weights(state, deaths)
+        total_rate = sum(weights.values())
         t += rng.exponential(1.0 / total_rate)
-        # categorical draw over (type, kind) with weights count * rate
+        # categorical draw over (type, kind); the last weight ends at total_rate
         u = rng.random() * total_rate
         acc = 0.0
-        ptype, kind = "y", kinds_y[-1] if kinds_y else 0
-        done = False
-        for d, w in zip(kinds_x, wx):
-            acc += state.cx * w
+        for (ptype, kind), w in weights.items():
+            acc += w
             if u <= acc:
-                ptype, kind = "x", d
-                done = True
                 break
-        if not done:
-            for d, w in zip(kinds_y, wy):
-                acc += state.cy * w
-                if u <= acc:
-                    ptype, kind = "y", d
-                    break
         sample = sample_offspring(ptype, kind, state, rng)
         state = step_embedded(state, sample)
         if keep_events:
@@ -407,7 +388,7 @@ class DichotomyStats:
     replications: int
     extinct_fraction: float
     survivor_rates: np.ndarray          # fitted growth rate of S_n vs tau_n per survivor
-    rate_threshold: float               # lambda_floor * (E[lower offspring] - 1)
+    rate_threshold: float               # lam * (E[lower offspring] - 1)
     all_grew_or_died: bool              # every survivor had S_cap >= S_{cap/2}
 
     @property
@@ -420,16 +401,16 @@ class DichotomyStats:
         return float(np.std(self.survivor_rates, ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
 
 
-def fit_growth_rate(s: np.ndarray, tau: np.ndarray, tail: float = 0.5) -> float:
+def fit_growth_rate(s: np.ndarray, tau: np.ndarray) -> float:
     """Least-squares slope of ln S_n against tau_n.
 
-    Only the trailing ``tail`` fraction of the path enters the fit so the
+    Only the trailing half of the path enters the fit so the
     small-population transient does not bias the exponent.
     """
     mask = s > 0
     y = np.log(s[mask])
     x = tau[mask]
-    start = int((1.0 - tail) * len(x))
+    start = len(x) // 2
     x, y = x[start:], y[start:]
     x = x - x.mean()
     denom = float(np.dot(x, x))
@@ -463,8 +444,7 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
 
 
 def dichotomy_study(offspring_mean: float, s0: int, replications: int,
-                    cap: int, seed: int, lam: float = 1.0,
-                    chunk: int = 200) -> DichotomyStats:
+                    cap: int, seed: int, lam: float = 1.0) -> DichotomyStats:
     """Monte-Carlo dichotomy statistics for the population-independent case.
 
     When both types share one death kind with a common rate and the total
@@ -473,7 +453,8 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
     routine simulates in vectorised blocks (the event loop gives the same
     law; see the regression tests).  Each replication is classified extinct
     or still-growing at the cap, and survivors get a fitted growth rate of
-    S_n against tau_n.
+    S_n against tau_n.  Replications are drawn in blocks of 200, which fixes
+    the draw layout of a seed.
     """
     rng = make_rng(seed)
     n_extinct = 0
@@ -481,7 +462,7 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
     all_grew = True
     done = 0
     while done < replications:
-        b = min(chunk, replications - done)
+        b = min(200, replications - done)
         incr = rng.poisson(offspring_mean, size=(b, cap)).astype(np.int64) - 1
         s = s0 + np.cumsum(incr, axis=1)
         hit = s <= 0

@@ -163,15 +163,14 @@ def gamma_floor(eta: float, params: GameParams) -> float:
     return (1.0 / (1.0 - p)) * ((1.0 - (eta + mua) * (1.0 - p)) / (1.0 - eta - mua))
 
 
-def design_ai_game(params: GameParams, eps: float | None = None,
-                   eps1_frac: float = 0.5, eps2_frac: float = 0.5,
-                   gamma_margin: float = 1.0) -> AiDesign:
+def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
     """Design the actuality-identification game.
 
-    Follows the two-branch target adjustment (theta_tilde), then picks the
-    warning scale w inside its feasibility interval, the participation level
+    Follows the two-branch target adjustment (theta_tilde, with the slack
+    eps 1e-6 above its admissible floor), then picks the warning scale w
+    inside its feasibility interval, the participation level
     eta = eta_bar + eps2, and finally (gamma, R) to make the designed mix an
-    equilibrium.  Free slack choices default to interval midpoints; gamma is
+    equilibrium.  The free slack choices are interval midpoints; gamma is
     the floor plus ``gamma_margin``.
     """
     aR, aF = params.alpha_r, params.alpha_f
@@ -201,23 +200,20 @@ def design_ai_game(params: GameParams, eps: float | None = None,
             return fail("K_delta negative")
         theta2 = (-kappa + math.sqrt(k_delta)) / (2.0 * dra * aR)
         base = max(theta2, 1.0 - delta * (1.0 - aF) / aR)
-        e = eps if eps is not None else max(0.0, theta - theta2) + 1e-6
-        if e <= max(0.0, theta - theta2):
-            return fail("eps below its admissible floor")
-        theta_tilde = min(base + e, 1.0)
+        theta_tilde = min(base + (max(0.0, theta - theta2) + 1e-6), 1.0)
 
     es = eta_star_of(theta_tilde)
     lo = (1.0 / (1.0 - mua)) * max(1.0, 1.0 / (dra * theta_tilde))
     hi = min(1.0 / delta_a, (delta_a - es * aR) / (delta_a * (1.0 - mua - es)))
     if not hi > lo:
         return fail("empty warning-scale interval")
-    cwa = lo + eps1_frac * (hi - lo)
+    cwa = lo + 0.5 * (hi - lo)
     w = cwa / (params.resp_c * aR)
 
     eta_bar = delta_a * ((1.0 - mua) * cwa - 1.0) / (cwa * delta_a - aR)
     if not eta_bar < es:
         return fail("participation interval empty")
-    eta = eta_bar + eps2_frac * (es - eta_bar)
+    eta = eta_bar + 0.5 * (es - eta_bar)
 
     gam_lo = gamma_floor(eta, params)
     gamma = max(gam_lo, 1.0) + gamma_margin
@@ -258,6 +254,29 @@ def utility_eval(strategy: int, mu, design: AiDesign, params: GameParams) -> flo
     raise ValueError("strategy in {0,1,2}")
 
 
+def _identification(design: AiDesign, params: GameParams) -> tuple:
+    """Tagging limits (beta_F, beta_R) at the designed mix, the adjusted
+    targets theta_tilde(1-mua) and delta(1-mua), and a message naming the
+    first target missed by more than 1e-9 (None when both are met)."""
+    mu_eta = design.mu_eta()
+    b_f = beta_fixed_point(mu_eta, design.w, params, FAKE)
+    b_r = beta_fixed_point(mu_eta, design.w, params, REAL)
+    theta_a_tilde = design.theta_tilde * (1.0 - params.mua)
+    delta_a = params.delta * (1.0 - params.mua)
+    missed = None
+    if not b_f >= theta_a_tilde - 1e-9:
+        missed = f"beta_F^eta >= theta_tilde(1-mua) violated: {b_f} < {theta_a_tilde}"
+    elif not b_r <= delta_a + 1e-9:
+        missed = f"beta_R^eta <= delta_a violated: {b_r} > {delta_a}"
+    return b_f, b_r, theta_a_tilde, delta_a, missed
+
+
+def _degradation(b_f_x: float, params: GameParams) -> float:
+    """Percent shortfall of a fake-post limit below theta(1-mua)."""
+    theta_a = params.theta * (1.0 - params.mua)
+    return (theta_a - b_f_x) * 100.0 / theta_a
+
+
 def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
     """Check the designed game's guarantees; raise naming any failed one.
 
@@ -270,16 +289,9 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
         raise GameVerificationError(f"design infeasible: {design.reason}")
     mua = params.mua
     mu_eta = design.mu_eta()
-    b_f = beta_fixed_point(mu_eta, design.w, params, FAKE)
-    b_r = beta_fixed_point(mu_eta, design.w, params, REAL)
-    theta_a_tilde = design.theta_tilde * (1.0 - mua)
-    delta_a = params.delta * (1.0 - mua)
-    if not b_f >= theta_a_tilde - 1e-9:
-        raise GameVerificationError(
-            f"beta_F^eta >= theta_tilde(1-mua) violated: {b_f} < {theta_a_tilde}")
-    if not b_r <= delta_a + 1e-9:
-        raise GameVerificationError(
-            f"beta_R^eta <= delta_a violated: {b_r} > {delta_a}")
+    b_f, b_r, theta_a_tilde, delta_a, missed = _identification(design, params)
+    if missed:
+        raise GameVerificationError(missed)
     u0 = utility_eval(0, mu_eta, design, params)
     u1 = utility_eval(1, mu_eta, design, params)
     u2 = utility_eval(2, mu_eta, design, params)
@@ -319,12 +331,10 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
             if abs(ps - (1.0 - params.p)) < 1e-12 and abs(u1x - u2x) > 1e-9:
                 raise GameVerificationError(
                     f"second NE indifference violated: {u1x} != {u2x}")
-            theta_a = params.theta * (1.0 - mua)
-            degradation = (theta_a - b_f_x) * 100.0 / theta_a
             report["ne_list"].append({"mu": mu_x, "ai": False})
             report["second_ne"] = {"x_eta": x, "beta_F": b_f_x, "beta_R": b_r_x,
                                    "success_prob": ps}
-            report["degradation_pct"] = degradation
+            report["degradation_pct"] = _degradation(b_f_x, params)
     return report
 
 
@@ -410,11 +420,7 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
                 continue
             ai = True
         else:
-            mu_eta = design.mu_eta()
-            b_f = beta_fixed_point(mu_eta, design.w, params, FAKE)
-            b_r = beta_fixed_point(mu_eta, design.w, params, REAL)
-            ai = (b_f >= design.theta_tilde * (1.0 - mua) - 1e-9
-                  and b_r <= params.delta * (1.0 - mua) + 1e-9)
+            ai = _identification(design, params)[-1] is None
         ai_ok += ai
         x = design.x_eta
         level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
@@ -425,8 +431,7 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
             continue
         second_ne += 1
         b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
-        theta_a = theta * (1.0 - mua)
-        degradation = (theta_a - b_f_x) * 100.0 / theta_a
+        degradation = _degradation(b_f_x, params)
         degradations.append(degradation)
         if degradation < 10.0:
             small_degradation += 1

@@ -75,8 +75,7 @@ class MarketPath:
 
 def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
                    record_every: int = 1, offspring: str = "poisson",
-                   gamma_cap: int | None = None, lam: float = 1.0,
-                   rng=None) -> MarketPath:
+                   gamma_cap: int | None = None, lam: float = 1.0) -> MarketPath:
     """Simulate reads of a post whose forwards have mean tef(A).
 
     One unread copy is consumed per event (A_n - C_n = n); inter-read times
@@ -87,8 +86,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     """
     if a0 < 1:
         raise ValueError("need at least one seed copy")
-    if rng is None:
-        rng = make_rng(seed)
+    rng = make_rng(seed)
     a = c = int(a0)
     rec_n, rec_tau, rec_a, rec_c = [], [], [], []
     t = 0.0
@@ -179,15 +177,10 @@ class ClosedFormShares:
             return 0.0
         if self.w_phase2 is not None and t > self.tau_s:
             phi = self.tau_s
-            c_phi, a_phi = self._c_raw_phase1(phi), self.a(phi)
+            c_phi, a_phi = self.c(phi), self.a(phi)
         else:
             phi, c_phi, a_phi = 0.0, self.c0, self.a0
         return c_phi - a_phi + self.a(t) + math.exp(-EULER_GAMMA) * (math.exp(phi) - math.exp(t))
-
-    def _c_raw_phase1(self, t: float) -> float:
-        w1, w2, w3 = self.w_phase1
-        a_t = w1 - w2 * math.exp(-w3 * math.exp(t))
-        return self.c0 - self.a0 + a_t + math.exp(-EULER_GAMMA) * (1.0 - math.exp(t))
 
     def a_epoch(self, n: float) -> float:
         n_eff = min(n, self.n_e)
@@ -203,14 +196,6 @@ class ClosedFormShares:
         if self.w_phase2 is not None and n > self.n_s:
             return self.w_phase2
         return self.w_phase1
-
-    def sample(self, times) -> dict:
-        times = np.asarray(times, dtype=float)
-        return {
-            "t": times,
-            "a": np.array([self.a(t) for t in times]),
-            "c": np.array([self.c(t) for t in times]),
-        }
 
 
 def closed_form(params: TefParams, a0: float, c0: float | None = None) -> ClosedFormShares:
@@ -300,8 +285,9 @@ def stpbp_nonauto_rhs(params: TefParams, n_start: int):
 def extinction_prob_pgf(pgf, tol: float = 1e-12) -> float:
     """Smallest fixed point of a probability generating function on [0,1].
 
-    Bisection on f(s) - s after a sign scan; the identity PGF returns 0 and
-    a sub-critical law (no sign change below one) returns 1.
+    Bisection on f(s) - s after a sign scan.  A scan point where f(s) - s
+    is exactly zero is the root itself, so a sub-critical or critical law,
+    whose first zero is s = 1, returns 1; the identity PGF returns 0.
     """
     def g(s):
         return pgf(s) - s
@@ -312,11 +298,9 @@ def extinction_prob_pgf(pgf, tol: float = 1e-12) -> float:
     vals = np.array([g(float(x)) for x in xs])
     if np.all(np.abs(vals) <= tol):
         return 0.0
-    idx = None
     for i in range(len(xs) - 1):
         if vals[i] > 0 and vals[i + 1] <= 0:
-            idx = i
-            break
-    if idx is None:
-        return 1.0
-    return bisect_root(g, float(xs[idx]), float(xs[idx + 1]), vals[idx], tol)
+            if vals[i + 1] == 0.0:
+                return float(xs[i + 1])
+            return bisect_root(g, float(xs[i]), float(xs[i + 1]), vals[i], tol)
+    return 1.0

@@ -9,7 +9,6 @@ equilibria of the 4-dimensional ratio ODE through a map h(beta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,10 +39,6 @@ class ScalarField:
     g: callable
     kinks: list = field(default_factory=list)
 
-    def check_invariance(self):
-        """[0,1] is positive invariant iff g(0) >= 0 and g(1) <= 0."""
-        return self.g(0.0) >= 0.0 and self.g(1.0) <= 0.0
-
 
 @dataclass
 class Equilibrium:
@@ -66,18 +61,6 @@ class EquilibriumReport:
     lifted: list = field(default_factory=list)
     includes_zero_saddle: bool = False
 
-    @property
-    def attractors(self):
-        return [e for e in self.equilibria if e.kind == ATTRACTOR]
-
-    @property
-    def repellers(self):
-        return [e for e in self.equilibria if e.kind == REPELLER]
-
-    @property
-    def saddles(self):
-        return [e for e in self.equilibria if e.kind == SADDLE]
-
     def to_dict(self):
         return {
             "equilibria": [
@@ -93,9 +76,6 @@ class EquilibriumReport:
                 for p in self.lifted
             ],
         }
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
 
 
 def bisect_root(f, lo, hi, f_lo, tol):
@@ -205,11 +185,15 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
             return 0
         return 1 if cand[np.argmax(np.abs(cand))] > 0 else -1
 
+    # basins: an attractor owns the open interval up to its neighbouring
+    # equilibria (closed at the domain boundary); a saddle owns the side(s)
+    # whose flow points at it; a repeller only owns itself.
     bounds = [0.0] + roots + [1.0]
     eqs = []
     for i, r in enumerate(roots):
-        s_left = side_sign(bounds[i], r)
-        s_right = side_sign(r, bounds[i + 2])
+        lo, hi = bounds[i], bounds[i + 2]
+        s_left = side_sign(lo, r)
+        s_right = side_sign(r, hi)
         if r <= refine_tol:                   # left boundary root
             kind = ATTRACTOR if s_right < 0 else (REPELLER if s_right > 0 else SADDLE)
         elif r >= 1.0 - refine_tol:           # right boundary root
@@ -220,28 +204,16 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
             kind = REPELLER
         else:
             kind = SADDLE
-        eqs.append(Equilibrium(beta=r, kind=kind, basin=(r, r),
-                               g_residual=abs(g(r))))
-
-    # basins: an attractor owns the open interval up to its neighbouring
-    # equilibria (closed at the domain boundary); a saddle owns the side(s)
-    # whose flow points at it; a repeller only owns itself.
-    for i, e in enumerate(eqs):
-        lo = eqs[i - 1].beta if i > 0 else 0.0
-        hi = eqs[i + 1].beta if i + 1 < len(eqs) else 1.0
-        s_left = side_sign(lo, e.beta)
-        s_right = side_sign(e.beta, hi)
-        if e.kind == ATTRACTOR:
-            e.basin = (lo if i > 0 else 0.0, hi if i + 1 < len(eqs) else 1.0)
-        elif e.kind == SADDLE:
-            if s_left > 0 and s_right > 0:
-                e.basin = (lo, e.beta)
-            elif s_left < 0 and s_right < 0:
-                e.basin = (e.beta, hi)
-            else:
-                e.basin = (e.beta, e.beta)
+        if kind == ATTRACTOR:
+            basin = (lo, hi)
+        elif kind == SADDLE and s_left > 0 and s_right > 0:
+            basin = (lo, r)
+        elif kind == SADDLE and s_left < 0 and s_right < 0:
+            basin = (r, hi)
         else:
-            e.basin = (e.beta, e.beta)
+            basin = (r, r)
+        eqs.append(Equilibrium(beta=r, kind=kind, basin=basin,
+                               g_residual=abs(g(r))))
     return EquilibriumReport(equilibria=eqs)
 
 
@@ -295,7 +267,6 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    dim = y0.size
     if mesh is None:
         mesh = max(200, int(math.ceil(5000 * T)))
     ts = np.linspace(0.0, T, mesh + 1)
@@ -318,34 +289,35 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         used = sweep + 1
         if delta < 1e-15:
             break
-    return OdeTrajectory(times=ts, values=Y if dim > 1 else Y,
-                         sweeps_used=used, mesh=mesh)
+    return OdeTrajectory(times=ts, values=Y, sweeps_used=used, mesh=mesh)
 
 
-def picard_chain(rhs, y0, T, window: float = 4.0, sweeps: int = 60,
-                 mesh_per_unit: int = 200) -> OdeTrajectory:
+def picard_chain(rhs, y0, T) -> OdeTrajectory:
     """Long-horizon integration by restarting Picard on fixed windows.
 
     Successive approximation contracts only while L*window stays well below
     the sweep count, so horizons beyond ~20 Lipschitz times are integrated
-    window by window, restarting from the previous endpoint.
+    on windows of 4 time units (60 sweeps, 200 mesh points per unit),
+    restarting from the previous endpoint.  ``sweeps_used`` is the largest
+    sweep count of any window.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     t_all = [np.array([0.0])]
     y_all = [y0[None, :]]
     t0 = 0.0
     y = y0
+    used = 0
     while t0 < T - 1e-12:
-        span = min(window, T - t0)
+        span = min(4.0, T - t0)
         local = picard_solve(lambda v, s, off=t0: rhs(v, s + off), y, span,
-                             sweeps=sweeps,
-                             mesh=max(20, int(mesh_per_unit * span)))
+                             sweeps=60, mesh=max(20, int(200 * span)))
         t_all.append(t0 + local.times[1:])
         y_all.append(local.values[1:])
         y = local.values[-1]
+        used = max(used, local.sweeps_used)
         t0 += span
     return OdeTrajectory(times=np.concatenate(t_all),
-                         values=np.vstack(y_all), sweeps_used=sweeps)
+                         values=np.vstack(y_all), sweeps_used=used)
 
 
 # -- epoch/time bookkeeping for the 1/n step-size scheme ---------------------
@@ -468,22 +440,19 @@ HOVERING = "hovering"
 UNDECIDED = "undecided"
 
 
-def hover_classify(betas, targets, delta: float = 0.01, delta1: float = 0.05,
-                   tail_fraction: float = 0.5) -> str:
+def hover_classify(betas, targets, delta: float = 0.01, delta1: float = 0.05) -> str:
     """Finite-sample verdict on the tail behaviour of a scalar trajectory.
 
     ``targets`` is either a set of target values (treated as attractors) or
-    a mapping value -> 'attractor'|'saddle'.  Over the trailing
-    ``tail_fraction`` of the sequence: converged if every point stays within
-    ``delta`` of one single target; hovering if the tail both enters the
-    delta-neighbourhood and exits the delta1-neighbourhood of the target set
-    at least twice each; undecided otherwise.  Heuristic only: the
-    asymptotic notion has no finite-sample test.
+    a mapping value -> 'attractor'|'saddle'.  Over the trailing half of the
+    sequence: converged if every point stays within ``delta`` of one single
+    target; hovering if the tail both enters the delta-neighbourhood and
+    exits the delta1-neighbourhood of the target set at least twice each;
+    undecided otherwise.  Heuristic only: the asymptotic notion has no
+    finite-sample test.
     """
     if not 0 < delta < delta1:
         raise ValueError("need 0 < delta < delta1")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction in (0, 1]")
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("empty sequence")
@@ -492,7 +461,7 @@ def hover_classify(betas, targets, delta: float = 0.01, delta1: float = 0.05,
     else:
         kinds = {float(k): ATTRACTOR for k in targets}
     pts = np.array(sorted(kinds))
-    tail = betas[-max(1, int(math.ceil(tail_fraction * betas.size))):]
+    tail = betas[betas.size // 2:]
 
     dists = np.abs(tail[:, None] - pts[None, :])
     dmin = dists.min(axis=1)

@@ -249,31 +249,33 @@ def _b_formula(w: float, target: float, post: PostModel, mix: UserMix) -> float:
     return b
 
 
-def _single_root(kind, design, post, mix, u) -> float:
-    rep = classify_scalar(gbeta_field(kind, design, post, mix, u),
-                          grid_points=4000)
-    return sorted(e.beta for e in rep.equilibria)[0]
+def _target(delta: float, post: PostModel, mix: UserMix, iqos: bool) -> float:
+    """Real-post target of a design: delta, or its non-adversarial rescale."""
+    if not 0 < delta < 1:
+        raise ValueError("delta in (0,1)")
+    return delta_a_value(delta, post, mix) if iqos else delta
+
+
+def _pinned_design(kind, w, b_pinned, post, mix, delta, iqos) -> MechanismDesign:
+    """Design of the given kind at scale w: b = 0 when the real-post limit
+    at b = 0 already meets the target, else ``b_pinned(target)``."""
+    target = _target(delta, post, mix, iqos)
+    probe = MechanismDesign(kind=kind, w=w, b=0.0, delta_target=target, iqos_mode=iqos)
+    rep = classify_scalar(gbeta_field(kind, probe, post, mix, REAL), grid_points=4000)
+    b = b_pinned(target) if min(e.beta for e in rep.equilibria) > target else 0.0
+    design = MechanismDesign(kind=kind, w=w, b=b, delta_target=target, iqos_mode=iqos)
+    limit_proportions(kind, design, post, mix)
+    design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
+    return design
 
 
 def optimize_eo(post: PostModel, mix: UserMix, delta: float,
                 iqos: bool = True) -> MechanismDesign:
     """Optimal extended-original mechanism: w at its cap; b either zero or
     the value that pins the real-post limit exactly at the target."""
-    if not 0 < delta < 1:
-        raise ValueError("delta in (0,1)")
-    target = delta_a_value(delta, post, mix) if iqos else delta
-    w_star = post.w_bar
-    probe = MechanismDesign(kind=EO, w=w_star, b=0.0, delta_target=target, iqos_mode=iqos)
-    root_r0 = _single_root(EO, probe, post, mix, REAL)
-    if root_r0 > target:
-        b_star = _b_formula(w_star, target, post, mix)
-    else:
-        b_star = 0.0
-    design = MechanismDesign(kind=EO, w=w_star, b=b_star,
-                             delta_target=target, iqos_mode=iqos)
-    limit_proportions(EO, design, post, mix)
-    design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
-    return design
+    w = post.w_bar
+    return _pinned_design(EO, w, lambda target: _b_formula(w, target, post, mix),
+                          post, mix, delta, iqos)
 
 
 def design_ea(post: PostModel, mix: UserMix, delta: float,
@@ -284,21 +286,14 @@ def design_ea(post: PostModel, mix: UserMix, delta: float,
     the no-adversary optimum; (w, b) are the no-adversary optimal pair.
     Returns (design, Delta_a threshold on mua for full elimination).
     """
-    target = delta_a_value(delta, post, mix) if iqos else delta
-    mix_na = mix.without_adversaries()
-    eo_na = optimize_eo(post, mix_na, delta, iqos=iqos)
+    eo_na = optimize_eo(post, mix.without_adversaries(), delta, iqos=iqos)
     beta_o_na = eo_na.qos
     w = post.w_bar
-    probe = MechanismDesign(kind=EA, w=w, b=0.0, delta_target=target, iqos_mode=iqos)
-    root_r0 = _single_root(EA, probe, post, mix, REAL)
-    b = eo_na.b if root_r0 > target else 0.0
-    design = MechanismDesign(kind=EA, w=w, b=b, delta_target=target, iqos_mode=iqos)
-    limit_proportions(EA, design, post, mix)
+    design = _pinned_design(EA, w, lambda target: eo_na.b, post, mix, delta, iqos)
     omega_na = eo_warning(beta_o_na, w, eo_na.b, post.gamma)
     delta_a_thresh = (mix.mu2 * post.eta_f * (1.0 / post.alpha_x_f - omega_na)
                       * ((beta_o_na * post.alpha_x_f + (1 - beta_o_na) * post.alpha_y_f)
                          / (beta_o_na * post.eta_a)))
-    design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
     design.extras = {"beta_o_na": beta_o_na, "delta_a_threshold": delta_a_thresh,
                      "b_na": eo_na.b}
     return design, delta_a_thresh
@@ -308,7 +303,7 @@ def design_eh(post: PostModel, mix: UserMix, delta: float,
               iqos: bool = True) -> MechanismDesign:
     """Enhanced mechanism: the adversary-eliminating warning scaled by the
     largest factor that keeps the real post under the target."""
-    target = delta_a_value(delta, post, mix) if iqos else delta
+    target = _target(delta, post, mix, iqos)
     ea, _ = design_ea(post, mix, delta, iqos=iqos)
     omega_a_delta = warning_value(EA, target, ea, post, mix)
     d = target
@@ -337,15 +332,9 @@ def design_eh2(post: PostModel, mix: UserMix, delta: float,
                iqos: bool = True) -> MechanismDesign:
     """Enhanced-2 mechanism: the original warning with the larger scale
     1/alpha_x^R - gamma, keeping a unique real-post limit at the target."""
-    target = delta_a_value(delta, post, mix) if iqos else delta
     w = post.w_h2
-    probe = MechanismDesign(kind=EH2, w=w, b=0.0, delta_target=target, iqos_mode=iqos)
-    root_r0 = _single_root(EH2, probe, post, mix, REAL)
-    b = _b_formula(w, target, post, mix) if root_r0 > target else 0.0
-    design = MechanismDesign(kind=EH2, w=w, b=b, delta_target=target, iqos_mode=iqos)
-    limit_proportions(EH2, design, post, mix)
-    design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
-    return design
+    return _pinned_design(EH2, w, lambda target: _b_formula(w, target, post, mix),
+                          post, mix, delta, iqos)
 
 
 def design_for_kind(kind: str, post: PostModel, mix: UserMix, delta: float,
@@ -364,7 +353,7 @@ def design_for_kind(kind: str, post: PostModel, mix: UserMix, delta: float,
 def learned_design(w: float, b: float, post: PostModel, mix: UserMix,
                    delta: float, iqos: bool = True) -> MechanismDesign:
     """Wrap learned (w, b) as an eo-type mechanism and solve its limits."""
-    target = delta_a_value(delta, post, mix) if iqos else delta
+    target = _target(delta, post, mix, iqos)
     design = MechanismDesign(kind=LEARNED, w=w, b=b, delta_target=target,
                              iqos_mode=iqos)
     limit_proportions(LEARNED, design, post, mix)

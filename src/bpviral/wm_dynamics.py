@@ -169,10 +169,8 @@ class LearnConfig:
     """Two-timescale schedule for learning (w, b) from a real-post stream.
 
     The b-iterate steps with eps_k at every read epoch k; the sparse
-    w-updates step on their own clock by default (j-th w-update uses
-    eps_j), which keeps the w-timescale effective even though special
-    epochs thin out -- set w_clock='epochs' to reuse the global epoch index
-    instead.
+    w-updates step on their own clock (j-th w-update uses eps_j), which
+    keeps the w-timescale effective even though special epochs thin out.
     """
     budget: int
     kappa: float
@@ -185,7 +183,6 @@ class LearnConfig:
     eta_power: float = 0.8
     seed_users: int = 20
     record_every: int = 1000
-    w_clock: str = "updates"            # 'updates' or 'epochs'
 
 
 @dataclass
@@ -225,7 +222,6 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     eta_coin = config.eta0
     extinct = False
     n_w_updates = 0
-    w_own_clock = config.w_clock == "updates"
     for k in range(1, config.budget + 1):
         s = cx + cy
         if s == 0:
@@ -267,8 +263,7 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
         if special:
             ind = 1.0 if tagged_fake else 0.0
             n_w_updates += 1
-            eps_w = (config.eps_scale * n_w_updates ** (-config.eps_power)
-                     if w_own_clock else eps)
+            eps_w = config.eps_scale * n_w_updates ** (-config.eps_power)
             w = w_update(w, eps_w, ind, config.kappa)
         b = b_update(b, eps, beta_post, target_beta)
         eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)

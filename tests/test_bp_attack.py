@@ -3,7 +3,7 @@ import pytest
 
 from bpviral.bp_attack import (AttackLimits, attack_model, build_gbeta,
                                classify_regime_and_limits, interior_repeller,
-                               sample_attack_offspring, simulate_attack_betas,
+                               simulate_attack_betas,
                                terminal_beta_study)
 from bpviral.bp_core import (DeathModel, OffspringSample, PopulationState,
                              make_rng, simulate, step_embedded)
@@ -86,22 +86,24 @@ class TestRegime:
 
 
 class TestSampling:
+    # no own-type births and an attack mean far above any count here, so
+    # every draw captures min(attack, other count) and adds it to own
+    ATTACK_ONLY = AttackLimits(e_xx=0.0, e_xy=50.0, e_yy=0.0, e_yx=50.0)
+
     def test_no_targets_pure_birth(self):
+        sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=4, cy=0, ax=4, ay=0)
-        samp = sample_attack_offspring(
-            state, dist_own=lambda s, r: 2, dist_attack=lambda s, r: 5,
-            rng=make_rng(1))
-        assert samp.cross == 0 and samp.own == 2
+        samp = sampler("x", 0, state, make_rng(1))
+        assert samp.cross == 0 and samp.own == 0
 
     def test_attack_cap_arithmetic(self):
+        sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=9, cy=3, ax=9, ay=3)
         rng = make_rng(2)
-        samp = sample_attack_offspring(
-            state, dist_own=lambda s, r: 2, dist_attack=lambda s, r: 5, rng=rng)
-        if samp.parent_type == "x":
-            assert samp.own == 2 + 3 and samp.cross == -3
-        else:
-            assert samp.own == 2 + 5 and samp.cross == -5
+        samp = sampler("x", 0, state, rng)
+        assert samp.parent_type == "x" and samp.own == 3 and samp.cross == -3
+        samp = sampler("y", 0, state, rng)
+        assert samp.parent_type == "y" and samp.own == 9 and samp.cross == -9
 
     def test_attack_step_conserves_transfer(self):
         # the transferred individuals cancel in the sum current population

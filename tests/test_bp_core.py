@@ -5,13 +5,21 @@ from hypothesis import strategies as st
 
 from bpviral import bp_core
 from bpviral.bp_core import (DeathModel, MeanModel, OffspringSample,
-                             PopulationState, death_probabilities,
+                             PopulationState, death_weights,
                              dichotomy_study, make_rng, ratios_and_dichotomy,
                              sa_recursion_ratios, simulate, step_embedded)
 
 
 def unit_deaths():
     return DeathModel()
+
+
+def death_probabilities(state, deaths):
+    """P(next death is (type, kind)): each weight over the total rate that
+    simulate draws against."""
+    weights = death_weights(state, deaths)
+    total = sum(weights.values())
+    return {k: w / total for k, w in weights.items()}
 
 
 class TestDeathProbabilities:

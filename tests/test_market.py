@@ -165,7 +165,10 @@ class TestPgf:
         assert extinction_prob_pgf(lambda s: 0.25 + 0.75 * s * s) == pytest.approx(1 / 3, abs=1e-9)
 
     def test_subcritical(self):
-        assert extinction_prob_pgf(lambda s: 0.6 + 0.4 * s) == pytest.approx(1.0)
+        # sub-critical and critical laws: the first zero of f(s) - s is s = 1
+        for pgf in (lambda s: 0.6 + 0.4 * s, lambda s: 0.7 + 0.3 * s * s,
+                    lambda s: math.exp(0.5 * (s - 1.0)), lambda s: math.exp(s - 1.0)):
+            assert extinction_prob_pgf(pgf) == 1.0
 
     def test_identity_pgf(self):
         assert extinction_prob_pgf(lambda s: s) == 0.0

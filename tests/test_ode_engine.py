@@ -13,7 +13,7 @@ from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE,
                                 finite_time_gap, harmonic_number,
                                 harmonic_times, hover_classify, lift_limits,
                                 make_autonomous_rhs, make_h, nonauto_rhs,
-                                picard_solve)
+                                picard_chain, picard_solve)
 
 
 class TestClassifyScalar:
@@ -192,6 +192,13 @@ class TestPicard:
 
     def test_constant_slope_exact(self):
         traj = picard_solve(lambda y, t: np.ones(1), 0.0, T=2.0, sweeps=5, mesh=500)
+        assert np.allclose(traj.values[:, 0], traj.times, atol=1e-12)
+
+    def test_chain_reports_sweeps_used(self):
+        # a constant slope is exact after one sweep; the second confirms it,
+        # in each of the three windows of a 10-unit horizon
+        traj = picard_chain(lambda y, t: np.ones(1), 0.0, T=10.0)
+        assert traj.sweeps_used == 2
         assert np.allclose(traj.values[:, 0], traj.times, atol=1e-12)
 
     def test_indicator_rhs_matches_fine_euler(self):

@@ -165,6 +165,21 @@ class TestOptimizeEo:
         with pytest.raises(ValueError, match="constraint unattainable"):
             optimize_eo(naive_post, naive_mix(0.1), delta=1e-6, iqos=False)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1])
+    def test_delta_outside_unit_interval_rejected(self, naive_post, naive_mix, delta):
+        mix = naive_mix(0.1)
+        designs = [lambda: optimize_eo(naive_post, mix, delta),
+                   lambda: design_ea(naive_post, mix, delta),
+                   lambda: design_eh(naive_post, mix, delta),
+                   lambda: design_eh2(naive_post, mix, delta),
+                   lambda: design_eh2(naive_post, mix, delta, iqos=False),
+                   lambda: learned_design(3.0, 0.1, naive_post, mix, delta)]
+        designs += [lambda k=k: design_for_kind(k, naive_post, mix, delta)
+                    for k in (EO, EA, EH, EH2)]
+        for design in designs:
+            with pytest.raises(ValueError, match=r"delta in \(0,1\)"):
+                design()
+
     def test_roots_monotone_in_w_and_b(self):
         rng = make_rng(4)
         for _ in range(15):
