@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_core import MeanModel, OffspringSample, PopulationState, make_rng
+from .bp_core import (MeanModel, OffspringSample, PopulationState, make_rng,
+                      replication_seed)
 from .ode_engine import (ATTRACTOR, REPELLER, Equilibrium, EquilibriumReport,
                          ScalarField, lift_limits, make_h)
 
@@ -172,18 +173,15 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     Equivalent in law to the generic event loop for the attack model with
     population-independent transient means (single death kind, unit rates);
     pre-drawn Poisson buffers keep the per-event cost low.  Returns the
-    recorded beta sequence and the extinction flag.
+    beta recorded every ``record_every`` events and at the last one, and
+    the extinction flag.
     """
     rng = make_rng(seed)
     cx, cy = init.cx, init.cy
     betas = []
     buf = 1 << 14
-    u = rng.random(buf)
-    own_x = rng.poisson(limits.e_xx, buf)
-    att_x = rng.poisson(limits.e_xy, buf)
-    own_y = rng.poisson(limits.e_yy, buf)
-    att_y = rng.poisson(limits.e_yx, buf) if limits.e_yx > 0 else np.zeros(buf, dtype=np.int64)
-    j = 0
+    att_y = np.zeros(buf, dtype=np.int64)     # stays zero when e_yx == 0
+    j = buf                                   # the first event draws a block
     extinct = False
     for n in range(1, max_events + 1):
         s = cx + cy
@@ -209,6 +207,8 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
         j += 1
         if n % record_every == 0 or cx + cy == 0:
             betas.append(cx / (cx + cy) if cx + cy > 0 else 0.0)
+    if cx + cy > 0 and max_events % record_every:
+        betas.append(cx / (cx + cy))
     return np.asarray(betas), extinct
 
 
@@ -219,7 +219,8 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
 
     Reports, per surviving replication, the terminal beta and a finite-sample
     hover verdict against the theoretical limit set of the regime, read from
-    the proportions recorded every 200 events.
+    the proportions recorded every 200 events.  Replication r (from 0) runs
+    on the stream ``replication_seed(seed, r)``.
     """
     from .ode_engine import hover_classify, HOVERING, SADDLE
 
@@ -231,7 +232,7 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     terminal, hovering, n_extinct = [], [], 0
     for r in range(replications):
         betas, extinct = simulate_attack_betas(limits, init, max_events,
-                                               seed ^ (r + 1), 200)
+                                               replication_seed(seed, r), 200)
         if extinct:
             n_extinct += 1
             continue

@@ -17,10 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def make_rng(seed: int, replication: int = 0) -> np.random.Generator:
-    """Counter-based generator; replication r gets seed XOR r so parallel
-    runs reproduce independently of scheduling."""
-    return np.random.Generator(np.random.Philox(key=(int(seed) ^ int(replication)) & (2**64 - 1)))
+def make_rng(seed: int) -> np.random.Generator:
+    """Philox generator keyed with the whole seed, 0 <= seed < 2**128;
+    replication r of seed s runs on ``make_rng(replication_seed(s, r))``."""
+    if not 0 <= int(seed) < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def replication_seed(seed: int, rep: int) -> int:
+    """The one stream rule: replication ``rep`` of ``seed`` is the Philox key
+    with words (seed, rep), so replication 0 is the plain seed."""
+    for name, v in (("seed", seed), ("rep", rep)):
+        if not 0 <= int(v) < 2**64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {v}")
+    return int(seed) + (int(rep) << 64)
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,9 @@ class DeathModel:
     rate: callable = None
 
     def __post_init__(self):
+        for name in ("kinds_x", "kinds_y"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one death kind")
         if self.rate is None:
             self.rate = lambda ptype, kind, state: 1.0
 

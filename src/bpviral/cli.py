@@ -144,14 +144,16 @@ def _run_replication(argpack):
     build_model, p, rep = argpack
     init = bp_core.PopulationState(cx=p["cx0"], cy=p["cy0"], ax=p["cx0"], ay=p["cy0"])
     traj = bp_core.simulate(build_model(p), bp_core.DeathModel(), init,
-                            max_events=p["max-events"], seed=p["seed"] ^ rep,
+                            max_events=p["max-events"],
+                            seed=bp_core.replication_seed(p["seed"], rep),
                             record_every=p["record-every"])
     return list(traj.rows())
 
 
 def cmd_simulate(build_model, p):
-    """Replications ``seed ^ rep``, one CSV each (first rows to stdout
-    without --out); ``--jobs`` > 1 runs them in a process pool."""
+    """Replication r (from 0) on the stream ``replication_seed(seed, r)``,
+    one CSV each (first rows to stdout without --out); ``--jobs`` > 1 runs
+    them in a process pool."""
     packs = [(build_model, p, r) for r in range(p["replications"])]
     if p["jobs"] > 1 and len(packs) > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
@@ -287,14 +289,14 @@ def cmd_market_simulate(p):
 
 def cmd_market_propagate(p):
     g = parse_graph(p["graph"])
+    rng = bp_core.make_rng(p["seed"])
     if p["seeds"]:
         seeds = [int(s) for s in p["seeds"].split(",")]
-        log = market_graph.propagate_on_graph(g, seeds, p["rho"], p["seed"])
+        log = market_graph.propagate_on_graph(g, seeds, p["rho"], rng)
     else:
-        rng = bp_core.make_rng(p["seed"])
         ids = rng.choice(g.n_nodes, size=p["n-seeds"], replace=False)
         log = market_graph.propagate_on_graph(g, [int(i) for i in ids], p["rho"],
-                                              p["seed"], rng=rng, by_label=False)
+                                              rng, by_label=False)
     if p["out"]:
         rows = [(int(e), int(r), int(f), int(a), int(c)) for e, r, f, a, c
                 in zip(log.epoch, log.reader, log.forwards, log.a, log.c)]
@@ -359,8 +361,7 @@ def cmd_game_simulate(p):
 
 def cmd_game_study(p):
     res = game.random_study(p["samples"], p["d"], p["seed"], theta=p["theta"],
-                            gamma_margin=p["gamma-margin"], verify=False,
-                            collect_rows=True)
+                            gamma_margin=p["gamma-margin"], verify=False)
     if p["out"]:
         write_csv(p["out"], "sample,feasible,ai,degradation_pct", res["rows"])
     print(json.dumps({

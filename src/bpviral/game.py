@@ -61,6 +61,11 @@ class GameParams:
         """(alpha_u / alpha_R)^a, the response multiplier of the u-post."""
         return (self.alpha(u) / self.alpha_r) ** self.resp_a
 
+    def response_slope(self, w: float, u: str) -> float:
+        """c w alpha_R (alpha_u/alpha_R)^a: the composed response of a
+        warning-using tagger is min{slope * beta, 1} for a u-post."""
+        return self.resp_c * w * self.alpha_r * self.ratio_pow(u)
+
 
 def response(alpha: float, omega: float, params: GameParams) -> float:
     """Polynomial response min{c alpha^a omega^b, 1} of a warning-using tagger."""
@@ -97,7 +102,7 @@ def beta_fixed_point(mu, w: float, params: GameParams, u: str) -> float:
     """
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
-    mult = params.resp_c * w * params.alpha_r * params.ratio_pow(u)
+    mult = params.response_slope(w, u)
     rho_bar = alpha_u * eta + 1.0 - eta - eta_a
     rho = 1.0 - (1.0 - eta - eta_a) * mult
     if rho <= 0:
@@ -111,16 +116,14 @@ def beta_fixed_point(mu, w: float, params: GameParams, u: str) -> float:
 
 def fp_residual(beta: float, mu, w: float, params: GameParams, u: str) -> float:
     """Residual of the tagging fixed-point equation at beta."""
-    eta, eta_a = participant_fractions(mu, params.mua)
-    r = min(params.resp_c * w * params.alpha_r * params.ratio_pow(u) * beta, 1.0)
-    return params.alpha(u) * eta + (1.0 - eta - eta_a) * r - beta
+    return tagging_rhs(w, params, u, mu)(beta)
 
 
 def tagging_rhs(w: float, params: GameParams, u: str, mu):
     """Scalar ODE drift g_u(beta) of the tagging dynamics."""
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
-    mult = params.resp_c * w * params.alpha_r * params.ratio_pow(u)
+    mult = params.response_slope(w, u)
 
     def g(beta, t=0.0):
         r = min(mult * beta, 1.0)
@@ -316,7 +319,7 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
             raise GameVerificationError(
                 f"second-NE real-post bound violated: {b_r_x} > {delta_a}")
         if x > design.eta_star:
-            mult = params.resp_c * design.w * params.alpha_r * params.ratio_pow(FAKE)
+            mult = params.response_slope(design.w, FAKE)
             x_f = (1.0 - mua - 1.0 / mult) / (1.0 - params.alpha_f)
             floor = 1.0 / mult if x <= x_f else params.alpha_f * (1.0 - mua)
             if not b_f_x >= floor - 1e-9:
@@ -347,7 +350,7 @@ def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
         raise ValueError("k_max must be >= 1")
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
-    mult = params.resp_c * design.w * params.alpha_r * params.ratio_pow(u)
+    mult = params.response_slope(design.w, u)
     rng = make_rng(seed)
     uu = rng.random(k_max)
     ud = rng.random(k_max)
@@ -371,8 +374,7 @@ def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
 
 
 def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
-                 gamma_margin: float = 1000.0, verify: bool = False,
-                 collect_rows: bool = False) -> dict:
+                 gamma_margin: float = 1000.0, verify: bool = False) -> dict:
     """Random-configuration study of the design routine.
 
     Samples alpha_R ~ U(0.25, 0.3), mua ~ U(0, 0.2), a ~ U(2, 3),
@@ -387,7 +389,8 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     (branch-split) fixed point enters the degradation metric.  Large reward
     multipliers (default floor + 1000) keep x_eta governed by the mix alone.
     ``verify=True`` additionally runs every design through
-    verify_equilibria and reports the pass fraction.
+    verify_equilibria and reports the pass fraction.  ``rows`` holds one
+    (sample, feasible, ai, degradation_pct) tuple per sample.
     """
     rng = make_rng(seed)
     feasible = 0
@@ -407,16 +410,14 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
                             theta=theta, delta=alpha_r + 0.01, resp_a=a)
         design = design_ai_game(params, gamma_margin=gamma_margin)
         if not design.feasible:
-            if collect_rows:
-                rows.append((i, 0, 0, float("nan")))
+            rows.append((i, 0, 0, float("nan")))
             continue
         feasible += 1
         if verify:
             try:
                 verify_equilibria(design, params)
             except GameVerificationError:
-                if collect_rows:
-                    rows.append((i, 1, 0, float("nan")))
+                rows.append((i, 1, 0, float("nan")))
                 continue
             ai = True
         else:
@@ -426,8 +427,7 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
         level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
         if x <= level_theta or x >= 1.0 - mua:
             small_degradation += 1
-            if collect_rows:
-                rows.append((i, 1, int(ai), 0.0))
+            rows.append((i, 1, int(ai), 0.0))
             continue
         second_ne += 1
         b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
@@ -435,8 +435,7 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
         degradations.append(degradation)
         if degradation < 10.0:
             small_degradation += 1
-        if collect_rows:
-            rows.append((i, 1, int(ai), degradation))
+        rows.append((i, 1, int(ai), degradation))
     return {
         "samples": n_samples,
         "feasible_fraction": feasible / n_samples,

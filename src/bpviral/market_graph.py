@@ -93,16 +93,14 @@ class CascadeLog:
     reach: int
 
 
-def propagate_on_graph(graph: Graph, seeds, rho: float, seed: int,
-                       rng=None, by_label: bool = True) -> CascadeLog:
+def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator,
+                       by_label: bool = True) -> CascadeLog:
     """Run one cascade: a uniformly random holder of an unread copy wakes
     up, forwards to each neighbour independently with probability rho, and
     recipients who already hold the post are dropped.  Terminates when no
-    unread copies remain."""
+    unread copies remain.  Every draw comes from ``rng``."""
     if not seeds:
         raise ValueError("need at least one seed")
-    if rng is None:
-        rng = make_rng(seed)
     seed_ids = [graph.internal_id(s) if by_label else int(s) for s in seeds]
     if len(set(seed_ids)) != len(seed_ids):
         raise ValueError("seeds must be distinct")
@@ -216,8 +214,8 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     kept = 0
     for r in range(runs):
         seeds = rng.choice(graph.n_nodes, size=seeds_per_run, replace=False)
-        log = propagate_on_graph(graph, [int(s) for s in seeds], rho,
-                                 seed=0, rng=rng, by_label=False)
+        log = propagate_on_graph(graph, [int(s) for s in seeds], rho, rng,
+                                 by_label=False)
         if viral_threshold is not None and log.reach < viral_threshold:
             continue
         kept += 1

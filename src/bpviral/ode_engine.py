@@ -362,14 +362,18 @@ def nonauto_rhs(upsilon, t, model) -> np.ndarray:
     beta = theta_c / psi_c if psi_c > 0 else 0.0
     m = np.asarray(model.mean_matrix(phi), dtype=float)
     ind = 1.0 if psi_c > 0 else 0.0
+    return np.array([d * ind - y for d, y in
+                     zip(_drift(beta, m), (psi_c, theta_c, psi_a, theta_a))])
+
+
+def _drift(f, m):
+    """The 4 components of h for x-death weight f and 2x2 mean matrix m."""
     mxx, mxy = m[0, 0], m[0, 1]
     myx, myy = m[1, 0], m[1, 1]
-    return np.array([
-        (beta * (mxx + mxy) + (1 - beta) * (myy + myx) - 1.0) * ind - psi_c,
-        (beta * (mxx - 1.0) + (1 - beta) * myx) * ind - theta_c,
-        (beta * (mxx + mxy) + (1 - beta) * (myy + myx)) * ind - psi_a,
-        (beta * mxx + (1 - beta) * myx) * ind - theta_a,
-    ])
+    return (f * (mxx + mxy) + (1 - f) * (myy + myx) - 1.0,
+            f * (mxx - 1.0) + (1 - f) * myx,
+            f * (mxx + mxy) + (1 - f) * (myy + myx),
+            f * mxx + (1 - f) * myx)
 
 
 def make_h(m_inf, f_beta_inf=None):
@@ -380,15 +384,7 @@ def make_h(m_inf, f_beta_inf=None):
     """
     def h(beta):
         f = beta if f_beta_inf is None else f_beta_inf(beta)
-        m = np.asarray(m_inf(beta), dtype=float)
-        mxx, mxy = m[0, 0], m[0, 1]
-        myx, myy = m[1, 0], m[1, 1]
-        return np.array([
-            f * (mxx + mxy) + (1 - f) * (myy + myx) - 1.0,
-            f * (mxx - 1.0) + (1 - f) * myx,
-            f * (mxx + mxy) + (1 - f) * (myy + myx),
-            f * mxx + (1 - f) * myx,
-        ])
+        return np.array(_drift(f, np.asarray(m_inf(beta), dtype=float)))
     return h
 
 

@@ -16,37 +16,26 @@ from .wm import (MechanismDesign, PostModel, UserMix, eo_warning,
 _BUF = 1 << 14
 
 
-class _GeomBuf:
-    """Blocks of geometric draws on {0,1,...} with a fixed mean."""
+class _Buf:
+    """Draws handed out one at a time from blocks of _BUF: uniforms on
+    [0, 1), or, given ``mean``, geometric counts on {0, 1, ...} with that
+    mean."""
 
-    def __init__(self, rng, mean):
-        self.rng = rng
-        self.p = 1.0 / (1.0 + mean)
-        self.buf = rng.geometric(self.p, _BUF) - 1
+    def __init__(self, rng, mean=None):
+        if mean is None:
+            self.block = lambda: rng.random(_BUF).tolist()
+        else:
+            p = 1.0 / (1.0 + mean)
+            self.block = lambda: (rng.geometric(p, _BUF) - 1).tolist()
+        self.buf = self.block()
         self.j = 0
 
     def draw(self):
         if self.j >= _BUF:
-            self.buf = self.rng.geometric(self.p, _BUF) - 1
+            self.buf = self.block()
             self.j = 0
-        v = int(self.buf[self.j])
         self.j += 1
-        return v
-
-
-class _UnifBuf:
-    def __init__(self, rng):
-        self.rng = rng
-        self.buf = rng.random(_BUF)
-        self.j = 0
-
-    def draw(self):
-        if self.j >= _BUF:
-            self.buf = self.rng.random(_BUF)
-            self.j = 0
-        v = float(self.buf[self.j])
-        self.j += 1
-        return v
+        return self.buf[self.j - 1]
 
 
 def w_update(w: float, eps: float, indicator: float, kappa: float) -> float:
@@ -100,9 +89,9 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
         raise ValueError("need at least one initial copy")
     u = actuality
     rng = make_rng(seed)
-    unif_tag, unif_user, unif_decide = _UnifBuf(rng), _UnifBuf(rng), _UnifBuf(rng)
-    geo_user = _GeomBuf(rng, post.m_f * post.eta(u))
-    geo_adv = _GeomBuf(rng, post.m_f * post.eta_a)
+    unif_tag, unif_user, unif_decide = _Buf(rng), _Buf(rng), _Buf(rng)
+    geo_user = _Buf(rng, post.m_f * post.eta(u))
+    geo_adv = _Buf(rng, post.m_f * post.eta_a)
     ax_u, ay_u = post.alpha_x(u), post.alpha_y(u)
     p_wi_x, p_wi_y = ax_u * post.rho, ay_u * post.rho
     thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
@@ -208,10 +197,10 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     if config.kappa < 1.0 - post.alpha_y_r / post.alpha_x_r:
         raise ValueError("kappa below the admissible floor alpha ratio")
     rng = make_rng(seed)
-    unif_tag, unif_user = _UnifBuf(rng), _UnifBuf(rng)
-    unif_decide, unif_coin = _UnifBuf(rng), _UnifBuf(rng)
-    geo_user = _GeomBuf(rng, post.m_f * post.eta_r)
-    geo_adv = _GeomBuf(rng, post.m_f * post.eta_a)
+    unif_tag, unif_user = _Buf(rng), _Buf(rng)
+    unif_decide, unif_coin = _Buf(rng), _Buf(rng)
+    geo_user = _Buf(rng, post.m_f * post.eta_r)
+    geo_adv = _Buf(rng, post.m_f * post.eta_a)
     ax_r, ay_r = post.alpha_x_r, post.alpha_y_r
     p_wi_x, p_wi_y = ax_r * post.rho, ay_r * post.rho
     thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2

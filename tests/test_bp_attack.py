@@ -149,6 +149,16 @@ class TestFastPathEquivalence:
             ext += extinct
         assert ext > 0
 
+    def test_records_last_epoch_off_the_grid(self):
+        # 250 events recorded every 100: epochs 100, 200 and the last, 250
+        limits, init = AttackLimits(3, 1, 3, 1), PopulationState(50, 50, 50, 50)
+        betas, extinct = simulate_attack_betas(limits, init, 250, seed=3,
+                                               record_every=100)
+        fine, _ = simulate_attack_betas(limits, init, 250, seed=3, record_every=50)
+        assert not extinct
+        assert len(betas) == 3
+        assert betas.tolist() == [fine[1], fine[3], fine[4]]
+
 
 def test_terminal_beta_study_concentrates():
     res = terminal_beta_study(AttackLimits(3, 1, 3, 1), replications=30,

@@ -7,7 +7,8 @@ from bpviral import bp_core
 from bpviral.bp_core import (DeathModel, MeanModel, OffspringSample,
                              PopulationState, death_weights,
                              dichotomy_study, make_rng, ratios_and_dichotomy,
-                             sa_recursion_ratios, simulate, step_embedded)
+                             replication_seed, sa_recursion_ratios, simulate,
+                             step_embedded)
 
 
 def unit_deaths():
@@ -51,6 +52,11 @@ class TestDeathProbabilities:
     def test_absorbing_state_raises(self):
         with pytest.raises(ValueError, match="absorbing"):
             death_probabilities(PopulationState(0, 0, 4, 4), unit_deaths())
+
+    @pytest.mark.parametrize("field", ["kinds_x", "kinds_y"])
+    def test_empty_kinds_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DeathModel(**{field: ()})
 
 
 class TestStepEmbedded:
@@ -219,11 +225,45 @@ def test_fit_growth_rate_recovers_exponent():
 
 
 def test_make_rng_replications_independent():
-    a = make_rng(123, 1).random(4)
-    b = make_rng(123, 2).random(4)
-    c = make_rng(123 ^ 1, 0).random(4)
+    a = make_rng(replication_seed(123, 1)).random(4)
+    b = make_rng(replication_seed(123, 2)).random(4)
+    c = make_rng(replication_seed(123 ^ 1, 0)).random(4)
     assert not np.allclose(a, b)
-    assert np.allclose(a, c)
+    assert not np.allclose(a, c)
+
+
+def test_replication_streams_distinct_on_grid():
+    keys = [replication_seed(s, r) for s in range(200) for r in range(50)]
+    assert len(set(keys)) == len(keys)
+    assert np.random.Philox(key=replication_seed(7, 3)).state["state"]["key"].tolist() == [7, 3]
+    first = [make_rng(k).random() for k in keys]
+    assert len(set(first)) == len(first)
+
+
+def test_make_rng_pinned():
+    # printed by the single-word keying this rule replaced; replication 0
+    # of a seed below 2**64 must keep drawing them
+    pins = {
+        0: [0.011546754286331562, 0.24154919656271812,
+            0.11142585551493822, 0.5644146216071337],
+        7: [0.8720734548204873, 0.29536538151378355,
+            0.4200976785072422, 0.4053922457839946],
+        2**64 - 1: [0.23494158814525556, 0.7173107484541781,
+                    0.41117733204481477, 0.7161435204444477],
+    }
+    for seed, values in pins.items():
+        assert make_rng(replication_seed(seed, 0)).random(4).tolist() == values
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: make_rng(-1), "seed"),
+    (lambda: make_rng(2**128), "seed"),
+    (lambda: replication_seed(2**64, 0), "seed"),
+    (lambda: replication_seed(0, -1), "rep"),
+], ids=["make_rng(-1)", "make_rng(2**128)", "seed 2**64", "rep -1"])
+def test_stream_keys_out_of_range_rejected(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 class TestRatioVector:

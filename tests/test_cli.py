@@ -241,6 +241,17 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_replications_are_not_other_seeds(tmp_path):
+    # replication r of seed s is its own stream (s, r): replication 1 of
+    # seed 6 is not seed 7, and replication 0 is the plain seed
+    base = ["bp", "simulate", "--max-events", "300"]
+    main([*base, "--seed", "6", "--replications", "2", "--out", str(tmp_path / "a.csv")])
+    main([*base, "--seed", "6", "--out", str(tmp_path / "six.csv")])
+    main([*base, "--seed", "7", "--out", str(tmp_path / "seven.csv")])
+    assert (tmp_path / "a_rep000.csv").read_bytes() == (tmp_path / "six.csv").read_bytes()
+    assert (tmp_path / "a_rep001.csv").read_bytes() != (tmp_path / "seven.csv").read_bytes()
+
+
 def test_parallel_replications_match_serial(tmp_path):
     base = ["bp", "simulate", "--seed", "7", "--max-events", "200",
             "--replications", "3"]

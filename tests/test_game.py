@@ -248,5 +248,5 @@ def test_random_study_smoke():
     assert res["feasible_fraction"] == 1.0
     assert res["ai_fraction"] == 1.0
     assert 0.0 <= res["small_degradation_fraction"] <= 1.0
-    res2 = random_study(200, d=0.10, seed=3, collect_rows=True)
+    res2 = random_study(200, d=0.10, seed=3)
     assert len(res2["rows"]) == 200

@@ -221,30 +221,30 @@ class TestGraph:
 class TestPropagate:
     def test_triangle_full_coverage(self, tmp_path):
         g = build_graph([0, 1, 2], [1, 2, 0])
-        log = propagate_on_graph(g, [0], rho=1.0, seed=1)
+        log = propagate_on_graph(g, [0], rho=1.0, rng=make_rng(1))
         assert log.reach == 3
         assert len(log.epoch) == 3
 
     def test_zero_rho_reaches_seeds_only(self):
         g = build_graph([0, 1, 2], [1, 2, 0])
-        log = propagate_on_graph(g, [0, 1], rho=0.0, seed=1)
+        log = propagate_on_graph(g, [0, 1], rho=0.0, rng=make_rng(1))
         assert log.reach == 2
 
     def test_star_peak(self):
         g = build_graph([0] * 5, [1, 2, 3, 4, 5])
-        log = propagate_on_graph(g, [0], rho=1.0, seed=2)
+        log = propagate_on_graph(g, [0], rho=1.0, rng=make_rng(2))
         assert log.reach == 6
         assert log.c.max() == 5
 
     def test_unknown_seed_rejected(self):
         g = build_graph([0, 1], [1, 2])
         with pytest.raises(KeyError):
-            propagate_on_graph(g, [99], rho=0.5, seed=1)
+            propagate_on_graph(g, [99], rho=0.5, rng=make_rng(1))
 
     def test_duplicate_seeds_rejected(self):
         g = build_graph([0, 1], [1, 2])
         with pytest.raises(ValueError, match="distinct"):
-            propagate_on_graph(g, [0, 0], rho=0.5, seed=1)
+            propagate_on_graph(g, [0, 0], rho=0.5, rng=make_rng(1))
 
 
 class TestTefFit:

@@ -4,7 +4,7 @@ import pytest
 from bpviral.bp_core import make_rng
 from bpviral.wm import (EO, FAKE, REAL, UserMix, design_eh2, learned_design,
                         optimize_eo)
-from bpviral.wm_dynamics import (LearnConfig, _GeomBuf, b_update, learn_wm,
+from bpviral.wm_dynamics import (LearnConfig, _Buf, b_update, learn_wm,
                                  simulate_tagging, w_update)
 
 
@@ -25,7 +25,7 @@ class TestUpdates:
 
 def test_geometric_buffer_moments():
     rng = make_rng(77)
-    buf = _GeomBuf(rng, mean=6.0)
+    buf = _Buf(rng, mean=6.0)
     draws = np.array([buf.draw() for _ in range(40_000)])
     assert draws.mean() == pytest.approx(6.0, rel=0.05)
     # geometric on {0,1,...} with mean m has variance m(1+m)
