@@ -8,15 +8,15 @@ Writes market_trajectories.csv with columns n,a_sim,c_sim,a_cf,c_cf.
 import argparse
 import sys
 
-from bpviral.market import TefParams, closed_form, metrics, simulate_stpbp
+from bpviral.market import SNAP_FIT, TefParams, closed_form, metrics, simulate_stpbp
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--m-bar", type=float, default=21.321042)
-    ap.add_argument("--kappa1", type=float, default=532e-6)
-    ap.add_argument("--kappa2", type=float, default=83e-6)
-    ap.add_argument("--a-break", type=float, default=35000.0)
+    ap.add_argument("--m-bar", type=float, default=SNAP_FIT["m_bar"])
+    ap.add_argument("--kappa1", type=float, default=SNAP_FIT["kappa1"])
+    ap.add_argument("--kappa2", type=float, default=SNAP_FIT["kappa2"])
+    ap.add_argument("--a-break", type=float, default=SNAP_FIT["a_break"])
     ap.add_argument("--rho", type=float, default=0.6)
     ap.add_argument("--a0", type=int, default=2)
     ap.add_argument("--seed", type=int, default=42)

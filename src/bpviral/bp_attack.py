@@ -119,49 +119,37 @@ def classify_regime_and_limits(limits: AttackLimits):
     return in_e, lift_limits(report, h_limits(limits))
 
 
-def attack_model(limits: AttackLimits, transient_scale: float = 0.0,
-                 transient_power: float = 1.0, cap: int | None = None) -> MeanModel:
-    """Mean model with Poisson own/attack draws converging to the limits.
+def attack_model(limits: AttackLimits) -> MeanModel:
+    """Mean model with population-independent Poisson own/attack draws at the
+    limit means.
 
-    Transient means follow e_ij + transient_scale / s_c**transient_power; the
-    capped attack enters the conditional mean matrix as min(mean, count),
+    The capped attack enters the conditional mean matrix as min(mean, count),
     matching the saturation of attacks when both populations are large.
     """
     e = limits
 
-    def adj(s_c):
-        if transient_scale and s_c > 0:
-            return transient_scale / s_c ** transient_power
-        return 0.0
-
     def mean_matrix(phi):
         cx, cy = phi[0], phi[1]
-        a = adj(cx + cy)
-        att_x = min(e.e_xy + a, float(cy))
-        att_y = min(e.e_yx + a, float(cx))
+        att_x = min(e.e_xy, float(cy))
+        att_y = min(e.e_yx, float(cx))
         return np.array([
-            [e.e_xx + a + att_x, -att_x],
-            [-att_y, e.e_yy + a + att_y],
+            [e.e_xx + att_x, -att_x],
+            [-att_y, e.e_yy + att_y],
         ])
 
     def sampler(ptype, kind, state, rng):
-        a = adj(state.s_current)
         if ptype == "x":
-            own_mean, att_mean, other = e.e_xx + a, e.e_xy + a, state.cy
+            own_mean, att_mean, other = e.e_xx, e.e_xy, state.cy
         else:
-            own_mean, att_mean, other = e.e_yy + a, e.e_yx + a, state.cx
-        own = int(rng.poisson(max(own_mean, 0.0)))
-        if cap is not None:
-            own = min(own, cap)
-        captured = min(int(rng.poisson(max(att_mean, 0.0))), other)
-        return OffspringSample(parent_type=ptype, death_kind=kind,
-                               own=own + captured, cross=-captured)
+            own_mean, att_mean, other = e.e_yy, e.e_yx, state.cx
+        own = int(rng.poisson(own_mean))
+        captured = min(int(rng.poisson(att_mean)), other)
+        return OffspringSample(parent_type=ptype, own=own + captured, cross=-captured)
 
     return MeanModel(
         mean_matrix=mean_matrix,
         limit_mean_matrix=limits.limit_mean_matrix,
         sampler=sampler,
-        offspring_low_mean=min(e.e_xx, e.e_yy),
     )
 
 
@@ -170,11 +158,10 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
                           record_every: int = 100) -> tuple[np.ndarray, bool]:
     """Fast single-replication run recording the proportion of x-type.
 
-    Equivalent in law to the generic event loop for the attack model with
-    population-independent transient means (single death kind, unit rates);
-    pre-drawn Poisson buffers keep the per-event cost low.  Returns the
-    beta recorded every ``record_every`` events and at the last one, and
-    the extinction flag.
+    Equivalent in law to the generic event loop on ``attack_model(limits)``
+    (single death kind, unit rates); pre-drawn Poisson buffers keep the
+    per-event cost low.  Returns the beta recorded every ``record_every``
+    events and at the last one, and whether the final state is empty.
     """
     rng = make_rng(seed)
     cx, cy = init.cx, init.cy
@@ -182,11 +169,9 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     buf = 1 << 14
     att_y = np.zeros(buf, dtype=np.int64)     # stays zero when e_yx == 0
     j = buf                                   # the first event draws a block
-    extinct = False
     for n in range(1, max_events + 1):
         s = cx + cy
         if s == 0:
-            extinct = True
             break
         if j >= buf:
             u = rng.random(buf)
@@ -209,7 +194,7 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
             betas.append(cx / (cx + cy) if cx + cy > 0 else 0.0)
     if cx + cy > 0 and max_events % record_every:
         betas.append(cx / (cx + cy))
-    return np.asarray(betas), extinct
+    return np.asarray(betas), bool(cx + cy == 0)
 
 
 def terminal_beta_study(limits: AttackLimits, replications: int,

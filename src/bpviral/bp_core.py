@@ -40,20 +40,10 @@ class PopulationState:
     cy: int
     ax: int
     ay: int
-    n: int = 0
 
     @property
     def extinct(self) -> bool:
         return self.cx + self.cy == 0
-
-    @property
-    def s_current(self) -> int:
-        return self.cx + self.cy
-
-    @property
-    def beta(self) -> float:
-        s = self.cx + self.cy
-        return self.cx / s if s > 0 else 0.0
 
     def validate(self):
         if min(self.cx, self.cy) < 0 or self.ax < self.cx or self.ay < self.cy:
@@ -62,37 +52,8 @@ class PopulationState:
 
 
 @dataclass(frozen=True)
-class RatioVector:
-    """Per-epoch scaled counts (S/n, Cx/n, Sa/n, Ax/n) and the proportion.
-
-    beta is defined as 0 when psi_c = 0: the ratio ODE there is pure decay
-    and the proportion is immaterial.
-    """
-    psi_c: float
-    theta_c: float
-    psi_a: float
-    theta_a: float
-
-    @property
-    def beta(self) -> float:
-        return self.theta_c / self.psi_c if self.psi_c > 0 else 0.0
-
-    def validate(self):
-        ok = (-1e-12 <= self.theta_c <= self.psi_c + 1e-12
-              and self.psi_c <= self.psi_a + 1e-12
-              and self.theta_a <= self.psi_a + 1e-12)
-        if not ok:
-            raise ValueError(f"ratio vector outside the invariant set: {self}")
-        return self
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.psi_c, self.theta_c, self.psi_a, self.theta_a])
-
-
-@dataclass(frozen=True)
 class OffspringSample:
     parent_type: str          # 'x' or 'y'
-    death_kind: int = 0
     own: int = 0              # own-type offspring, always >= 0
     cross: int = 0            # other-type offspring; < 0 models an attack
 
@@ -164,7 +125,7 @@ def step_embedded(state: PopulationState, sample: OffspringSample) -> Population
         ax = state.ax + sample.cross
     if cx < 0 or cy < 0:
         raise ValueError("invalid offspring sample: cross term drives a count negative")
-    return PopulationState(cx=cx, cy=cy, ax=ax, ay=ay, n=state.n + 1)
+    return PopulationState(cx=cx, cy=cy, ax=ax, ay=ay)
 
 
 @dataclass
@@ -179,15 +140,11 @@ class MeanModel:
     mean_matrix: callable
     limit_mean_matrix: callable
     sampler: callable
-    offspring_low_mean: float = 0.0    # E[lower offspring bound], dichotomy threshold
 
 
-def make_poisson_sampler(mean_matrix, cap: int | None = None):
-    """Independent Poisson offspring with population-dependent means.
-
-    Means are clamped at zero; a cap (if given) truncates draws so the
-    square-integrable upper bound of the model assumptions holds.
-    """
+def make_poisson_sampler(mean_matrix):
+    """Independent Poisson offspring with population-dependent means,
+    clamped at zero."""
     def sampler(ptype, kind, state, rng):
         m = np.asarray(mean_matrix((state.cx, state.cy, state.ax, state.ay)), dtype=float)
         if ptype == "x":
@@ -196,26 +153,22 @@ def make_poisson_sampler(mean_matrix, cap: int | None = None):
             own_mean, cross_mean = m[1, 1], m[1, 0]
         own = int(rng.poisson(max(own_mean, 0.0)))
         cross = int(rng.poisson(max(cross_mean, 0.0)))
-        if cap is not None:
-            own = min(own, cap)
-            cross = min(cross, cap)
-        return OffspringSample(parent_type=ptype, death_kind=kind, own=own, cross=cross)
+        return OffspringSample(parent_type=ptype, own=own, cross=cross)
     return sampler
 
 
-def constant_matrix_model(m: np.ndarray, cap: int | None = None) -> MeanModel:
+def constant_matrix_model(m: np.ndarray) -> MeanModel:
     """Population-independent two-type model with mean matrix m."""
     m = np.asarray(m, dtype=float)
     return MeanModel(
         mean_matrix=lambda phi: m,
         limit_mean_matrix=lambda beta: m,
-        sampler=make_poisson_sampler(lambda phi: m, cap=cap),
+        sampler=make_poisson_sampler(lambda phi: m),
     )
 
 
 def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
-                           floor: float = 1.2, a_break: float = 400.0,
-                           cap: int | None = None) -> MeanModel:
+                           floor: float = 1.2, a_break: float = 400.0) -> MeanModel:
     """Single-type model whose mean offspring decays linearly in the total
     population until a breakpoint, then stays at a super-critical floor."""
     def mean_matrix(phi):
@@ -229,8 +182,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
     return MeanModel(
         mean_matrix=mean_matrix,
         limit_mean_matrix=limit_mean_matrix,
-        sampler=make_poisson_sampler(mean_matrix, cap=cap),
-        offspring_low_mean=floor,
+        sampler=make_poisson_sampler(mean_matrix),
     )
 
 
@@ -238,7 +190,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
 class Trajectory:
     """Recorded embedded-chain path.  ``epoch`` holds the recorded epoch
     indices (1-based; possibly thinned), parallel to the count arrays.
-    Per-event increments (parent/own/cross) are kept only for unthinned runs.
+    Event increments are the differences of successive states from ``s0``.
     """
     epoch: np.ndarray
     tau: np.ndarray
@@ -248,9 +200,6 @@ class Trajectory:
     ay: np.ndarray
     s0: tuple = (0, 0, 0, 0)          # initial (cx, cy, ax, ay)
     extinct: bool = False
-    parent: np.ndarray | None = None  # 1 for x-death, 0 for y-death
-    own: np.ndarray | None = None
-    cross: np.ndarray | None = None
 
     def __len__(self):
         return len(self.epoch)
@@ -265,11 +214,9 @@ class Trajectory:
             self.ax / n,
         ])
 
-    def ratio_vectors(self):
-        """Recorded epochs as RatioVector objects."""
-        return [RatioVector(*row) for row in self.ratios()]
-
     def betas(self) -> np.ndarray:
+        """Proportion Cx_n/S_n at the recorded epochs; 0 once S_n = 0, where
+        the ratio ODE is pure decay and the proportion is immaterial."""
         s = self.cx + self.cy
         with np.errstate(invalid="ignore", divide="ignore"):
             b = np.where(s > 0, self.cx / np.maximum(s, 1), 0.0)
@@ -296,17 +243,16 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
 
     Inter-death times are exponential with the total rate summed over living
     individuals and death kinds; the trajectory is reproducible under a
-    fixed seed.  ``record_every=k`` keeps every k-th epoch (and the last).
+    fixed seed.  ``record_every=k`` keeps every k-th epoch (and the last);
+    only the states are stored, so ``record_every=1`` keeps the whole path.
     """
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
     init.validate()
     rng = make_rng(seed)
     state = init
-    keep_events = record_every == 1
     rec_epoch, rec_tau = [], []
     rec_cx, rec_cy, rec_ax, rec_ay = [], [], [], []
-    ev_parent, ev_own, ev_cross = [], [], []
     t = 0.0
     sample_offspring = model.sampler
     extinct = state.extinct
@@ -324,12 +270,7 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
             acc += w
             if u <= acc:
                 break
-        sample = sample_offspring(ptype, kind, state, rng)
-        state = step_embedded(state, sample)
-        if keep_events:
-            ev_parent.append(1 if ptype == "x" else 0)
-            ev_own.append(sample.own)
-            ev_cross.append(sample.cross)
+        state = step_embedded(state, sample_offspring(ptype, kind, state, rng))
         if n % record_every == 0 or state.extinct or n == max_events:
             rec_epoch.append(n)
             rec_tau.append(t)
@@ -349,9 +290,6 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
         ay=np.asarray(rec_ay, dtype=np.int64),
         s0=(init.cx, init.cy, init.ax, init.ay),
         extinct=extinct,
-        parent=np.asarray(ev_parent, dtype=np.int64) if keep_events else None,
-        own=np.asarray(ev_own, dtype=np.int64) if keep_events else None,
-        cross=np.asarray(ev_cross, dtype=np.int64) if keep_events else None,
     )
 
 
@@ -360,29 +298,27 @@ def sa_recursion_ratios(traj: Trajectory) -> np.ndarray:
 
     Equals the direct ratio computation to machine precision; used as a
     cross-check of the stochastic-approximation form of the dynamics.
-    The first epoch absorbs the initial population (the 1/n recursion is
-    an exact identity only from the second death on).  Requires an
-    unthinned trajectory.
+    Event n's increments are the changes of (S, Cx, Sa, Ax) from epoch n-1
+    (``s0`` before the first).  The first epoch absorbs the initial
+    population (the 1/n recursion is an exact identity only from the second
+    death on).  Requires an unthinned trajectory (epoch 1..n).
     """
-    if traj.parent is None:
-        raise ValueError("per-event records required (record_every=1)")
+    if not np.array_equal(traj.epoch, np.arange(1, len(traj) + 1)):
+        raise ValueError("unthinned trajectory required (record_every=1)")
     cx0, cy0, ax0, ay0 = traj.s0
-    ups = np.empty((len(traj.parent), 4))
+    d_theta_c = np.diff(traj.cx, prepend=cx0)
+    d_psi_c = d_theta_c + np.diff(traj.cy, prepend=cy0)
+    d_theta_a = np.diff(traj.ax, prepend=ax0)
+    d_psi_a = d_theta_a + np.diff(traj.ay, prepend=ay0)
+    ups = np.empty((len(traj), 4))
     psi_c = float(cx0 + cy0)
     theta_c = float(cx0)
     psi_a = float(ax0 + ay0)
     theta_a = float(ax0)
-    for i in range(len(traj.parent)):
+    for i in range(len(traj)):
         n = i + 1
-        alive = 1.0 if psi_c > 0 else 0.0
-        hx = float(traj.parent[i])
-        own = float(traj.own[i])
-        cross = float(traj.cross[i])
-        total = own + cross
-        l_psi_c = (total - 1.0) * alive
-        l_theta_c = (hx * (own - 1.0) + (1.0 - hx) * cross) * alive
-        l_psi_a = total * alive
-        l_theta_a = (hx * own + (1.0 - hx) * cross) * alive
+        l_psi_c, l_theta_c = float(d_psi_c[i]), float(d_theta_c[i])
+        l_psi_a, l_theta_a = float(d_psi_a[i]), float(d_theta_a[i])
         if n == 1:
             psi_c += l_psi_c
             theta_c += l_theta_c
@@ -434,13 +370,14 @@ def fit_growth_rate(s: np.ndarray, tau: np.ndarray) -> float:
 
 
 def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
-                         offspring_low_mean: float | None = None):
+                         low_mean: float | None = None):
     """Ratio sequence plus the single-path dichotomy summary.
 
     Returns (ratios array, dict) where the dict reports extinction, the
     fitted exponential growth rate of the sum current population against
-    wall-clock time, and whether the path kept growing (S at the cap at
-    least its mid-path value).
+    wall-clock time, whether the path kept growing (S at the cap at least
+    its mid-path value) and, given the mean lower offspring bound
+    ``low_mean``, the growth-rate threshold lam * (low_mean - 1).
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -452,8 +389,8 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
         "growth_rate": 0.0 if traj.extinct else fit_growth_rate(s, traj.tau),
         "grew": bool(traj.extinct) or bool(s[-1] >= mid),
     }
-    if offspring_low_mean is not None:
-        info["rate_threshold"] = lam * (offspring_low_mean - 1.0)
+    if low_mean is not None:
+        info["rate_threshold"] = lam * (low_mean - 1.0)
     return ups, info
 
 

@@ -188,7 +188,7 @@ def cmd_bp_ratios(p):
         extinct=bool(data["cx"][-1] + data["cy"][-1] == 0),
     )
     ups, info = bp_core.ratios_and_dichotomy(traj, lam=p["lam"],
-                                             offspring_low_mean=p["offspring-low-mean"])
+                                             low_mean=p["offspring-low-mean"])
     _emit_json(info, p["out"])
 
 
@@ -381,8 +381,10 @@ ATTACK_SPEC = {
 }
 
 MARKET_TEF_SPEC = {
-    "m-bar": (float, 21.321042), "kappa1": (float, 532e-6),
-    "kappa2": (float, 83e-6), "a-break": (float, 35000.0), "rho": (float, 0.6),
+    "m-bar": (float, market.SNAP_FIT["m_bar"]),
+    "kappa1": (float, market.SNAP_FIT["kappa1"]),
+    "kappa2": (float, market.SNAP_FIT["kappa2"]),
+    "a-break": (float, market.SNAP_FIT["a_break"]), "rho": (float, 0.6),
     "a0": (int, 2), "out": (str, None),
 }
 

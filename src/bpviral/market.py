@@ -48,6 +48,10 @@ class TefParams:
         return self.rho >= 0.4
 
 
+# Two-slope TeF fitted to the SNAP Twitter graph; rho is set per post.
+SNAP_FIT = dict(m_bar=21.321042, kappa1=532e-6, kappa2=83e-6, a_break=35000.0)
+
+
 def tef(a: float, params: TefParams) -> float:
     """Expected effective forwards at total shares a (clamped at zero)."""
     if a < 0:
@@ -75,12 +79,12 @@ class MarketPath:
 
 def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
                    record_every: int = 1, offspring: str = "poisson",
-                   gamma_cap: int | None = None, lam: float = 1.0) -> MarketPath:
+                   lam: float = 1.0) -> MarketPath:
     """Simulate reads of a post whose forwards have mean tef(A).
 
     One unread copy is consumed per event (A_n - C_n = n); inter-read times
     are exponential with rate lam * C_n.  ``offspring='poisson'`` draws
-    Poisson(tef(A)) (optionally truncated at gamma_cap); ``'binomial'``
+    Poisson(tef(A)); ``'binomial'``
     draws a geometric friend count with mean m_bar and forwards each friend
     with the TeF-matching probability.
     """
@@ -106,8 +110,6 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
             g = int(rng.binomial(friends, p_fwd)) if friends > 0 else 0
         else:
             raise ValueError(f"unknown offspring mode {offspring!r}")
-        if gamma_cap is not None:
-            g = min(g, gamma_cap)
         a += g
         c += g - 1
         if n % record_every == 0 or c == 0 or n == max_events:
@@ -153,8 +155,7 @@ def _phase_constants(params: TefParams, a0: float):
 class ClosedFormShares:
     """Deterministic share trajectories a(t), c(t) and their epoch forms."""
     params: TefParams
-    a0: float
-    c0: float
+    a0: float               # initial total shares; current shares start equal
     w_phase1: tuple
     w_phase2: tuple | None
     tau_s: float
@@ -179,7 +180,7 @@ class ClosedFormShares:
             phi = self.tau_s
             c_phi, a_phi = self.c(phi), self.a(phi)
         else:
-            phi, c_phi, a_phi = 0.0, self.c0, self.a0
+            phi, c_phi, a_phi = 0.0, self.a0, self.a0
         return c_phi - a_phi + self.a(t) + math.exp(-EULER_GAMMA) * (math.exp(phi) - math.exp(t))
 
     def a_epoch(self, n: float) -> float:
@@ -198,13 +199,12 @@ class ClosedFormShares:
         return self.w_phase1
 
 
-def closed_form(params: TefParams, a0: float, c0: float | None = None) -> ClosedFormShares:
-    """Build the closed-form trajectories; locates the phase switch and the
-    extinction time by a bracketed root solve on c(t)."""
-    if c0 is None:
-        c0 = a0
+def closed_form(params: TefParams, a0: float) -> ClosedFormShares:
+    """Build the closed-form trajectories from a0 seed copies, all unread
+    (c(0) = a(0) = a0); locates the phase switch and the extinction time by
+    a bracketed root solve on c(t)."""
     phase1, phase2, tau_s = _phase_constants(params, a0)
-    cf = ClosedFormShares(params=params, a0=a0, c0=c0,
+    cf = ClosedFormShares(params=params, a0=a0,
                           w_phase1=phase1, w_phase2=phase2, tau_s=tau_s,
                           tau_e=math.inf, n_e=math.inf,
                           n_s=math.inf)
@@ -243,13 +243,13 @@ def _solve_life_span(cf: ClosedFormShares) -> float:
     raise ValueError("degenerate parameters: no life-span fixed point in (0, w1]")
 
 
-def metrics(params: TefParams, a0: float, c0: float | None = None) -> dict:
+def metrics(params: TefParams, a0: float) -> dict:
     """Peak current shares, life span and max reach of the closed forms.
 
     The peak formula w1 - (1 + ln(w2 w3 e^gamma))/(w3 e^gamma) uses the
     constants of the phase in which the TeF crosses one.
     """
-    cf = closed_form(params, a0, c0)
+    cf = closed_form(params, a0)
     a_peak1 = (params.m_bar - 1.0 / params.rho) / params.kappa1
     if a_peak1 <= params.a_break or cf.w_phase2 is None:
         w1, w2, w3 = cf.w_phase1

@@ -59,7 +59,6 @@ class LiftedPoint:
 class EquilibriumReport:
     equilibria: list
     lifted: list = field(default_factory=list)
-    includes_zero_saddle: bool = False
 
     def to_dict(self):
         return {
@@ -233,7 +232,6 @@ def lift_limits(report: EquilibriumReport, h) -> EquilibriumReport:
     lifted.append(LiftedPoint(beta=float("nan"), h=(0.0, 0.0, 0.0, 0.0),
                               kind=Q_ATTRACTOR))
     report.lifted = lifted
-    report.includes_zero_saddle = True
     return report
 
 
@@ -242,7 +240,6 @@ class OdeTrajectory:
     times: np.ndarray
     values: np.ndarray        # shape (len(times), dim)
     sweeps_used: int = 0
-    mesh: int = 0
 
     def at(self, t):
         """Linear interpolation of the trajectory at time t (vector)."""
@@ -289,7 +286,7 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         used = sweep + 1
         if delta < 1e-15:
             break
-    return OdeTrajectory(times=ts, values=Y, sweeps_used=used, mesh=mesh)
+    return OdeTrajectory(times=ts, values=Y, sweeps_used=used)
 
 
 def picard_chain(rhs, y0, T) -> OdeTrajectory:
@@ -376,21 +373,20 @@ def _drift(f, m):
             f * mxx + (1 - f) * myx)
 
 
-def make_h(m_inf, f_beta_inf=None):
+def make_h(m_inf):
     """Limit drift map h(beta) -> 4-vector for the autonomous ratio ODE.
 
-    ``m_inf(beta)`` is the 2x2 limit mean matrix.  With multiple death
-    kinds the x-death weight is f_beta_inf(beta) instead of beta itself.
+    ``m_inf(beta)`` is the 2x2 limit mean matrix; with one death kind at a
+    common rate the x-death weight is beta itself.
     """
     def h(beta):
-        f = beta if f_beta_inf is None else f_beta_inf(beta)
-        return np.array(_drift(f, np.asarray(m_inf(beta), dtype=float)))
+        return np.array(_drift(beta, np.asarray(m_inf(beta), dtype=float)))
     return h
 
 
-def make_autonomous_rhs(m_inf, f_beta_inf=None):
+def make_autonomous_rhs(m_inf):
     """Autonomous drift g(upsilon) = h(beta) 1_{psi_c>0} - upsilon."""
-    h = make_h(m_inf, f_beta_inf)
+    h = make_h(m_inf)
 
     def g(upsilon, t=0.0):
         upsilon = np.asarray(upsilon, dtype=float)

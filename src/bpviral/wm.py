@@ -130,6 +130,11 @@ def naive_mix(mua: float) -> UserMix:
                    mu2=0.5, mua=mua)
 
 
+def smart_mix(mua: float) -> UserMix:
+    """User mix of the smart-user benchmark at adversary fraction mua."""
+    return UserMix(mu0=0.0, mu1=0.0, mu2=1 - mua, mua=mua)
+
+
 def delta_a_value(delta: float, post: PostModel, mix: UserMix) -> float:
     """Real-post target rescaled to count only non-adversarial tags."""
     non_adv = (mix.mu1 + mix.mu2) * post.eta_r
@@ -213,15 +218,13 @@ def beta_bounds(post: PostModel, mix: UserMix, u: str) -> tuple:
 
 
 def limit_proportions(kind, design: MechanismDesign, post: PostModel,
-                      mix: UserMix, grid_points: int = 4000,
-                      refine_tol: float = 1e-12) -> MechanismDesign:
+                      mix: UserMix) -> MechanismDesign:
     """Solve the limit proportions for both actualities and fill in the
     design's predicted limits, bounds, QoS and i-QoS."""
     mix.require_crowd_signal()
     roots, bounds = {}, {}
     for u in (FAKE, REAL):
-        rep = classify_scalar(gbeta_field(kind, design, post, mix, u),
-                              grid_points=grid_points, refine_tol=refine_tol)
+        rep = classify_scalar(gbeta_field(kind, design, post, mix, u), grid_points=4000)
         rs = sorted(e.beta for e in rep.equilibria)
         if not rs:
             raise RuntimeError(f"no limit proportion found for {u}-post (internal error)")

@@ -190,7 +190,8 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     is shown the full-scale warning w+gamma and their tag updates w toward
     the scale whose response probability is 1-kappa; every epoch updates b
     so the observed fake-tag fraction is driven to ``target_beta``.  Both
-    iterates are projected (w >= 1, b >= 0).
+    iterates are projected (w >= 1, b >= 0).  The trace holds every
+    ``record_every``-th read, the last one and the one that ends the run.
     """
     if config.budget < 1:
         raise ValueError("sample budget must be >= 1")
@@ -256,7 +257,7 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
             w = w_update(w, eps_w, ind, config.kappa)
         b = b_update(b, eps, beta_post, target_beta)
         eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)
-        if k % config.record_every == 0 or k == config.budget:
+        if k % config.record_every == 0 or k == config.budget or s2 == 0:
             trace.append((k, w, b, beta_post))
         if s2 == 0:
             extinct = True

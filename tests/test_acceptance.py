@@ -18,7 +18,7 @@ from bpviral.bp_attack import (AttackLimits, classify_regime_and_limits,
                                interior_repeller, terminal_beta_study)
 from bpviral.bp_core import DeathModel, PopulationState, dichotomy_study, make_rng
 from bpviral.game import random_study
-from bpviral.market import TefParams, closed_form, metrics, simulate_stpbp
+from bpviral.market import SNAP_FIT, TefParams, closed_form, metrics, simulate_stpbp
 from bpviral.market_graph import parse_graph, propagate_on_graph
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, ScalarField,
                                 classify_scalar, finite_time_gap,
@@ -26,7 +26,7 @@ from bpviral.ode_engine import (ATTRACTOR, REPELLER, ScalarField,
 from bpviral.wm import (EO, FAKE, NAIVE_POST, REAL, SMART_POST, MechanismDesign,
                         PostModel, UserMix, beta_bounds, design_ea, design_eh,
                         design_eh2, gbeta_field, learned_design, naive_mix,
-                        optimize_eo)
+                        optimize_eo, smart_mix)
 from bpviral.wm_dynamics import LearnConfig, learn_wm
 
 
@@ -38,14 +38,12 @@ def test_criterion_1_eo_qos_reproduction():
     qos_expect = {0.0: 0.99981, 0.01: 0.89798, 0.02: 0.8174}
     measured = {}
     for mua, expect in qos_expect.items():
-        mix = UserMix(mu0=0.0, mu1=0.0, mu2=1 - mua, mua=mua)
-        d = optimize_eo(SMART_POST, mix, delta=0.02, iqos=False)
+        d = optimize_eo(SMART_POST, smart_mix(mua), delta=0.02, iqos=False)
         measured[mua] = d.qos
         assert d.qos == pytest.approx(expect, abs=0.002), (mua, d.qos)
     iqos_expect = {0.01: 0.958, 0.02: 0.9253}
     for mua, expect in iqos_expect.items():
-        mix = UserMix(mu0=0.0, mu1=0.0, mu2=1 - mua, mua=mua)
-        d = optimize_eo(SMART_POST, mix, delta=0.02, iqos=True)
+        d = optimize_eo(SMART_POST, smart_mix(mua), delta=0.02, iqos=True)
         assert d.iqos == pytest.approx(expect, abs=0.003), (mua, d.iqos)
         measured[f"iqos@{mua}"] = d.iqos
     report("criterion 1 (eo QoS/i-QoS): "
@@ -144,9 +142,6 @@ def test_criterion_6_sa_ode_finite_time():
     report(f"criterion 6 (SA-ODE finite time): gaps at n_start 5/50/500 = "
            f"{gaps[0]:.3f}/{gaps[1]:.3f}/{gaps[2]:.3f} strictly decreasing; "
            f"Psi(1e4)=({psi_c:.4f}, {psi_a:.4f}) within 0.05 of (0.2, 1.2)")
-
-
-SNAP_FIT = dict(m_bar=21.321042, kappa1=532e-6, kappa2=83e-6, a_break=35000.0)
 
 
 def _snap_graph_path():

@@ -159,6 +159,14 @@ class TestFastPathEquivalence:
         assert len(betas) == 3
         assert betas.tolist() == [fine[1], fine[3], fine[4]]
 
+    def test_extinction_on_the_last_event_flagged(self):
+        # this seed empties the population at event 5 of 5
+        betas, extinct = simulate_attack_betas(
+            AttackLimits(3, 1, 3, 1), PopulationState(1, 1, 1, 1), 5, seed=1494,
+            record_every=5)
+        assert betas.tolist() == [0.0]
+        assert extinct is True
+
 
 def test_terminal_beta_study_concentrates():
     res = terminal_beta_study(AttackLimits(3, 1, 3, 1), replications=30,

@@ -64,7 +64,6 @@ class TestStepEmbedded:
         state = PopulationState(cx=3, cy=2, ax=5, ay=4)
         new = step_embedded(state, OffspringSample("x", own=2, cross=1))
         assert (new.cx, new.cy, new.ax, new.ay) == (4, 3, 7, 5)
-        assert new.n == state.n + 1
 
     def test_extinction_epoch(self):
         state = PopulationState(cx=1, cy=0, ax=1, ay=0)
@@ -155,17 +154,8 @@ class TestRatios:
         assert traj.extinct
         assert traj.epoch[-1] == 6
         assert traj.cx[-1] + traj.cy[-1] == 0
-
-    def test_population_independent_total_ratio_is_sample_mean(self):
-        m = np.array([[1.6, 0.0], [0.0, 1.6]])
-        model = bp_core.constant_matrix_model(m)
-        init = PopulationState(2, 2, 2, 2)
-        traj = simulate(model, unit_deaths(), init, max_events=4000, seed=11)
-        total = traj.own + np.maximum(traj.cross, 0)
-        n = np.arange(1, len(total) + 1)
-        sample_mean = (np.cumsum(total) + 4) / n
-        psi_a = np.interp(n, traj.epoch, (traj.ax + traj.ay) / traj.epoch)
-        assert np.allclose(sample_mean, psi_a, atol=1e-9)
+        # beta is 0 once psi_c = 0: the ratio ODE there is pure decay
+        assert traj.ratios()[-1, 0] == 0.0 and traj.betas()[-1] == 0.0
 
     def test_sa_recursion_matches_direct(self):
         model = bp_core.single_type_ramp_model()
@@ -174,6 +164,14 @@ class TestRatios:
         via_recursion = sa_recursion_ratios(traj)
         direct = traj.ratios()
         assert np.allclose(via_recursion[traj.epoch - 1], direct, rtol=1e-12, atol=1e-12)
+
+    def test_sa_recursion_rejects_thinned_path(self):
+        model = bp_core.single_type_ramp_model()
+        traj = simulate(model, unit_deaths(), PopulationState(2, 0, 2, 0),
+                        max_events=1000, seed=7, record_every=100)
+        assert len(traj) > 1
+        with pytest.raises(ValueError, match="unthinned"):
+            sa_recursion_ratios(traj)
 
 
 @settings(max_examples=20, deadline=None)
@@ -198,7 +196,7 @@ def test_single_path_dichotomy_summary():
     model = bp_core.single_type_ramp_model()
     traj = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
                     max_events=4000, seed=1)
-    ups, info = ratios_and_dichotomy(traj, lam=1.0, offspring_low_mean=1.2)
+    ups, info = ratios_and_dichotomy(traj, lam=1.0, low_mean=1.2)
     assert info["grew"]
     if not info["extinct"]:
         assert info["growth_rate"] > 0
@@ -267,26 +265,17 @@ def test_stream_keys_out_of_range_rejected(call, name):
 
 
 class TestRatioVector:
-    def test_beta_convention_at_extinction(self):
-        rv = bp_core.RatioVector(0.0, 0.0, 0.4, 0.2)
-        assert rv.beta == 0.0
-        rv.validate()
-
-    def test_beta_and_array(self):
-        rv = bp_core.RatioVector(2.0, 1.0, 3.0, 1.5)
-        assert rv.beta == 0.5
-        assert rv.as_array().tolist() == [2.0, 1.0, 3.0, 1.5]
-
-    def test_invariant_violation_rejected(self):
-        with pytest.raises(ValueError, match="invariant"):
-            bp_core.RatioVector(1.0, 2.0, 3.0, 1.0).validate()
+    """The per-epoch ratio vectors (psi_c, theta_c, psi_a, theta_a), the rows
+    of ``Trajectory.ratios``."""
 
     def test_trajectory_vectors_valid(self):
         model = bp_core.single_type_ramp_model()
         traj = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
                         max_events=300, seed=2)
-        for rv in traj.ratio_vectors():
-            rv.validate()
+        ups = traj.ratios()
+        assert np.all((-1e-12 <= ups[:, 1]) & (ups[:, 1] <= ups[:, 0] + 1e-12))
+        assert np.all(ups[:, 0] <= ups[:, 2] + 1e-12)
+        assert np.all(ups[:, 3] <= ups[:, 2] + 1e-12)
 
 
 def test_reference_run_pinned_hash():

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from bpviral.bp_core import make_rng
-from bpviral.market import (EULER_GAMMA, TefParams, closed_form,
+from bpviral.market import (EULER_GAMMA, SNAP_FIT, TefParams, closed_form,
                             extinction_prob_pgf, metrics, simulate_stpbp, tef)
 from bpviral.market_graph import (build_graph, estimate_tef, fit_two_slope,
                                   parse_graph, propagate_on_graph)
-
-SNAP_FIT = dict(m_bar=21.321042, kappa1=532e-6, kappa2=83e-6, a_break=35000.0)
 
 
 class TestTef:

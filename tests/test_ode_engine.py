@@ -158,7 +158,6 @@ class TestLift:
         assert by_beta[0.5].kind == "q-attractor"
         origin = [p for p in rep.lifted if math.isnan(p.beta)]
         assert len(origin) == 1 and origin[0].h == (0.0, 0.0, 0.0, 0.0)
-        assert rep.includes_zero_saddle
 
     def test_lifted_points_are_ode_equilibria(self):
         # the 4-D drift vanishes at h(beta*) whenever g_beta(beta*) = 0

@@ -7,7 +7,7 @@ from bpviral.wm import (EA, EH, EH2, EO, FAKE, REAL, MechanismDesign,
                         design_ea, design_eh, design_eh2, design_for_kind,
                         eo_warning, gbeta_field, gbeta_wm, iqos_scale,
                         learned_design, limit_proportions, optimize_eo,
-                        warning_value)
+                        smart_mix, warning_value)
 from bpviral.ode_engine import classify_scalar
 
 
@@ -105,14 +105,12 @@ class TestGbetaField:
 class TestBenchmarkNumbers:
     def test_smart_qos_values(self, smart_post):
         for mua, expect in [(0.01, 0.89798), (0.02, 0.8174)]:
-            mix = UserMix(mu0=0.0, mu1=0.0, mu2=1 - mua, mua=mua)
-            d = optimize_eo(smart_post, mix, delta=0.02, iqos=False)
+            d = optimize_eo(smart_post, smart_mix(mua), delta=0.02, iqos=False)
             assert d.qos == pytest.approx(expect, abs=2e-4)
 
     def test_smart_iqos_values(self, smart_post):
         for mua, expect in [(0.01, 0.958), (0.02, 0.9253)]:
-            mix = UserMix(mu0=0.0, mu1=0.0, mu2=1 - mua, mua=mua)
-            d = optimize_eo(smart_post, mix, delta=0.02, iqos=True)
+            d = optimize_eo(smart_post, smart_mix(mua), delta=0.02, iqos=True)
             assert d.iqos == pytest.approx(expect, abs=5e-4)
 
     def test_w_star_value(self, smart_post):

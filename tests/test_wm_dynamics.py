@@ -106,6 +106,14 @@ class TestLearn:
         assert res.trace.shape[1] == 4
         assert res.trace[-1, 0] == 5000
 
+    def test_trace_records_the_epoch_of_extinction(self, naive_post, naive_mix):
+        # one seed user and this seed: the run dies out within 100 reads
+        cfg = LearnConfig(budget=2000, kappa=1 - 0.09 / 0.12 + 1e-3,
+                          seed_users=1, record_every=100)
+        res = learn_wm(cfg, naive_post, naive_mix(0.1), 0.05, seed=3)
+        assert res.extinct
+        assert res.trace.tolist() == [[1.0, res.w, res.b, 0.0]]
+
     def test_learned_design_close_to_perfect(self, naive_post, naive_mix):
         mix = naive_mix(0.1)
         perfect = design_eh2(naive_post, mix, 0.05, iqos=True)
