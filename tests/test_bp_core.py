@@ -268,6 +268,15 @@ class TestRatioVector:
     """The per-epoch ratio vectors (psi_c, theta_c, psi_a, theta_a), the rows
     of ``Trajectory.ratios``."""
 
+    def test_beta_convention_at_extinction(self):
+        # epoch 5 with no current population left: (0, 0, 0.4, 0.2)
+        traj = bp_core.Trajectory(
+            epoch=np.array([5]), tau=np.array([1.0]),
+            cx=np.array([0]), cy=np.array([0]),
+            ax=np.array([1]), ay=np.array([1]), extinct=True)
+        assert traj.ratios()[0].tolist() == [0.0, 0.0, 0.4, 0.2]
+        assert traj.betas()[0] == 0.0
+
     def test_trajectory_vectors_valid(self):
         model = bp_core.single_type_ramp_model()
         traj = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
