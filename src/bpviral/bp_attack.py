@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp_core import (MeanModel, OffspringSample, PopulationState, make_rng,
-                      replication_seed)
+                      replication_seed, require_counts)
 from .ode_engine import (ATTRACTOR, REPELLER, Equilibrium, EquilibriumReport,
                          ScalarField, lift_limits, make_h)
 
@@ -163,6 +163,7 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     per-event cost low.  Returns the beta recorded every ``record_every``
     events and at the last one, and whether the final state is empty.
     """
+    require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     cx, cy = init.cx, init.cy
     betas = []

@@ -34,6 +34,14 @@ def replication_seed(seed: int, rep: int) -> int:
     return int(seed) + (int(rep) << 64)
 
 
+def require_counts(**counts: int) -> None:
+    """Reject event, record and population counts below one, naming the
+    parameter."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class PopulationState:
     cx: int
@@ -246,8 +254,7 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     fixed seed.  ``record_every=k`` keeps every k-th epoch (and the last);
     only the states are stored, so ``record_every=1`` keeps the whole path.
     """
-    if max_events < 1:
-        raise ValueError("max_events must be >= 1")
+    require_counts(max_events=max_events, record_every=record_every)
     init.validate()
     rng = make_rng(seed)
     state = init

@@ -346,14 +346,11 @@ def cmd_game_verify(p):
 def cmd_game_simulate(p):
     params = _game_params(p["params"])
     design = game.design_ai_game(params)
-    betas = game.simulate_tagging_game(design.mu_eta(), design, params,
-                                       p["actuality"], p["k-max"], p["seed"],
-                                       record_every=p["record-every"])
+    ks, betas = game.simulate_tagging_game(design.mu_eta(), design, params,
+                                           p["actuality"], p["k-max"], p["seed"],
+                                           record_every=p["record-every"])
     if p["out"]:
-        ks = list(range(p["record-every"], p["k-max"] + 1, p["record-every"]))
-        if not ks or ks[-1] != p["k-max"]:
-            ks.append(p["k-max"])
-        write_csv(p["out"], "k,beta", list(zip(ks, betas)))
+        write_csv(p["out"], "k,beta", zip(ks.tolist(), betas))
     print(json.dumps({"terminal_beta": float(betas[-1]),
                       "predicted": game.beta_fixed_point(
                           design.mu_eta(), design.w, params, p["actuality"])}))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_core import make_rng
+from .bp_core import make_rng, require_counts
 
 FAKE, REAL = "F", "R"
 
@@ -342,12 +342,13 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
 
 
 def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
-                          k_max: int, seed: int, record_every: int = 100) -> np.ndarray:
+                          k_max: int, seed: int,
+                          record_every: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo tagging stream: per epoch a participant (type-1, type-2
     or adversary) tags, and the running fake-tag fraction updates as the
-    empirical mean.  Returns the recorded beta sequence."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    empirical mean.  Returns the recorded epochs (every ``record_every``-th
+    and the last) and the beta at each."""
+    require_counts(k_max=k_max, record_every=record_every)
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
     mult = params.response_slope(design.w, u)
@@ -355,7 +356,7 @@ def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
     uu = rng.random(k_max)
     ud = rng.random(k_max)
     fakes = 0
-    betas = []
+    epochs, betas = [], []
     beta = 0.0
     for k in range(1, k_max + 1):
         r = uu[k - 1]
@@ -369,8 +370,9 @@ def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
             fakes += 1
         beta = fakes / k
         if k % record_every == 0 or k == k_max:
+            epochs.append(k)
             betas.append(beta)
-    return np.asarray(betas)
+    return np.asarray(epochs), np.asarray(betas)
 
 
 def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bp_core import make_rng
+from .bp_core import make_rng, require_counts
 from .ode_engine import EULER_GAMMA, bisect_root, epochs_before, harmonic_number
 
 
@@ -90,6 +90,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     """
     if a0 < 1:
         raise ValueError("need at least one seed copy")
+    require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     a = c = int(a0)
     rec_n, rec_tau, rec_a, rec_c = [], [], [], []

@@ -6,36 +6,30 @@ stream of reads of a known real post.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .bp_core import make_rng
-from .wm import (MechanismDesign, PostModel, UserMix, eo_warning,
+from .bp_core import make_rng, require_counts
+from .wm import (REAL, MechanismDesign, PostModel, UserMix, eo_warning,
                  warning_value)
 
 _BUF = 1 << 14
 
 
 class _Buf:
-    """Draws handed out one at a time from blocks of _BUF: uniforms on
-    [0, 1), or, given ``mean``, geometric counts on {0, 1, ...} with that
-    mean."""
+    """Draws handed out one at a time by ``draw()`` from blocks of _BUF:
+    uniforms on [0, 1), or, given ``mean``, geometric counts on {0, 1, ...}
+    with that mean.  The first block is drawn at construction, each later
+    one at the first draw past the end of the last."""
 
     def __init__(self, rng, mean=None):
         if mean is None:
-            self.block = lambda: rng.random(_BUF).tolist()
+            block = lambda: rng.random(_BUF).tolist()
         else:
             p = 1.0 / (1.0 + mean)
-            self.block = lambda: (rng.geometric(p, _BUF) - 1).tolist()
-        self.buf = self.block()
-        self.j = 0
-
-    def draw(self):
-        if self.j >= _BUF:
-            self.buf = self.block()
-            self.j = 0
-        self.j += 1
-        return self.buf[self.j - 1]
+            block = lambda: (rng.geometric(p, _BUF) - 1).tolist()
+        self.draw = chain.from_iterable(chain([block()], iter(block, None))).__next__
 
 
 def w_update(w: float, eps: float, indicator: float, kappa: float) -> float:
@@ -61,17 +55,64 @@ class TaggingPath:
     extinct: bool
 
 
-def _share_count(rng, post, eta, geom_buf, z_total):
-    """Shares of one reader: geometric thinning when the transient boost is
-    off (a Binomial over a geometric friend count with success p is again
-    geometric with mean m_f * p), else an explicit two-stage draw."""
-    if post.share_bonus_k == 0.0:
-        return geom_buf.draw()
-    friends = int(rng.geometric(1.0 / (1.0 + post.m_f))) - 1
-    if friends <= 0:
-        return 0
-    p = min(eta + post.share_bonus_k / max(z_total, 1) ** 2, 1.0)
-    return int(rng.binomial(friends, p))
+def _reads(rng, post, mix, u, warning, bufs, cx, cy, ax, ay):
+    """The reader process of a u-post from the counts (cx, cy, ax, ay):
+    each read of an unread copy yields the counts after it and the reader's
+    tag, until no unread copy is left.
+
+    The copy read is fake-tagged with probability cx / (cx + cy); the
+    reader's class is drawn from the mix.  Non-participants read silently,
+    warning-ignorers tag from their innate ability, warning-seekers from
+    ``warning(beta, fake_copy)`` (asked only for them), and adversaries
+    always tag real; every share carries the reader's tag.  Shares are a
+    geometric friend count thinned with the share probability, which is
+    again geometric with mean m_f * p while the transient boost is off,
+    else an explicit two-stage draw.  ``bufs`` holds the uniforms of the
+    copy, the class and the tag decision, then the geometric shares of
+    users and of adversaries.
+    """
+    unif_tag, unif_user, unif_decide, geo_user, geo_adv = bufs
+    ax_u, ay_u = post.alpha_x(u), post.alpha_y(u)
+    p_wi_x, p_wi_y = ax_u * post.rho, ay_u * post.rho
+    thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
+    eta_u, eta_a = post.eta(u), post.eta_a
+    bonus, p_friends = post.share_bonus_k, 1.0 / (1.0 + post.m_f)
+    while cx + cy > 0:
+        s = cx + cy
+        fake_copy = unif_tag.draw() * s < cx
+        beta = cx / s
+        if fake_copy:
+            cx -= 1
+        else:
+            cy -= 1
+        r = unif_user.draw()
+        if r < thr_np:
+            yield cx, cy, ax, ay, False
+            continue
+        if r < thr_wi:
+            tagged_fake = unif_decide.draw() < (p_wi_x if fake_copy else p_wi_y)
+            eta, geo = eta_u, geo_user
+        elif r < thr_ws:
+            omega = warning(beta, fake_copy)
+            p = min((ax_u if fake_copy else ay_u) * omega, 1.0)
+            tagged_fake = unif_decide.draw() < p
+            eta, geo = eta_u, geo_user
+        else:
+            tagged_fake = False
+            eta, geo = eta_a, geo_adv
+        if bonus == 0.0:
+            shares = geo.draw()
+        else:
+            friends = int(rng.geometric(p_friends)) - 1
+            p = min(eta + bonus / max(ax + ay, 1) ** 2, 1.0)
+            shares = int(rng.binomial(friends, p)) if friends > 0 else 0
+        if tagged_fake:
+            cx += shares
+            ax += shares
+        else:
+            cy += shares
+            ay += shares
+        yield cx, cy, ax, ay, tagged_fake
 
 
 def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
@@ -80,77 +121,28 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
                      record_every: int = 100) -> TaggingPath:
     """Propagate a post whose readers tag and share under the mechanism.
 
-    Reader behaviour per event: user type drawn from the mix proportions;
-    non-participants read silently, warning-ignorers tag from their innate
-    ability, warning-seekers use the live warning, adversaries always tag
-    real; all shares carry the reader's tag.
+    One event is one read of the reader process ``_reads``, the same one
+    ``learn_wm`` runs: warning-seekers see the live warning of the
+    mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
+    have been made.
     """
     if init_fake + init_real < 1:
         raise ValueError("need at least one initial copy")
-    u = actuality
+    require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
-    unif_tag, unif_user, unif_decide = _Buf(rng), _Buf(rng), _Buf(rng)
-    geo_user = _Buf(rng, post.m_f * post.eta(u))
-    geo_adv = _Buf(rng, post.m_f * post.eta_a)
-    ax_u, ay_u = post.alpha_x(u), post.alpha_y(u)
-    p_wi_x, p_wi_y = ax_u * post.rho, ay_u * post.rho
-    thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
-    cx, cy = init_fake, init_real
-    ax_t, ay_t = init_fake, init_real
-    rec_n, rec_beta, rec_cx, rec_cy, rec_ax, rec_ay = [], [], [], [], [], []
-    extinct = False
-    for n in range(1, max_events + 1):
-        s = cx + cy
-        if s == 0:
-            extinct = True
-            break
-        beta = cx / s
-        fake_copy = unif_tag.draw() * s < cx
-        r = unif_user.draw()
-        shares = 0
-        tagged_fake = False
-        if r < thr_np:
-            pass
-        elif r < thr_wi:
-            tagged_fake = unif_decide.draw() < (p_wi_x if fake_copy else p_wi_y)
-            shares = _share_count(rng, post, post.eta(u), geo_user, ax_t + ay_t)
-        elif r < thr_ws:
-            omega = warning_value(kind, beta, design, post, mix)
-            p = min((ax_u if fake_copy else ay_u) * omega, 1.0)
-            tagged_fake = unif_decide.draw() < p
-            shares = _share_count(rng, post, post.eta(u), geo_user, ax_t + ay_t)
-        else:
-            shares = _share_count(rng, post, post.eta_a, geo_adv, ax_t + ay_t)
-        if fake_copy:
-            cx -= 1
-        else:
-            cy -= 1
-        if tagged_fake:
-            cx += shares
-            ax_t += shares
-        else:
-            cy += shares
-            ay_t += shares
+    bufs = (_Buf(rng), _Buf(rng), _Buf(rng),
+            _Buf(rng, post.m_f * post.eta(actuality)), _Buf(rng, post.m_f * post.eta_a))
+    reads = _reads(rng, post, mix, actuality,
+                   lambda beta, fake_copy: warning_value(kind, beta, design, post, mix),
+                   bufs, init_fake, init_real, init_fake, init_real)
+    rec = []
+    for n, (cx, cy, ax, ay, _) in zip(range(1, max_events + 1), reads):
         if n % record_every == 0 or cx + cy == 0 or n == max_events:
-            s2 = cx + cy
-            rec_n.append(n)
-            rec_beta.append(cx / s2 if s2 > 0 else 0.0)
-            rec_cx.append(cx)
-            rec_cy.append(cy)
-            rec_ax.append(ax_t)
-            rec_ay.append(ay_t)
-        if cx + cy == 0:
-            extinct = True
-            break
-    return TaggingPath(
-        epoch=np.asarray(rec_n, dtype=np.int64),
-        beta=np.asarray(rec_beta, dtype=float),
-        cx=np.asarray(rec_cx, dtype=np.int64),
-        cy=np.asarray(rec_cy, dtype=np.int64),
-        ax=np.asarray(rec_ax, dtype=np.int64),
-        ay=np.asarray(rec_ay, dtype=np.int64),
-        extinct=extinct,
-    )
+            rec.append((n, cx, cy, ax, ay))
+    epoch, cx, cy, ax, ay = np.array(rec, dtype=np.int64).T.copy()
+    s = cx + cy
+    return TaggingPath(epoch=epoch, beta=np.where(s > 0, cx / np.maximum(s, 1), 0.0),
+                       cx=cx, cy=cy, ax=ax, ay=ay, extinct=bool(s[-1] == 0))
 
 
 @dataclass
@@ -186,81 +178,51 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
              target_beta: float, seed: int) -> LearnResult:
     """Run the learning mechanism on a known real post.
 
-    At sparse special epochs a warning-seeking reader of a real-tagged copy
-    is shown the full-scale warning w+gamma and their tag updates w toward
-    the scale whose response probability is 1-kappa; every epoch updates b
-    so the observed fake-tag fraction is driven to ``target_beta``.  Both
-    iterates are projected (w >= 1, b >= 0).  The trace holds every
-    ``record_every``-th read, the last one and the one that ends the run.
+    Reads follow the reader process of ``simulate_tagging`` (``_reads``),
+    with its sharing law and share boost.  At sparse special epochs a
+    warning-seeking reader of a real-tagged copy is shown the full-scale
+    warning w+gamma and their tag updates w toward the scale whose response
+    probability is 1-kappa; every epoch updates b so the observed fake-tag
+    fraction is driven to ``target_beta``.  Both iterates are projected
+    (w >= 1, b >= 0).  The trace holds every ``record_every``-th read, the
+    last one and the one that ends the run.
     """
-    if config.budget < 1:
-        raise ValueError("sample budget must be >= 1")
+    require_counts(budget=config.budget, record_every=config.record_every,
+                   seed_users=config.seed_users)
     if config.kappa < 1.0 - post.alpha_y_r / post.alpha_x_r:
         raise ValueError("kappa below the admissible floor alpha ratio")
     rng = make_rng(seed)
-    unif_tag, unif_user = _Buf(rng), _Buf(rng)
-    unif_decide, unif_coin = _Buf(rng), _Buf(rng)
-    geo_user = _Buf(rng, post.m_f * post.eta_r)
-    geo_adv = _Buf(rng, post.m_f * post.eta_a)
-    ax_r, ay_r = post.alpha_x_r, post.alpha_y_r
-    p_wi_x, p_wi_y = ax_r * post.rho, ay_r * post.rho
-    thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
+    unif_tag, unif_user, unif_decide, unif_coin = _Buf(rng), _Buf(rng), _Buf(rng), _Buf(rng)
+    bufs = (unif_tag, unif_user, unif_decide,
+            _Buf(rng, post.m_f * post.eta_r), _Buf(rng, post.m_f * post.eta_a))
     gamma = post.gamma
     w, b = config.w0, config.b0
-    cx, cy = 0, config.seed_users
-    trace = []
     eta_coin = config.eta0
-    extinct = False
+
+    def warning(beta, fake_copy):
+        nonlocal special
+        if unif_coin.draw() < eta_coin and not fake_copy:
+            special = True
+            return w + gamma
+        return eo_warning(beta, w, b, gamma)
+
+    reads = _reads(rng, post, mix, REAL, warning, bufs, 0, config.seed_users,
+                   0, config.seed_users)
+    trace = []
     n_w_updates = 0
-    for k in range(1, config.budget + 1):
-        s = cx + cy
-        if s == 0:
-            extinct = True
-            break
-        beta = cx / s
-        fake_copy = unif_tag.draw() * s < cx
-        r = unif_user.draw()
-        shares = 0
-        tagged_fake = False
-        special = False
-        if r < thr_np:
-            pass
-        elif r < thr_wi:
-            tagged_fake = unif_decide.draw() < (p_wi_x if fake_copy else p_wi_y)
-            shares = geo_user.draw()
-        elif r < thr_ws:
-            if unif_coin.draw() < eta_coin and not fake_copy:
-                special = True
-                omega = w + gamma
-            else:
-                omega = eo_warning(beta, w, b, gamma)
-            p = min((ax_r if fake_copy else ay_r) * omega, 1.0)
-            tagged_fake = unif_decide.draw() < p
-            shares = geo_user.draw()
-        else:
-            shares = geo_adv.draw()
-        if fake_copy:
-            cx -= 1
-        else:
-            cy -= 1
-        if tagged_fake:
-            cx += shares
-        else:
-            cy += shares
+    special = False
+    for k, (cx, cy, _, _, tagged_fake) in zip(range(1, config.budget + 1), reads):
         s2 = cx + cy
         beta_post = cx / s2 if s2 > 0 else 0.0
         eps = config.eps_scale * k ** (-config.eps_power)
         if special:
-            ind = 1.0 if tagged_fake else 0.0
+            special = False
             n_w_updates += 1
             eps_w = config.eps_scale * n_w_updates ** (-config.eps_power)
-            w = w_update(w, eps_w, ind, config.kappa)
+            w = w_update(w, eps_w, float(tagged_fake), config.kappa)
         b = b_update(b, eps, beta_post, target_beta)
         eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)
         if k % config.record_every == 0 or k == config.budget or s2 == 0:
             trace.append((k, w, b, beta_post))
-        if s2 == 0:
-            extinct = True
-            break
     return LearnResult(w=w, b=b, trace=np.asarray(trace, dtype=float),
-                       extinct=extinct)
+                       extinct=s2 == 0)

@@ -264,6 +264,59 @@ def test_stream_keys_out_of_range_rejected(call, name):
         call()
 
 
+def _kernels():
+    """Each stochastic kernel at tiny sizes, with its event, record and
+    population counts: (call taking the counts as keywords, default counts)."""
+    from bpviral import bp_attack, game, market, wm, wm_dynamics
+
+    limits, init = bp_attack.AttackLimits(3, 1, 3, 1), PopulationState(5, 5, 5, 5)
+    mix = wm.naive_mix(0.1)
+    design = wm.optimize_eo(wm.NAIVE_POST, mix, 0.05)
+    gp = game.GameParams(alpha_r=0.27, alpha_f=0.30, mua=0.1, p=0.3, theta=0.75,
+                         delta=0.28, resp_a=2.5)
+    gd = game.design_ai_game(gp)
+    pair = {"max_events": 5, "record_every": 1}
+    return {
+        "simulate": (lambda **kw: simulate(bp_core.single_type_ramp_model(), DeathModel(),
+                                           PopulationState(2, 0, 2, 0), seed=1, **kw), pair),
+        "simulate_attack_betas": (lambda **kw: bp_attack.simulate_attack_betas(
+            limits, init, seed=1, **kw), pair),
+        "terminal_beta_study": (lambda **kw: bp_attack.terminal_beta_study(
+            limits, 1, seed=1, init=init, **kw), {"max_events": 5}),
+        "simulate_tagging": (lambda **kw: wm_dynamics.simulate_tagging(
+            wm.EO, design, wm.NAIVE_POST, mix, wm.FAKE, 1, 1, seed=1, **kw), pair),
+        "learn_wm": (lambda **kw: wm_dynamics.learn_wm(
+            wm_dynamics.LearnConfig(kappa=0.5, **kw), wm.NAIVE_POST, mix, 0.05, seed=1),
+            {"budget": 5, "record_every": 1, "seed_users": 20}),
+        "simulate_stpbp": (lambda **kw: market.simulate_stpbp(
+            market.TefParams(rho=0.6, **market.SNAP_FIT), 2, seed=1, **kw), pair),
+        "simulate_tagging_game": (lambda **kw: game.simulate_tagging_game(
+            gd.mu_eta(), gd, gp, "F", seed=1, **kw), {"k_max": 5, "record_every": 1}),
+    }
+
+
+_COUNT_CASES = [("simulate", "max_events"), ("simulate", "record_every"),
+                ("simulate_attack_betas", "max_events"),
+                ("simulate_attack_betas", "record_every"),
+                ("terminal_beta_study", "max_events"),
+                ("simulate_tagging", "max_events"), ("simulate_tagging", "record_every"),
+                ("learn_wm", "budget"), ("learn_wm", "record_every"),
+                ("learn_wm", "seed_users"),
+                ("simulate_stpbp", "max_events"), ("simulate_stpbp", "record_every"),
+                ("simulate_tagging_game", "k_max"),
+                ("simulate_tagging_game", "record_every")]
+
+
+@pytest.mark.parametrize("kernel, name", _COUNT_CASES,
+                         ids=[f"{k}-{n}" for k, n in _COUNT_CASES])
+def test_event_counts_below_one_rejected(kernel, name):
+    call, counts = _kernels()[kernel]
+    call(**counts)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=name):
+            call(**{**counts, name: bad})
+
+
 class TestRatioVector:
     """The per-epoch ratio vectors (psi_c, theta_c, psi_a, theta_a), the rows
     of ``Trajectory.ratios``."""

@@ -241,6 +241,16 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["bp", "simulate", "--seed", "1", "--record-every", "0"], "record_every"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
+], ids=["bp simulate --record-every 0", "wm learn --seed-users 0"])
+def test_counts_below_one_exit_1(argv, name, wm_params_file, capsys):
+    rc = main([a.format(wm=wm_params_file) for a in argv])
+    assert rc == 1
+    assert name in capsys.readouterr().err
+
+
 def test_replications_are_not_other_seeds(tmp_path):
     # replication r of seed s is its own stream (s, r): replication 1 of
     # seed 6 is not seed 7, and replication 0 is the plain seed

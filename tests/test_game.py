@@ -210,15 +210,15 @@ class TestSimulation:
     def test_all_adversaries_never_tag_fake(self):
         p = base_params()
         d = design_ai_game(p)
-        betas = simulate_tagging_game((0.0, 0.0, 1e-12), d, p, FAKE,
-                                      k_max=2000, seed=1)
+        _, betas = simulate_tagging_game((0.0, 0.0, 1e-12), d, p, FAKE,
+                                         k_max=2000, seed=1)
         assert np.all(betas == 0.0)
 
     def test_type1_lln(self):
         p = base_params(mua=0.0)
         d = design_ai_game(p)
         mu = (0.0, 1.0, 0.0)
-        betas = simulate_tagging_game(mu, d, p, FAKE, k_max=40_000, seed=2)
+        _, betas = simulate_tagging_game(mu, d, p, FAKE, k_max=40_000, seed=2)
         assert betas[-1] == pytest.approx(p.alpha_f, abs=0.01)
 
     def test_designed_instance_converges(self):
@@ -228,8 +228,8 @@ class TestSimulation:
         k_max = 50_000
         finals_r, finals_f = [], []
         for s in range(10):
-            finals_r.append(simulate_tagging_game(mu, d, p, REAL, k_max, seed=s)[-1])
-            finals_f.append(simulate_tagging_game(mu, d, p, FAKE, k_max, seed=s)[-1])
+            finals_r.append(simulate_tagging_game(mu, d, p, REAL, k_max, seed=s)[1][-1])
+            finals_f.append(simulate_tagging_game(mu, d, p, FAKE, k_max, seed=s)[1][-1])
         eta, eta_a = participant_fractions(mu, p.mua)
         # the real post mixes at a healthy linear rate: tight check
         b_r = beta_fixed_point(mu, d.w, p, REAL)

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from bpviral.bp_core import make_rng
-from bpviral.wm import (EO, FAKE, REAL, UserMix, design_eh2, learned_design,
-                        optimize_eo)
+from bpviral.wm import (EH, EO, FAKE, REAL, UserMix, design_eh, design_eh2,
+                        learned_design, optimize_eo)
 from bpviral.wm_dynamics import (LearnConfig, _Buf, b_update, learn_wm,
                                  simulate_tagging, w_update)
 
@@ -98,6 +101,14 @@ class TestLearn:
         with pytest.raises(ValueError, match="kappa"):
             learn_wm(cfg, naive_post, naive_mix(0.1), 0.05, seed=1)
 
+    def test_share_bonus_applies(self, naive_post, naive_mix):
+        # learning reads through the tagging reader process, boost included
+        cfg = LearnConfig(budget=3000, kappa=1 - 0.09 / 0.12 + 1e-3,
+                          record_every=100)
+        runs = [learn_wm(cfg, dataclasses.replace(naive_post, share_bonus_k=k),
+                         naive_mix(0.1), 0.05, seed=4) for k in (0.0, 2.0)]
+        assert not np.array_equal(runs[0].trace, runs[1].trace)
+
     def test_trace_and_projection(self, naive_post, naive_mix):
         cfg = LearnConfig(budget=5000, kappa=1 - 0.09 / 0.12 + 1e-3,
                           record_every=500)
@@ -125,3 +136,59 @@ class TestLearn:
             d = learned_design(res.w, res.b, naive_post, mix, 0.05, iqos=True)
             hits += abs(d.iqos - perfect.iqos) <= 0.05
         assert hits >= runs - 2
+
+
+def _digest(*arrays, extinct):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(b"extinct" if extinct else b"alive")
+    return h.hexdigest()
+
+
+def test_tagging_and_learning_pinned(naive_post, naive_mix):
+    """Frozen regression of both reader-process kernels: every recorded
+    array of tagging paths and learning results for fixed seeds."""
+    mix = naive_mix(0.1)
+    designs = {EO: optimize_eo(naive_post, mix, 0.05),
+               EH: design_eh(naive_post, mix, 0.05)}
+    tagging = {}
+    for kind, design in designs.items():
+        for u in (FAKE, REAL):
+            for k in (0.0, 2.0):
+                post = dataclasses.replace(naive_post, share_bonus_k=k)
+                path = simulate_tagging(kind, design, post, mix, u, 2, 2,
+                                        max_events=3000, seed=44,
+                                        record_every=250)
+                tagging[f"{kind}-{u}-k{k:g}"] = path
+    # a mostly silent crowd: this seed dies out at read 143, off the grid
+    tagging["extinct"] = simulate_tagging(
+        EO, designs[EO], naive_post, UserMix(0.9, 0.03, 0.05, 0.02), FAKE,
+        3, 3, max_events=3000, seed=21, record_every=5)
+    digests = {name: _digest(p.epoch, p.beta, p.cx, p.cy, p.ax, p.ay,
+                             extinct=p.extinct)
+               for name, p in tagging.items()}
+    kappa = 1 - 0.09 / 0.12 + 1e-3
+    for name, cfg, seed in (
+            ("learn", LearnConfig(budget=3000, kappa=kappa, record_every=250), 11),
+            ("learn-extinct", LearnConfig(budget=2000, kappa=kappa, seed_users=1,
+                                          record_every=100), 3)):
+        res = learn_wm(cfg, naive_post, mix, 0.05, seed=seed)
+        digests[name] = _digest(res.trace, np.array([res.w, res.b]),
+                                extinct=res.extinct)
+    assert tagging["extinct"].extinct and tagging["extinct"].epoch[-1] == 143
+    # printed with numpy 2.4.6; numpy does not promise the same
+    # geometric/binomial streams across releases
+    assert digests == {
+        "eo-F-k0": "95a315cee12869b716e517c5a3a30cad0743a4d4c16b1905a4e790a1be5f861c",
+        "eo-F-k2": "8225fae3bc231cccd202344f220faf4a58dfb1d63433a4468f9d7f8033e9c0ea",
+        "eo-R-k0": "1a2d9ca09a3c99af9c9ea9a0aa39ead0a9fa408c49ea2a779848a69c857071a3",
+        "eo-R-k2": "bfb242465323233366d788e85153a12d7be4720ef0489f0275984fe963f0c150",
+        "eh-F-k0": "d18af11860611fea85b9246509b715b9d5330839f3524ee5a51d0554c11986d6",
+        "eh-F-k2": "0b8e7439e7200c608a9258af4e2c05d7bbaa9363ad02dd5f1bd8ed1ace620437",
+        "eh-R-k0": "5f65b4a725c2843881e3298dec189e217b8fc99a38ff402ada6ccad2caa56d0d",
+        "eh-R-k2": "bfb242465323233366d788e85153a12d7be4720ef0489f0275984fe963f0c150",
+        "extinct": "826916408d4202360d7ad37f45ee3bb34f6e61b3b4e0fb240c0357b5fdaa276b",
+        "learn": "78fe2a8ce7cf46c789c48976f03d622bd3eec5bf3bc3e60305cd709d42977c37",
+        "learn-extinct": "dc6be491c14184587073c4361bc6b68cb62b3ddfab15cbd4b4d4ffdb21e37f5c",
+    }
