@@ -49,9 +49,10 @@ class AttackLimits:
         all-x proportion is not the only attracting boundary."""
         return self.e_yx > 0 or (self.e_yx == 0 and self.e_xx + self.e_xy < self.e_yy)
 
-    def limit_mean_matrix(self, beta: float) -> np.ndarray:
-        lt1 = 1.0 if beta < 1.0 else 0.0
-        gt0 = 1.0 if beta > 0.0 else 0.0
+    def limit_mean_matrix(self, beta) -> np.ndarray:
+        """2x2 limit mean matrix at beta; entries take beta's shape."""
+        lt1 = np.where(beta < 1.0, 1.0, 0.0)
+        gt0 = np.where(beta > 0.0, 1.0, 0.0)
         return np.array([
             [self.e_xx + self.e_xy * lt1, -self.e_xy * lt1],
             [-self.e_yx * gt0, self.e_yy + self.e_yx * gt0],
@@ -164,6 +165,7 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     events and at the last one, and whether the final state is empty.
     """
     require_counts(max_events=max_events, record_every=record_every)
+    init.validate()
     rng = make_rng(seed)
     cx, cy = init.cx, init.cy
     betas = []

@@ -414,6 +414,7 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
     S_n against tau_n.  Replications are drawn in blocks of 200, which fixes
     the draw layout of a seed.
     """
+    require_counts(replications=replications, cap=cap)
     rng = make_rng(seed)
     n_extinct = 0
     rates = []

@@ -120,14 +120,19 @@ def fp_residual(beta: float, mu, w: float, params: GameParams, u: str) -> float:
 
 
 def tagging_rhs(w: float, params: GameParams, u: str, mu):
-    """Scalar ODE drift g_u(beta) of the tagging dynamics."""
+    """Scalar ODE drift g_u(beta) of the tagging dynamics.
+
+    ``g`` is elementwise in beta, so it is marked ``vectorized`` and
+    ``picard_solve`` evaluates a whole (mesh+1, 1) iterate in one call.
+    """
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
     mult = params.response_slope(w, u)
 
     def g(beta, t=0.0):
-        r = min(mult * beta, 1.0)
+        r = np.minimum(mult * beta, 1.0)
         return alpha_u * eta + (1.0 - eta - eta_a) * r - beta
+    g.vectorized = True
     return g
 
 

@@ -240,17 +240,25 @@ class OdeTrajectory:
     times: np.ndarray
     values: np.ndarray        # shape (len(times), dim)
     sweeps_used: int = 0
+    final_increment: float = math.inf   # max |Y_new - Y| of the last sweep
+
+    @property
+    def converged(self) -> bool:
+        """True when the last two sweeps agreed to machine precision."""
+        return self.final_increment < 1e-15
 
     def at(self, t):
-        """Linear interpolation of the trajectory at time t (vector)."""
-        t = float(t)
-        if t <= self.times[0]:
-            return self.values[0]
-        if t >= self.times[-1]:
-            return self.values[-1]
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        w = (t - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        """Linear interpolation of the trajectory at time t (vector), held at
+        the end values outside the mesh.  A 1-D array of times gives one row
+        per time."""
+        s = np.atleast_1d(np.asarray(t, dtype=float))
+        times, vals = self.times, self.values
+        out = np.where((s <= times[0])[:, None], vals[0], vals[-1])
+        inner = (s > times[0]) & (s < times[-1])
+        i = np.searchsorted(times, s[inner], side="right") - 1
+        w = ((s[inner] - times[i]) / (times[i + 1] - times[i]))[:, None]
+        out[inner] = (1.0 - w) * vals[i] + w * vals[i + 1]
+        return out if np.ndim(t) else out[0]
 
 
 def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTrajectory:
@@ -259,7 +267,17 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     Starting from the constant function y0, applies `sweeps` Picard
     iterations; the integral is evaluated with the trapezoid rule on a
     uniform mesh (default 5000 points per unit time).  Stops early only if
-    two consecutive sweeps agree to machine precision.
+    two consecutive sweeps agree to machine precision; ``final_increment``
+    and ``converged`` say whether they did.
+
+    An rhs whose ``vectorized`` attribute is true is called once per sweep
+    as ``rhs(Y, ts)``, with Y the (mesh+1, dim) iterate and ts the mesh
+    times, and returns the (mesh+1, dim) drifts, one row per mesh point (as
+    ``scipy.integrate.solve_ivp(vectorized=True)`` evaluates many points in
+    one call, but with points as rows).  Any other rhs is called once per
+    mesh point as ``rhs(Y[j], t_j)`` with a float t_j.  Either way the
+    drifts are checked once per sweep, and a non-finite one raises a
+    ``ValueError`` naming the first mesh time where it occurs.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -269,14 +287,19 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     ts = np.linspace(0.0, T, mesh + 1)
     dt = ts[1] - ts[0] if mesh > 0 else 0.0
     Y = np.tile(y0, (mesh + 1, 1))
+    vectorized = getattr(rhs, "vectorized", False)
     used = 0
+    delta = math.inf
     for sweep in range(sweeps):
-        F = np.empty_like(Y)
-        for j, t in enumerate(ts):
-            f = np.asarray(rhs(Y[j], float(t)), dtype=float)
-            if not np.all(np.isfinite(f)):
-                raise ValueError(f"non-finite right-hand side at t={t}")
-            F[j] = f
+        if vectorized:
+            F = np.asarray(rhs(Y, ts), dtype=float).reshape(Y.shape)
+        else:
+            F = np.empty_like(Y)
+            for j, t in enumerate(ts.tolist()):
+                F[j] = rhs(Y[j], t)
+        bad = ~np.isfinite(F).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite right-hand side at t={ts[bad.argmax()]}")
         incr = 0.5 * dt * (F[1:] + F[:-1])
         Ynew = np.empty_like(Y)
         Ynew[0] = y0
@@ -286,7 +309,7 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         used = sweep + 1
         if delta < 1e-15:
             break
-    return OdeTrajectory(times=ts, values=Y, sweeps_used=used)
+    return OdeTrajectory(times=ts, values=Y, sweeps_used=used, final_increment=delta)
 
 
 def picard_chain(rhs, y0, T) -> OdeTrajectory:
@@ -295,8 +318,10 @@ def picard_chain(rhs, y0, T) -> OdeTrajectory:
     Successive approximation contracts only while L*window stays well below
     the sweep count, so horizons beyond ~20 Lipschitz times are integrated
     on windows of 4 time units (60 sweeps, 200 mesh points per unit),
-    restarting from the previous endpoint.  ``sweeps_used`` is the largest
-    sweep count of any window.
+    restarting from the previous endpoint.  ``sweeps_used`` and
+    ``final_increment`` are the largest of any window, so ``converged``
+    holds only if every window converged.  The time shift of each window
+    keeps the rhs's ``vectorized`` mark (see ``picard_solve``).
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     t_all = [np.array([0.0])]
@@ -304,17 +329,22 @@ def picard_chain(rhs, y0, T) -> OdeTrajectory:
     t0 = 0.0
     y = y0
     used = 0
+    worst = 0.0
     while t0 < T - 1e-12:
         span = min(4.0, T - t0)
-        local = picard_solve(lambda v, s, off=t0: rhs(v, s + off), y, span,
-                             sweeps=60, mesh=max(20, int(200 * span)))
+
+        def shifted(v, s, off=t0):
+            return rhs(v, s + off)
+        shifted.vectorized = getattr(rhs, "vectorized", False)
+        local = picard_solve(shifted, y, span, sweeps=60, mesh=max(20, int(200 * span)))
         t_all.append(t0 + local.times[1:])
         y_all.append(local.values[1:])
         y = local.values[-1]
         used = max(used, local.sweeps_used)
+        worst = max(worst, local.final_increment)
         t0 += span
-    return OdeTrajectory(times=np.concatenate(t_all),
-                         values=np.vstack(y_all), sweeps_used=used)
+    return OdeTrajectory(times=np.concatenate(t_all), values=np.vstack(y_all),
+                         sweeps_used=used, final_increment=worst)
 
 
 # -- epoch/time bookkeeping for the 1/n step-size scheme ---------------------
@@ -385,16 +415,24 @@ def make_h(m_inf):
 
 
 def make_autonomous_rhs(m_inf):
-    """Autonomous drift g(upsilon) = h(beta) 1_{psi_c>0} - upsilon."""
-    h = make_h(m_inf)
+    """Autonomous drift g(upsilon) = h(beta) 1_{psi_c>0} - upsilon.
 
+    ``g`` takes one 4-vector or a (k, 4) array of them and is marked
+    ``vectorized`` for ``picard_solve``.  So ``m_inf`` must accept an array
+    of betas and return a 2x2 matrix whose entries broadcast against it
+    (each entry a scalar or of the betas' shape); it is also called at
+    beta = 0 for rows with psi_c <= 0, whose drift is -upsilon whatever it
+    returns.
+    """
     def g(upsilon, t=0.0):
         upsilon = np.asarray(upsilon, dtype=float)
-        psi_c, theta_c = upsilon[0], upsilon[1]
-        if psi_c > 0:
-            beta = theta_c / psi_c
-            return h(beta) - upsilon
-        return -upsilon
+        psi_c = upsilon[..., 0]
+        alive = psi_c > 0
+        # [()] turns the 0-d quotient of a single 4-vector into a scalar
+        beta = np.divide(upsilon[..., 1], psi_c, out=np.zeros_like(psi_c), where=alive)[()]
+        h = np.array(_drift(beta, np.asarray(m_inf(beta), dtype=float))).T
+        return np.where(alive[..., None], h - upsilon, -upsilon)
+    g.vectorized = True
     return g
 
 
@@ -410,20 +448,19 @@ def finite_time_gap(sa_traj, ode: OdeTrajectory, n_start: int, T: float) -> floa
     n_total = sa.shape[0]
     if n_start < 1 or n_start > n_total:
         raise ValueError("n_start outside trajectory")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     t_start = harmonic_number(n_start)
     k_end = epochs_before(t_start + T)
     if k_end > n_total:
         raise ValueError(
             f"trajectory too short: need {k_end} epochs to cover the window, "
             f"have {n_total}")
-    gap = 0.0
-    t_k = t_start
-    for k in range(n_start, k_end + 1):
-        if k > n_start:
-            t_k += 1.0 / k
-        ref = ode.at(t_k - t_start)
-        gap = max(gap, float(np.max(np.abs(sa[k - 1] - np.atleast_1d(ref)))))
-    return gap
+    # t_k for k = n_start..k_end, summed left to right as the exact t_k are
+    t_k = np.add.accumulate(np.concatenate(
+        ([t_start], 1.0 / np.arange(n_start + 1, k_end + 1))))
+    rows = sa[n_start - 1:k_end].reshape(len(t_k), -1)
+    return float(np.max(np.abs(rows - ode.at(t_k - t_start))))
 
 
 CONVERGED_ATTRACTOR = "converged_attractor"

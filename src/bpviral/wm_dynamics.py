@@ -126,8 +126,9 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
     have been made.
     """
-    if init_fake + init_real < 1:
-        raise ValueError("need at least one initial copy")
+    if min(init_fake, init_real) < 0 or init_fake + init_real < 1:
+        raise ValueError("need nonnegative initial copies, at least one in all; got "
+                         f"init_fake={init_fake}, init_real={init_real}")
     require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     bufs = (_Buf(rng), _Buf(rng), _Buf(rng),

@@ -167,6 +167,11 @@ class TestFastPathEquivalence:
         assert betas.tolist() == [0.0]
         assert extinct is True
 
+    def test_invalid_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="cx=-1"):
+            simulate_attack_betas(AttackLimits(3, 1, 3, 1), PopulationState(-1, 3, 0, 3),
+                                  10, seed=1, record_every=5)
+
 
 def test_terminal_beta_study_concentrates():
     res = terminal_beta_study(AttackLimits(3, 1, 3, 1), replications=30,

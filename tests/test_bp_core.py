@@ -216,6 +216,13 @@ def test_dichotomy_study_statistics():
     assert stats.mean_rate >= stats.rate_threshold - 3 * stats.rate_se
 
 
+@pytest.mark.parametrize("name", ["replications", "cap"])
+def test_dichotomy_counts_below_one_rejected(name):
+    counts = {"replications": 3, "cap": 20, name: 0}
+    with pytest.raises(ValueError, match=name):
+        dichotomy_study(1.5, 1, seed=1, **counts)
+
+
 def test_fit_growth_rate_recovers_exponent():
     tau = np.linspace(0, 5, 400)
     s = 7.0 * np.exp(0.45 * tau)

@@ -91,8 +91,7 @@ class TestFixedPoints:
                 rho = 1.0 - (1.0 - eta - eta_a) * mult
                 rate = max(min(rho, 1.0), 0.05) if rho > 0 else 1.0
                 T = min(30.0 / rate, 400.0)
-                rhs = tagging_rhs(design.w, p, u, mu)
-                traj = picard_chain(lambda y, t: np.array([rhs(y[0])]),
+                traj = picard_chain(tagging_rhs(design.w, p, u, mu),
                                     np.array([0.35]), T=T)
                 tol = max(1e-4, 1.2 * abs(0.35 - beta) * np.exp(-rate * T))
                 assert traj.values[-1, 0] == pytest.approx(beta, abs=tol)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpviral.bp_attack import AttackLimits, build_gbeta, h_limits
+from bpviral.bp_core import (DeathModel, PopulationState, simulate,
+                             single_type_ramp_model)
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE,
                                 DegenerateFieldError, OdeTrajectory,
                                 ScalarField, bisect_root, classify_scalar,
@@ -234,6 +236,52 @@ class TestPicard:
         with pytest.raises(ValueError, match="non-finite"):
             picard_solve(rhs, 0.0, T=2.0, sweeps=3, mesh=100)
 
+    def test_marked_rhs_called_once_per_sweep(self):
+        shapes = []
+
+        def rhs(Y, ts):
+            shapes.append((Y.shape, ts.shape))
+            return -Y
+        rhs.vectorized = True
+        picard_solve(rhs, 1.0, T=2.0, sweeps=3, mesh=100)
+        assert shapes == [((101, 1), (101,))] * 3
+
+    def test_nonfinite_marked_rhs_reports_first_time(self):
+        # the mesh of [0, 2] has step 0.02, so t = 1.02 is the first t > 1
+        def rhs(Y, ts):
+            return np.where(ts[:, None] > 1.0, np.nan, 1.0)
+        rhs.vectorized = True
+        with pytest.raises(ValueError, match=r"non-finite right-hand side at t=1\.02$"):
+            picard_solve(rhs, 0.0, T=2.0, sweeps=3, mesh=100)
+
+    def test_convergence_flag(self):
+        # three sweeps of y' = -y leave a visible increment; a constant
+        # slope is exact after one sweep and the second confirms it
+        traj = picard_solve(lambda y, t: -y, 1.0, T=2.0, sweeps=3, mesh=400)
+        assert traj.sweeps_used == 3 and traj.final_increment > 1e-15
+        assert not traj.converged
+        traj = picard_solve(lambda y, t: np.ones(1), 0.0, T=2.0, sweeps=5, mesh=500)
+        assert traj.sweeps_used == 2 and traj.final_increment < 1e-15
+        assert traj.converged
+        assert picard_chain(lambda y, t: np.ones(1), 0.0, T=10.0).converged
+
+    def test_marked_rhs_matches_per_point_loop(self):
+        # criterion 6's case: the ramp model's SA path from seed 1, integrated
+        # from three start epochs with the marked g (one call per sweep) and
+        # with a plain per-point wrapper of the same g
+        model = single_type_ramp_model()
+        g = make_autonomous_rhs(model.limit_mean_matrix)
+        assert g.vectorized
+        ups = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
+                       max_events=11_000, seed=1).ratios()
+        for n0 in (5, 50, 500):
+            fast = picard_solve(g, ups[n0 - 1], T=3.0, sweeps=60, mesh=3000)
+            slow = picard_solve(lambda y, t: g(y, t), ups[n0 - 1], T=3.0,
+                                sweeps=60, mesh=3000)
+            assert fast.values.tobytes() == slow.values.tobytes()
+            assert fast.sweeps_used == slow.sweeps_used
+            assert fast.final_increment == slow.final_increment
+
 
 class TestHarmonicClock:
     def test_harmonic_number_matches_cumsum(self):
@@ -248,6 +296,18 @@ class TestHarmonicClock:
         if n >= 1:
             assert harmonic_number(n) <= t
         assert harmonic_number(n + 1) > t
+
+
+def test_array_rhs_rows_match_lift_map():
+    # rows at beta = 0 and 1 (the attack matrix's indicators), an interior
+    # beta and psi_c <= 0, against h(beta) 1_{psi_c>0} - upsilon per point
+    lim = AttackLimits(2.5, 0.7, 1.9, 0.4)
+    g, h = make_autonomous_rhs(lim.limit_mean_matrix), h_limits(lim)
+    Y = np.array([[1.0, 0.0, 1.5, 0.2], [1.0, 1.0, 1.5, 1.2], [0.8, 0.3, 1.1, 0.5],
+                  [0.0, 0.0, 1.2, 0.6], [-0.1, 0.2, 0.4, 0.3]])
+    ref = np.array([h(y[1] / y[0]) - y if y[0] > 0 else -y for y in Y])
+    assert g(Y).tobytes() == ref.tobytes()
+    assert np.array([g(y) for y in Y]).tobytes() == ref.tobytes()
 
 
 class TestNonautoRhs:

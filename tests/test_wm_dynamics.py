@@ -89,6 +89,12 @@ class TestSimulateTagging:
             simulate_tagging(EO, d, naive_post, naive_mix(0.1), FAKE, 0, 0,
                              max_events=10, seed=1)
 
+    def test_negative_initial_count_rejected(self, naive_post, naive_mix):
+        d = optimize_eo(naive_post, naive_mix(0.1), 0.05)
+        with pytest.raises(ValueError, match="init_fake=-1"):
+            simulate_tagging(EO, d, naive_post, naive_mix(0.1), FAKE, -1, 3,
+                             max_events=50, seed=1, record_every=10)
+
 
 class TestLearn:
     def test_budget_validation(self, naive_post, naive_mix):
