@@ -61,14 +61,14 @@ class AttackLimits:
 
 def build_gbeta(limits: AttackLimits) -> ScalarField:
     """Scalar proportion field g(b) = (-e_yx + b m_tilde - b^2 m_inf) on (0,1),
-    zero at both endpoints by the indicator."""
+    zero at both endpoints by the indicator; g takes a float or an array."""
     e_yx, mt, mi = limits.e_yx, limits.m_tilde, limits.m_inf
 
-    def g(beta: float) -> float:
-        if beta <= 0.0 or beta >= 1.0:
-            return 0.0
-        return -e_yx + beta * mt - beta * beta * mi
+    def g(beta):
+        inside = (beta > 0.0) & (beta < 1.0)
+        return np.where(inside, -e_yx + beta * mt - beta * beta * mi, 0.0)[()]
 
+    g.vectorized = True
     return ScalarField(g=g, kinks=[0.0, 1.0])
 
 

@@ -34,6 +34,8 @@ class ScalarField:
     ``g`` must be evaluable at every non-kink point; kinks (jumps of g or of
     its slope, e.g. min{.,1} crossovers or indicator boundaries) are inserted
     as mandatory scan points so one-sided signs are read on the correct side.
+    A ``g`` whose ``vectorized`` attribute is true takes an array of betas and
+    returns values of that shape, and still accepts one float.
     """
 
     g: callable
@@ -108,6 +110,8 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
     an indicator, registered kinks) are kept as equilibria in their own
     right.  One-sided signs then decide attractor / repeller / saddle;
     boundary zeros are classified from their single inner neighbourhood.
+    The scan calls a ``vectorized`` g once on the whole grid, any other g once
+    per point; bisection and the side probes call g on one float.
     """
     if grid_points < 100:
         raise ValueError("grid_points must be >= 100")
@@ -116,32 +120,30 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
     if field_.kinks:
         kk = [k for k in field_.kinks if 0.0 <= k <= 1.0]
         xs = np.unique(np.concatenate([xs, np.asarray(kk, dtype=float)]))
-    vals = np.array([g(float(x)) for x in xs])
+    if getattr(g, "vectorized", False):
+        vals = np.asarray(g(xs), dtype=float)
+    else:
+        vals = np.array([g(x) for x in xs.tolist()], dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = xs[~np.isfinite(vals)][0]
         raise ValueError(f"scalar field not finite at beta={bad}")
 
     zero = vals == 0.0
     # a run of >= 3 consecutive exact zeros cannot be an isolated root
-    run = 0
-    for z in zero:
-        run = run + 1 if z else 0
-        if run >= 3:
-            raise DegenerateFieldError("degenerate field: g vanishes on a subinterval")
-    if run == 2 and np.count_nonzero(zero) == len(zero):
+    if (zero[:-2] & zero[1:-1] & zero[2:]).any():
         raise DegenerateFieldError("degenerate field: g vanishes on a subinterval")
 
-    roots = [float(xs[i]) for i in range(len(xs)) if zero[i]]
     # collapse exact-zero pairs straddling one cell (double grid hit of one root)
-    merged = []
-    for r in roots:
-        if merged and r - merged[-1] <= 1.5 * (xs[1] - xs[0]):
-            merged[-1] = 0.5 * (merged[-1] + r)
+    roots = []
+    for r in xs[zero].tolist():
+        if roots and r - roots[-1] <= 1.5 * (xs[1] - xs[0]):
+            roots[-1] = 0.5 * (roots[-1] + r)
         else:
-            merged.append(r)
-    roots = merged
+            roots.append(r)
 
-    for i in range(len(xs) - 1):
+    # only a cell with a sign change or an exact zero at an end can hold a root
+    cells = np.flatnonzero(((vals[:-1] > 0) != (vals[1:] > 0)) | zero[:-1] | zero[1:])
+    for i in cells.tolist():
         lo, hi = float(xs[i]), float(xs[i + 1])
         f_lo, f_hi = float(vals[i]), float(vals[i + 1])
         # an exact zero at a cell end can hide an interior sign change right
@@ -212,7 +214,7 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
         else:
             basin = (r, r)
         eqs.append(Equilibrium(beta=r, kind=kind, basin=basin,
-                               g_residual=abs(g(r))))
+                               g_residual=float(abs(g(r)))))
     return EquilibriumReport(equilibria=eqs)
 
 

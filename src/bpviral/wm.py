@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ode_engine import ScalarField, bisect_root, classify_scalar
 
 FAKE, REAL = "F", "R"
@@ -148,17 +150,20 @@ def iqos_scale(post: PostModel, mix: UserMix) -> float:
     return (non_adv + mix.mua * post.eta_a) / non_adv
 
 
-def eo_warning(beta: float, w: float, b: float, gamma: float) -> float:
-    """w*beta/(beta + b(1-beta)) + gamma; at beta=b=0 the ratio limit is 0."""
-    if beta <= 0.0:
-        return gamma
+def eo_warning(beta, w: float, b: float, gamma: float):
+    """w*beta/(beta + b(1-beta)) + gamma at a float or an array of betas;
+    the ratio is 0 at beta <= 0 (its limit at beta=b=0)."""
     denom = beta + b * (1.0 - beta)
-    return w * beta / denom + gamma
+    # (beta > 0) zeroes the ratio at beta <= 0 and (denom == 0) keeps 0/0 from
+    # being formed; plain arithmetic, so the float call made at every
+    # warning-seeker read in wm_dynamics pays no numpy overhead
+    return w * beta * (beta > 0.0) / (denom + (denom == 0.0)) + gamma
 
 
-def warning_value(kind: str, beta: float, design: MechanismDesign,
-                  post: PostModel, mix: UserMix) -> float:
-    """Warning level shown at fake-tag fraction beta under a mechanism."""
+def warning_value(kind: str, beta, design: MechanismDesign,
+                  post: PostModel, mix: UserMix):
+    """Warning level shown at fake-tag fraction beta (a float or an array)
+    under a mechanism."""
     base = eo_warning(beta, design.w, design.b, post.gamma)
     if kind in (EO, EH2, LEARNED):
         return base
@@ -172,9 +177,10 @@ def warning_value(kind: str, beta: float, design: MechanismDesign,
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 
-def gbeta_wm(beta: float, kind: str, design: MechanismDesign,
-             post: PostModel, mix: UserMix, u: str) -> float:
-    """Drift of the tag-proportion ODE for a u-post under the mechanism."""
+def gbeta_wm(beta, kind: str, design: MechanismDesign,
+             post: PostModel, mix: UserMix, u: str):
+    """Drift of the tag-proportion ODE for a u-post under the mechanism, at
+    a float or an array of betas."""
     omega = warning_value(kind, beta, design, post, mix)
     ax, ay = post.alpha_x(u), post.alpha_y(u)
     eta_u, mf = post.eta(u), post.m_f
@@ -183,8 +189,8 @@ def gbeta_wm(beta: float, kind: str, design: MechanismDesign,
     core = (-beta * mu2
             - beta * mu1 * (1.0 - ax * rho)
             + (1.0 - beta) * mu1 * rho * ay
-            + mu2 * (beta * min(omega * ax, 1.0)
-                     + (1.0 - beta) * min(omega * ay, 1.0)))
+            + mu2 * (beta * np.minimum(omega * ax, 1.0)
+                     + (1.0 - beta) * np.minimum(omega * ay, 1.0)))
     return core * mf * eta_u - beta * mua * mf * post.eta_a
 
 
@@ -201,10 +207,9 @@ def _warning_kinks(kind, design, post, mix, u) -> list:
 
 
 def gbeta_field(kind, design, post, mix, u) -> ScalarField:
-    return ScalarField(
-        g=lambda b: gbeta_wm(b, kind, design, post, mix, u),
-        kinks=_warning_kinks(kind, design, post, mix, u),
-    )
+    g = lambda b: gbeta_wm(b, kind, design, post, mix, u)
+    g.vectorized = True
+    return ScalarField(g=g, kinks=_warning_kinks(kind, design, post, mix, u))
 
 
 def beta_bounds(post: PostModel, mix: UserMix, u: str) -> tuple:

@@ -229,7 +229,8 @@ def test_criterion_9_oracle_and_property_suites():
             continue
         sign = -1.0 if rng.random() < 0.5 else 1.0
         coeffs = np.poly(roots) * sign
-        g = lambda b, c=coeffs: float(np.polyval(c, b))
+        g = lambda b, c=coeffs: np.polyval(c, b)
+        g.vectorized = True
         rep = classify_scalar(ScalarField(g=g), grid_points=2000,
                               refine_tol=1e-12)
         xs = np.linspace(0, 1, 100_001)

@@ -63,7 +63,7 @@ class TestRegime:
                              e_yy=rng.uniform(1.1, 4), e_yx=rng.uniform(0, 2))
             g = build_gbeta(e).g
             # regime test two ways: set membership vs interior sign change
-            dense = np.array([g(b) for b in np.linspace(1e-6, 1 - 1e-6, 1001)])
+            dense = g(np.linspace(1e-6, 1 - 1e-6, 1001))
             has_change = np.any(np.sign(dense[:-1]) != np.sign(dense[1:]))
             assert e.in_regime_e == has_change
             if e.in_regime_e:

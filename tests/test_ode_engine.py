@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE,
                                 harmonic_times, hover_classify, lift_limits,
                                 make_autonomous_rhs, make_h, nonauto_rhs,
                                 picard_chain, picard_solve)
+from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, NAIVE_POST, REAL,
+                        MechanismDesign, gbeta_field, naive_mix)
 
 
 class TestClassifyScalar:
@@ -52,6 +55,90 @@ class TestClassifyScalar:
         rep = classify_scalar(ScalarField(g=g, kinks=[0.0, 1.0]), grid_points=4000)
         betas = sorted(round(e.beta, 6) for e in rep.equilibria)
         assert 0.9998 in betas and 1.0 in betas
+
+
+def _report_bits(rep):
+    return [(float.hex(e.beta), e.kind, float.hex(e.basin[0]),
+             float.hex(e.basin[1]), float.hex(e.g_residual)) for e in rep.equilibria]
+
+
+def _scan_both_ways(field_, **kw):
+    """Reports of a marked field and of the same g without the mark."""
+    assert field_.g.vectorized
+    per_point = ScalarField(g=lambda b: field_.g(b), kinks=field_.kinks)
+    return classify_scalar(field_, **kw), classify_scalar(per_point, **kw)
+
+
+class TestMarkedScan:
+    """A field marked ``vectorized`` is scanned in one call and reports the
+    bits of the per-point scan of the same formula."""
+
+    @pytest.mark.parametrize("u", [FAKE, REAL])
+    @pytest.mark.parametrize("b", [0.0, 0.4])
+    @pytest.mark.parametrize("kind", [EO, EA, EH, EH2, LEARNED])
+    def test_wm_fields(self, kind, b, u):
+        d = MechanismDesign(kind=kind, w=NAIVE_POST.w_h2, b=b, zeta=1.3)
+        marked, plain = _scan_both_ways(
+            gbeta_field(kind, d, NAIVE_POST, naive_mix(0.1), u), grid_points=4000)
+        assert marked.equilibria
+        assert _report_bits(marked) == _report_bits(plain)
+
+    @pytest.mark.parametrize("lim", [AttackLimits(3, 1, 3, 1), AttackLimits(2, 1, 4, 0),
+                                     AttackLimits(3, 2, 4, 0), AttackLimits(4, 2, 2, 0)])
+    def test_attack_quadratics(self, lim):
+        marked, plain = _scan_both_ways(build_gbeta(lim))
+        betas = [e.beta for e in marked.equilibria]
+        # the indicator's exact zeros at the kinks, plus the interior
+        # repeller in regime E only
+        assert betas[0] == 0.0 and betas[-1] == 1.0
+        assert len(betas) == (3 if lim.in_regime_e else 2)
+        assert _report_bits(marked) == _report_bits(plain)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_roots_in_cells_next_to_exact_zeros(self, sign):
+        # the first and last cells each end in an exact zero and hold a root
+        # that no sign change between their ends shows
+        g = lambda b: np.where((b > 0.0) & (b < 1.0), sign * (b - 2e-4) * (b - 0.9998), 0.0)
+        g.vectorized = True
+        marked, plain = _scan_both_ways(ScalarField(g=g, kinks=[0.0, 1.0]),
+                                        grid_points=4000)
+        betas = [round(e.beta, 9) for e in marked.equilibria]
+        assert betas == [0.0, 2e-4, 0.9998, 1.0]
+        assert _report_bits(marked) == _report_bits(plain)
+
+    def test_polynomial_with_root_on_the_grid(self):
+        g = lambda b: (b - 0.25) * (b - 0.6) * (0.9 - b)
+        g.vectorized = True
+        marked, plain = _scan_both_ways(ScalarField(g=g), grid_points=2001)
+        on_grid = [e for e in marked.equilibria if e.beta == 0.25]
+        assert len(on_grid) == 1 and on_grid[0].g_residual == 0.0
+        assert _report_bits(marked) == _report_bits(plain)
+
+    def test_one_call_on_the_grid(self):
+        shapes = []
+
+        def g(b):
+            shapes.append(np.shape(b))
+            return 0.5 - b
+        g.vectorized = True
+        rep = classify_scalar(ScalarField(g=g), grid_points=1000)
+        assert shapes[0] == (1000,) and set(shapes[1:]) == {()}
+        assert [e.kind for e in rep.equilibria] == [ATTRACTOR]
+
+    def test_degenerate_marked_field(self):
+        g = lambda b: np.where(b < 0.5, 0.0, 0.5 - b)
+        g.vectorized = True
+        with pytest.raises(DegenerateFieldError):
+            classify_scalar(ScalarField(g=g))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_marked_field_names_first_beta(self, bad):
+        g = lambda b: np.where(b > 0.3, bad, -b)
+        g.vectorized = True
+        xs = np.linspace(0.0, 1.0, 1000)
+        first = xs[xs > 0.3][0]
+        with pytest.raises(ValueError, match=re.escape(f"beta={first}")):
+            classify_scalar(ScalarField(g=g), grid_points=1000)
 
 
 class TestBisectRoot:

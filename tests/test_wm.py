@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from bpviral.bp_core import make_rng
-from bpviral.wm import (EA, EH, EH2, EO, FAKE, REAL, MechanismDesign,
+from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, REAL, MechanismDesign,
                         PostModel, UserMix, beta_bounds, delta_a_value,
                         design_ea, design_eh, design_eh2, design_for_kind,
                         eo_warning, gbeta_field, gbeta_wm, iqos_scale,
@@ -70,6 +72,41 @@ class TestWarningValue:
         for b in (0.2, 0.6):
             assert warning_value(EH, b, d, naive_post, mix) == pytest.approx(
                 1.3 * warning_value(EA, b, d, naive_post, mix))
+
+
+def test_warning_and_field_take_arrays(naive_post, naive_mix):
+    """An array of betas gives the bits of one float call per beta, and a
+    float gives a float."""
+    mix = naive_mix(0.1)
+    betas = np.linspace(0.0, 1.0, 101)
+    for kind in (EO, EA, EH, EH2, LEARNED):
+        for b in (0.0, 0.4):
+            d = MechanismDesign(kind=kind, w=naive_post.w_h2, b=b, zeta=1.3)
+            calls = [lambda x: warning_value(kind, x, d, naive_post, mix)]
+            calls += [lambda x, u=u: gbeta_wm(x, kind, d, naive_post, mix, u)
+                      for u in (FAKE, REAL)]
+            for f in calls:
+                per_point = np.array([f(x) for x in betas.tolist()])
+                assert f(betas).tobytes() == per_point.tobytes()
+    assert type(eo_warning(0.0, 2.0, 0.0, 0.1)) is float
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for v in obj for leaf in _leaves(v)]
+    return [obj]
+
+
+def test_design_dicts_hold_python_scalars(naive_post, naive_mix):
+    mix = naive_mix(0.1)
+    designs = [design_for_kind(k, naive_post, mix, 0.05) for k in (EO, EA, EH, EH2)]
+    designs.append(learned_design(8.0, 1.0, naive_post, mix, 0.05))
+    for d in designs:
+        blob = d.to_dict()
+        assert {type(v) for v in _leaves(blob)} <= {float, bool, str}, d.kind
+        json.dumps(blob)
 
 
 class TestGbetaField:
