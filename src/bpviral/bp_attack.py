@@ -160,9 +160,10 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     """Fast single-replication run recording the proportion of x-type.
 
     Equivalent in law to the generic event loop on ``attack_model(limits)``
-    (single death kind, unit rates); pre-drawn Poisson buffers keep the
-    per-event cost low.  Returns the beta recorded every ``record_every``
-    events and at the last one, and whether the final state is empty.
+    (single death kind, unit rates).  Pre-drawn uniform and Poisson blocks,
+    held as Python lists so the counts stay Python ints, keep the per-event
+    cost low.  Returns the beta recorded every ``record_every`` events and
+    at the last one, and whether the final state is empty.
     """
     require_counts(max_events=max_events, record_every=record_every)
     init.validate()
@@ -170,27 +171,27 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     cx, cy = init.cx, init.cy
     betas = []
     buf = 1 << 14
-    att_y = np.zeros(buf, dtype=np.int64)     # stays zero when e_yx == 0
+    att_y = [0] * buf                         # stays zero when e_yx == 0
     j = buf                                   # the first event draws a block
     for n in range(1, max_events + 1):
         s = cx + cy
         if s == 0:
             break
         if j >= buf:
-            u = rng.random(buf)
-            own_x = rng.poisson(limits.e_xx, buf)
-            att_x = rng.poisson(limits.e_xy, buf)
-            own_y = rng.poisson(limits.e_yy, buf)
+            u = rng.random(buf).tolist()
+            own_x = rng.poisson(limits.e_xx, buf).tolist()
+            att_x = rng.poisson(limits.e_xy, buf).tolist()
+            own_y = rng.poisson(limits.e_yy, buf).tolist()
             if limits.e_yx > 0:
-                att_y = rng.poisson(limits.e_yx, buf)
+                att_y = rng.poisson(limits.e_yx, buf).tolist()
             j = 0
         if u[j] * s < cx:     # an x-type individual dies
             captured = att_x[j] if att_x[j] < cy else cy
-            cx += -1 + int(own_x[j]) + captured
+            cx += -1 + own_x[j] + captured
             cy -= captured
         else:
             captured = att_y[j] if att_y[j] < cx else cx
-            cy += -1 + int(own_y[j]) + captured
+            cy += -1 + own_y[j] + captured
             cx -= captured
         j += 1
         if n % record_every == 0 or cx + cy == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class TefParams:
         if self.rho * self.m_bar <= 1:
             raise ValueError("initial super-criticality requires rho*m_bar > 1")
 
-    @property
+    @cached_property
     def m_tilde(self) -> float:
         return self.m_bar - self.a_break * (self.kappa1 - self.kappa2)
 

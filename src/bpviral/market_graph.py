@@ -15,7 +15,9 @@ from .market import TefParams
 
 @dataclass
 class Graph:
-    """Undirected simple graph with contiguous internal ids."""
+    """Undirected simple graph with contiguous internal ids.  Each neighbour
+    list is strictly increasing with no self-loop, as ``build_graph`` makes
+    it; a hand-built Graph with a repeated neighbour is outside that contract."""
     neighbors: list                  # list of np.ndarray per node
     node_ids: np.ndarray             # original labels, index = internal id
 
@@ -58,8 +60,6 @@ def parse_graph(path) -> Graph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"malformed edge on line {lineno}: {line!r}") from None
-            if u == v:
-                continue
             us.append(u)
             vs.append(v)
     return build_graph(us, vs)
@@ -68,6 +68,8 @@ def parse_graph(path) -> Graph:
 def build_graph(us, vs) -> Graph:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
+    loop = us == vs
+    us, vs = us[~loop], vs[~loop]
     labels = np.unique(np.concatenate([us, vs])) if len(us) else np.array([], dtype=np.int64)
     ui = np.searchsorted(labels, us)
     vi = np.searchsorted(labels, vs)
@@ -118,18 +120,14 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
         unread[i] = unread[-1]
         unread.pop()
         neigh = graph.neighbors[reader]
-        eff = 0
-        if len(neigh):
-            mask = rng.random(len(neigh)) < rho
-            for node in neigh[mask]:
-                if not holding[node]:
-                    holding[node] = True
-                    unread.append(int(node))
-                    eff += 1
-        a += eff
+        sent = neigh[rng.random(len(neigh)) < rho]
+        fresh = sent[~holding[sent]]          # simple graph: no repeats in sent
+        holding[fresh] = True
+        unread.extend(fresh.tolist())
+        a += len(fresh)
         ev_epoch.append(epoch)
         ev_reader.append(reader)
-        ev_fwd.append(eff)
+        ev_fwd.append(len(fresh))
         ev_a.append(a)
         ev_c.append(len(unread))
     return CascadeLog(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,15 @@ class TestTef:
             TefParams(m_bar=2.0, kappa1=0.1, kappa2=0.2, a_break=10, rho=1.0)
         with pytest.raises(ValueError):
             TefParams(m_bar=1.0, kappa1=0.2, kappa2=0.1, a_break=10, rho=0.5)
+
+    def test_m_tilde_cached_per_instance(self):
+        p = TefParams(rho=0.6, **SNAP_FIT)
+        assert p.m_tilde == p.m_bar - p.a_break * (p.kappa1 - p.kappa2)
+        q = dataclasses.replace(p, kappa2=2e-4)
+        assert q.m_tilde == q.m_bar - q.a_break * (q.kappa1 - q.kappa2) != p.m_tilde
+        # the cached value is not a field: equality and hashing ignore it
+        assert p == TefParams(rho=0.6, **SNAP_FIT)
+        assert hash(p) == hash(TefParams(rho=0.6, **SNAP_FIT))
 
 
 class TestClosedForm:
@@ -215,6 +225,17 @@ class TestGraph:
         assert np.array_equal(g1.node_ids, g2.node_ids)
         assert all(np.array_equal(a, b) for a, b in zip(g1.neighbors, g2.neighbors))
 
+    def test_neighbour_lists_strictly_increasing_without_loops(self):
+        # propagate_on_graph masks a whole neighbour list at once, which
+        # needs each recipient to appear once
+        us, vs = _chung_lu(31)
+        loops = make_rng(4).choice(2000, 50)
+        g = build_graph(np.concatenate([us, vs, loops]), np.concatenate([vs, us, loops]))
+        assert g.n_nodes == 2000 and g.n_edges == build_graph(us, vs).n_edges
+        for i, nbrs in enumerate(g.neighbors):
+            assert np.all(np.diff(nbrs) > 0) and i not in nbrs
+        assert build_graph([3, 1], [3, 2]).n_nodes == 2     # a loop alone adds no node
+
 
 class TestPropagate:
     def test_triangle_full_coverage(self, tmp_path):
@@ -314,3 +335,53 @@ def test_start_past_breakpoint_uses_tail_slope():
     m = metrics(p, a0=40_000)
     path = simulate_stpbp(p, a0=40_000, max_events=400_000, seed=3)
     assert abs(path.a[-1] - m["max_reach"]) / m["max_reach"] < 0.01
+
+
+def _chung_lu(seed, nodes=2000, mean_degree=30.0):
+    """Heavy-tailed edge list: Pareto(1.5) weights capped at
+    2 sqrt(nodes x mean_degree), both endpoints drawn by weight; repeated
+    edges kept, self-loops left out."""
+    rng = make_rng(seed)
+    weight = rng.pareto(1.5, nodes) + 1.0
+    weight *= mean_degree / weight.mean()
+    weight = np.minimum(weight, 2.0 * np.sqrt(nodes * mean_degree))
+    pairs = int(nodes * mean_degree / 2)
+    us = rng.choice(nodes, pairs, p=weight / weight.sum())
+    vs = rng.choice(nodes, pairs, p=weight / weight.sum())
+    keep = us != vs
+    return us[keep], vs[keep]
+
+
+def test_stpbp_and_cascade_pinned(sha256):
+    """Frozen regression of the market kernels: STP-BP paths in both
+    offspring modes, single cascades and the binned TeF estimate."""
+    digests = {}
+    for rho in (0.4, 0.6):
+        for offspring in ("poisson", "binomial"):
+            path = simulate_stpbp(TefParams(rho=rho, **SNAP_FIT), 2, 100_000, 5,
+                                  offspring=offspring)
+            digests[f"stpbp-{rho}-{offspring}"] = sha256(
+                path.epoch, path.tau, path.a, path.c, bytes([path.extinct]))
+    g = build_graph(*_chung_lu(31))
+    for rho in (0.06, 0.3, 1.0):     # reach 11, 1984 and 2000
+        log = propagate_on_graph(g, [int(g.node_ids[0]), int(g.node_ids[7])], rho,
+                                 make_rng(8))
+        digests[f"cascade-{rho}"] = sha256(log.epoch, log.reader, log.forwards,
+                                            log.a, log.c, bytes(str(log.reach), "ascii"))
+    fit = estimate_tef(g, rho=0.6, bin_width=50, runs=5, seed=9,
+                       viral_threshold=g.n_nodes // 8)
+    p = fit.params
+    digests["tef"] = sha256(fit.a_centers, fit.m_hat, fit.weights,
+                             np.array([p.m_bar, p.kappa1, p.kappa2, p.a_break, fit.sse]))
+    # printed with numpy 2.4.6; numpy does not promise the same
+    # poisson/geometric/binomial streams across releases
+    assert digests == {
+        "stpbp-0.4-poisson": "a9e8da96d842e1a8742d4e114d7e223c76fe09978cbeaff7266a7d13598e9394",
+        "stpbp-0.4-binomial": "8197dad4036ccd2c324e97661b7bed6dd2741783bc9ffb86648e30efa986df13",
+        "stpbp-0.6-poisson": "0be50ae3a928d5bfaced3c8d7e5dccf20379f63c38364ca7200c95d5ad7c3d53",
+        "stpbp-0.6-binomial": "31f669b90680434c39ca3a2135e6283e7f4a5a13985d7cb67ee332769ad704bb",
+        "cascade-0.06": "bc44ec8ba962d7dcd920eb1234cddd5bb4c69ad2716b1864b3cc4909f7adb2eb",
+        "cascade-0.3": "4f8962afb7ab300c56da41bdccbac64e24a62aaedfae2bca537b9a81aba37d9c",
+        "cascade-1.0": "a61426a39ae28dc15dd81cae81726d68e8c59569b89281f075aa129e3e8ed9fc",
+        "tef": "15b2382700eddec1244a0765a0a2b514658a499b2530f5ad8631730f859fe774",
+    }
