@@ -171,7 +171,6 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     cx, cy = init.cx, init.cy
     betas = []
     buf = 1 << 14
-    att_y = [0] * buf                         # stays zero when e_yx == 0
     j = buf                                   # the first event draws a block
     for n in range(1, max_events + 1):
         s = cx + cy
@@ -182,8 +181,7 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
             own_x = rng.poisson(limits.e_xx, buf).tolist()
             att_x = rng.poisson(limits.e_xy, buf).tolist()
             own_y = rng.poisson(limits.e_yy, buf).tolist()
-            if limits.e_yx > 0:
-                att_y = rng.poisson(limits.e_yx, buf).tolist()
+            att_y = rng.poisson(limits.e_yx, buf).tolist()
             j = 0
         if u[j] * s < cx:     # an x-type individual dies
             captured = att_x[j] if att_x[j] < cy else cy

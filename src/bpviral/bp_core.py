@@ -232,13 +232,9 @@ class Trajectory:
 
     def rows(self):
         """Per recorded epoch: epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta."""
-        ups = self.ratios()
-        betas = self.betas()
-        for i in range(len(self.epoch)):
-            yield (int(self.epoch[i]), float(self.tau[i]), int(self.cx[i]),
-                   int(self.cy[i]), int(self.ax[i]), int(self.ay[i]),
-                   float(ups[i, 0]), float(ups[i, 1]), float(ups[i, 2]),
-                   float(ups[i, 3]), float(betas[i]))
+        cols = (self.epoch, self.tau, self.cx, self.cy, self.ax, self.ay,
+                *self.ratios().T, self.betas())
+        return zip(*(col.tolist() for col in cols))
 
 
 CSV_HEADER = "epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta"
@@ -258,8 +254,7 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     init.validate()
     rng = make_rng(seed)
     state = init
-    rec_epoch, rec_tau = [], []
-    rec_cx, rec_cy, rec_ax, rec_ay = [], [], [], []
+    rec, rec_tau = [], []
     t = 0.0
     sample_offspring = model.sampler
     extinct = state.extinct
@@ -279,25 +274,15 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
                 break
         state = step_embedded(state, sample_offspring(ptype, kind, state, rng))
         if n % record_every == 0 or state.extinct or n == max_events:
-            rec_epoch.append(n)
+            rec.extend((n, state.cx, state.cy, state.ax, state.ay))
             rec_tau.append(t)
-            rec_cx.append(state.cx)
-            rec_cy.append(state.cy)
-            rec_ax.append(state.ax)
-            rec_ay.append(state.ay)
         if state.extinct:
             extinct = True
             break
-    return Trajectory(
-        epoch=np.asarray(rec_epoch, dtype=np.int64),
-        tau=np.asarray(rec_tau, dtype=float),
-        cx=np.asarray(rec_cx, dtype=np.int64),
-        cy=np.asarray(rec_cy, dtype=np.int64),
-        ax=np.asarray(rec_ax, dtype=np.int64),
-        ay=np.asarray(rec_ay, dtype=np.int64),
-        s0=(init.cx, init.cy, init.ax, init.ay),
-        extinct=extinct,
-    )
+    epoch, cx, cy, ax, ay = np.array(rec, dtype=np.int64).reshape(-1, 5).T
+    return Trajectory(epoch=epoch, tau=np.asarray(rec_tau, dtype=float),
+                      cx=cx, cy=cy, ax=ax, ay=ay,
+                      s0=(init.cx, init.cy, init.ax, init.ay), extinct=extinct)
 
 
 def sa_recursion_ratios(traj: Trajectory) -> np.ndarray:
@@ -345,7 +330,7 @@ class DichotomyStats:
     replications: int
     extinct_fraction: float
     survivor_rates: np.ndarray          # fitted growth rate of S_n vs tau_n per survivor
-    rate_threshold: float               # lam * (E[lower offspring] - 1)
+    rate_threshold: float               # E[lower offspring] - 1 at unit death rate
     all_grew_or_died: bool              # every survivor had S_cap >= S_{cap/2}
 
     @property
@@ -402,10 +387,10 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
 
 
 def dichotomy_study(offspring_mean: float, s0: int, replications: int,
-                    cap: int, seed: int, lam: float = 1.0) -> DichotomyStats:
+                    cap: int, seed: int) -> DichotomyStats:
     """Monte-Carlo dichotomy statistics for the population-independent case.
 
-    When both types share one death kind with a common rate and the total
+    When both types share one death kind with unit rate and the total
     offspring per death is an i.i.d. Poisson draw, the sum current
     population is a random walk S_n = S_{n-1} - 1 + Gamma_n, which this
     routine simulates in vectorised blocks (the event loop gives the same
@@ -436,7 +421,7 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
                 n_extinct += 1
                 continue
             path = s[i].astype(float)
-            tau = np.cumsum(exp_draws[i] / (lam * s_prev[i]))
+            tau = np.cumsum(exp_draws[i] / s_prev[i])
             if path[-1] < path[cap // 2]:
                 all_grew = False
             rates.append(fit_growth_rate(path, tau))
@@ -445,6 +430,6 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
         replications=replications,
         extinct_fraction=n_extinct / replications,
         survivor_rates=np.asarray(rates),
-        rate_threshold=lam * (offspring_mean - 1.0),
+        rate_threshold=offspring_mean - 1.0,
         all_grew_or_died=all_grew,
     )

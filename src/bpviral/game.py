@@ -399,6 +399,7 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     verify_equilibria and reports the pass fraction.  ``rows`` holds one
     (sample, feasible, ai, degradation_pct) tuple per sample.
     """
+    require_counts(n_samples=n_samples)
     rng = make_rng(seed)
     feasible = 0
     ai_ok = 0

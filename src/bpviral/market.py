@@ -79,12 +79,11 @@ class MarketPath:
 
 
 def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
-                   record_every: int = 1, offspring: str = "poisson",
-                   lam: float = 1.0) -> MarketPath:
+                   record_every: int = 1, offspring: str = "poisson") -> MarketPath:
     """Simulate reads of a post whose forwards have mean tef(A).
 
     One unread copy is consumed per event (A_n - C_n = n); inter-read times
-    are exponential with rate lam * C_n.  ``offspring='poisson'`` draws
+    are exponential with rate C_n.  ``offspring='poisson'`` draws
     Poisson(tef(A)); ``'binomial'``
     draws a geometric friend count with mean m_bar and forwards each friend
     with the TeF-matching probability.
@@ -94,7 +93,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     a = c = int(a0)
-    rec_n, rec_tau, rec_a, rec_c = [], [], [], []
+    rec, rec_tau = [], []
     t = 0.0
     p_geo = 1.0 / (1.0 + params.m_bar)    # success prob: mean m_bar on {0,1,..}
     extinct = False
@@ -102,7 +101,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
         if c == 0:
             extinct = True
             break
-        t += rng.exponential(1.0 / (lam * c))
+        t += rng.exponential(1.0 / c)
         mean = tef(a, params)
         if offspring == "poisson":
             g = int(rng.poisson(mean))
@@ -115,20 +114,14 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
         a += g
         c += g - 1
         if n % record_every == 0 or c == 0 or n == max_events:
-            rec_n.append(n)
+            rec.extend((n, a, c))
             rec_tau.append(t)
-            rec_a.append(a)
-            rec_c.append(c)
         if c == 0:
             extinct = True
             break
-    return MarketPath(
-        epoch=np.asarray(rec_n, dtype=np.int64),
-        tau=np.asarray(rec_tau, dtype=float),
-        a=np.asarray(rec_a, dtype=np.int64),
-        c=np.asarray(rec_c, dtype=np.int64),
-        extinct=extinct,
-    )
+    epoch, a, c = np.array(rec, dtype=np.int64).reshape(-1, 3).T
+    return MarketPath(epoch=epoch, tau=np.asarray(rec_tau, dtype=float),
+                      a=a, c=c, extinct=extinct)
 
 
 def _phase_constants(params: TefParams, a0: float):
@@ -284,13 +277,15 @@ def stpbp_nonauto_rhs(params: TefParams, n_start: int):
     return rhs
 
 
-def extinction_prob_pgf(pgf, tol: float = 1e-12) -> float:
+def extinction_prob_pgf(pgf) -> float:
     """Smallest fixed point of a probability generating function on [0,1].
 
     Bisection on f(s) - s after a sign scan.  A scan point where f(s) - s
     is exactly zero is the root itself, so a sub-critical or critical law,
     whose first zero is s = 1, returns 1; the identity PGF returns 0.
     """
+    tol = 1e-12
+
     def g(s):
         return pgf(s) - s
 

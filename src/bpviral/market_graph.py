@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_core import make_rng
+from .bp_core import make_rng, require_counts
 from .market import TefParams
 
 
@@ -76,17 +76,17 @@ def build_graph(us, vs) -> Graph:
     a = np.concatenate([ui, vi])
     b = np.concatenate([vi, ui])
     pairs = np.unique(np.stack([a, b], axis=1), axis=0) if len(a) else np.empty((0, 2), dtype=np.int64)
-    neighbors = [np.array([], dtype=np.int64) for _ in range(len(labels))]
-    if len(pairs):
-        split = np.searchsorted(pairs[:, 0], np.arange(len(labels) + 1))
-        for i in range(len(labels)):
-            neighbors[i] = pairs[split[i]:split[i + 1], 1].copy()
+    # np.split of an empty array gives one chunk, so a graph of only
+    # self-loops needs the explicit empty list
+    neighbors = np.split(pairs[:, 1], np.searchsorted(
+        pairs[:, 0], np.arange(1, len(labels)))) if len(labels) else []
     return Graph(neighbors=neighbors, node_ids=labels)
 
 
 @dataclass
 class CascadeLog:
-    """Per-event record of one propagation run."""
+    """Per-event record of one propagation run.  Every read consumes one
+    unread copy, so ``c == a - epoch``."""
     epoch: np.ndarray
     reader: np.ndarray        # internal node id that woke up
     forwards: np.ndarray      # effective forwards at that event
@@ -106,15 +106,11 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
     seed_ids = [graph.internal_id(s) if by_label else int(s) for s in seeds]
     if len(set(seed_ids)) != len(seed_ids):
         raise ValueError("seeds must be distinct")
-    n = graph.n_nodes
-    holding = np.zeros(n, dtype=bool)
+    holding = np.zeros(graph.n_nodes, dtype=bool)
     unread = list(seed_ids)
     holding[seed_ids] = True
-    a = len(seed_ids)
-    ev_epoch, ev_reader, ev_fwd, ev_a, ev_c = [], [], [], [], []
-    epoch = 0
+    readers, forwards = [], []
     while unread:
-        epoch += 1
         i = int(rng.integers(len(unread)))
         reader = unread[i]
         unread[i] = unread[-1]
@@ -124,20 +120,13 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
         fresh = sent[~holding[sent]]          # simple graph: no repeats in sent
         holding[fresh] = True
         unread.extend(fresh.tolist())
-        a += len(fresh)
-        ev_epoch.append(epoch)
-        ev_reader.append(reader)
-        ev_fwd.append(len(fresh))
-        ev_a.append(a)
-        ev_c.append(len(unread))
-    return CascadeLog(
-        epoch=np.asarray(ev_epoch, dtype=np.int64),
-        reader=np.asarray(ev_reader, dtype=np.int64),
-        forwards=np.asarray(ev_fwd, dtype=np.int64),
-        a=np.asarray(ev_a, dtype=np.int64),
-        c=np.asarray(ev_c, dtype=np.int64),
-        reach=int(a),
-    )
+        readers.append(reader)
+        forwards.append(len(fresh))
+    forwards = np.asarray(forwards, dtype=np.int64)
+    a = len(seed_ids) + np.cumsum(forwards)
+    epoch = np.arange(1, len(a) + 1, dtype=np.int64)
+    return CascadeLog(epoch=epoch, reader=np.asarray(readers, dtype=np.int64),
+                      forwards=forwards, a=a, c=a - epoch, reach=int(a[-1]))
 
 
 @dataclass
@@ -204,31 +193,21 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     deterministic two-segment least squares (a reproducible stand-in for a
     by-eye fit), reported at rho = 1.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
+    require_counts(runs=runs, bin_width=bin_width)
     rng = make_rng(seed)
-    fw_sum: dict[int, float] = {}
-    tr_sum: dict[int, int] = {}
-    kept = 0
-    for r in range(runs):
+    bins, forwards = [], []
+    for _ in range(runs):
         seeds = rng.choice(graph.n_nodes, size=seeds_per_run, replace=False)
         log = propagate_on_graph(graph, [int(s) for s in seeds], rho, rng,
                                  by_label=False)
-        if viral_threshold is not None and log.reach < viral_threshold:
-            continue
-        kept += 1
-        a_before = np.empty_like(log.a)
-        a_before[0] = log.a[0] - log.forwards[0]
-        a_before[1:] = log.a[:-1]
-        bins = a_before // bin_width
-        for b in np.unique(bins):
-            m = bins == b
-            fw_sum[int(b)] = fw_sum.get(int(b), 0.0) + float(log.forwards[m].sum())
-            tr_sum[int(b)] = tr_sum.get(int(b), 0) + int(m.sum())
-    if kept == 0:
+        if viral_threshold is None or log.reach >= viral_threshold:
+            bins.append((log.a - log.forwards) // bin_width)   # by shares before the read
+            forwards.append(log.forwards)
+    if not bins:
         raise ValueError("insufficient data: no viral runs")
-    ks = sorted(tr_sum)
-    centers = np.array([(k + 0.5) * bin_width for k in ks], dtype=float)
-    m_hat = np.array([fw_sum[k] / tr_sum[k] for k in ks])
-    weights = np.array([tr_sum[k] for k in ks], dtype=float)
-    return fit_two_slope(centers, m_hat, weights, rho=rho)
+    bins = np.concatenate(bins)
+    tr = np.bincount(bins)
+    fw = np.bincount(bins, weights=np.concatenate(forwards))
+    ks = np.flatnonzero(tr)
+    return fit_two_slope((ks + 0.5) * bin_width, fw[ks] / tr[ks],
+                         tr[ks].astype(float), rho=rho)

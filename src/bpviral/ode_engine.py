@@ -471,19 +471,18 @@ HOVERING = "hovering"
 UNDECIDED = "undecided"
 
 
-def hover_classify(betas, targets, delta: float = 0.01, delta1: float = 0.05) -> str:
+def hover_classify(betas, targets) -> str:
     """Finite-sample verdict on the tail behaviour of a scalar trajectory.
 
     ``targets`` is either a set of target values (treated as attractors) or
     a mapping value -> 'attractor'|'saddle'.  Over the trailing half of the
-    sequence: converged if every point stays within ``delta`` of one single
-    target; hovering if the tail both enters the delta-neighbourhood and
-    exits the delta1-neighbourhood of the target set at least twice each;
-    undecided otherwise.  Heuristic only: the asymptotic notion has no
-    finite-sample test.
+    sequence: converged if every point stays within delta = 0.01 of one
+    single target; hovering if the tail both enters the delta-neighbourhood
+    and exits the delta1 = 0.05 neighbourhood of the target set at least
+    twice each; undecided otherwise.  Heuristic only: the asymptotic notion
+    has no finite-sample test.
     """
-    if not 0 < delta < delta1:
-        raise ValueError("need 0 < delta < delta1")
+    delta, delta1 = 0.01, 0.05
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("empty sequence")
@@ -495,26 +494,16 @@ def hover_classify(betas, targets, delta: float = 0.01, delta1: float = 0.05) ->
     tail = betas[betas.size // 2:]
 
     dists = np.abs(tail[:, None] - pts[None, :])
-    dmin = dists.min(axis=1)
-    for j, p in enumerate(pts):
-        if np.all(dists[:, j] <= delta):
-            kind = kinds[float(p)]
-            return CONVERGED_SADDLE if kind == SADDLE else CONVERGED_ATTRACTOR
+    held = np.flatnonzero(np.all(dists <= delta, axis=0))
+    if len(held):
+        kind = kinds[float(pts[held[0]])]
+        return CONVERGED_SADDLE if kind == SADDLE else CONVERGED_ATTRACTOR
 
-    enters = exits = 0
-    inside = dmin[0] <= delta
-    beyond = dmin[0] > delta1
-    for d in dmin[1:]:
-        if d <= delta and not inside:
-            enters += 1
-            inside = True
-        elif d > delta:
-            inside = False
-        if d > delta1 and not beyond:
-            exits += 1
-            beyond = True
-        elif d <= delta1:
-            beyond = False
+    dmin = dists.min(axis=1)
+    inside = dmin <= delta
+    beyond = dmin > delta1
+    enters = np.count_nonzero(inside[1:] & ~inside[:-1])
+    exits = np.count_nonzero(beyond[1:] & ~beyond[:-1])
     if enters >= 2 and exits >= 2:
         return HOVERING
     return UNDECIDED

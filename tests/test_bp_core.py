@@ -274,7 +274,7 @@ def test_stream_keys_out_of_range_rejected(call, name):
 def _kernels():
     """Each stochastic kernel at tiny sizes, with its event, record and
     population counts: (call taking the counts as keywords, default counts)."""
-    from bpviral import bp_attack, game, market, wm, wm_dynamics
+    from bpviral import bp_attack, game, market, market_graph, wm, wm_dynamics
 
     limits, init = bp_attack.AttackLimits(3, 1, 3, 1), PopulationState(5, 5, 5, 5)
     mix = wm.naive_mix(0.1)
@@ -299,6 +299,11 @@ def _kernels():
             market.TefParams(rho=0.6, **market.SNAP_FIT), 2, seed=1, **kw), pair),
         "simulate_tagging_game": (lambda **kw: game.simulate_tagging_game(
             gd.mu_eta(), gd, gp, "F", seed=1, **kw), {"k_max": 5, "record_every": 1}),
+        "random_study": (lambda **kw: game.random_study(d=0.1, seed=1, **kw),
+                         {"n_samples": 1}),
+        "estimate_tef": (lambda **kw: market_graph.estimate_tef(
+            market_graph.build_graph([0, 1, 2], [1, 2, 0]), 1.0, seed=1, **kw),
+            {"bin_width": 1, "runs": 1}),
     }
 
 
@@ -311,7 +316,9 @@ _COUNT_CASES = [("simulate", "max_events"), ("simulate", "record_every"),
                 ("learn_wm", "seed_users"),
                 ("simulate_stpbp", "max_events"), ("simulate_stpbp", "record_every"),
                 ("simulate_tagging_game", "k_max"),
-                ("simulate_tagging_game", "record_every")]
+                ("simulate_tagging_game", "record_every"),
+                ("random_study", "n_samples"),
+                ("estimate_tef", "bin_width"), ("estimate_tef", "runs")]
 
 
 @pytest.mark.parametrize("kernel, name", _COUNT_CASES,

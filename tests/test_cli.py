@@ -244,9 +244,14 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["bp", "simulate", "--seed", "1", "--record-every", "0"], "record_every"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
-], ids=["bp simulate --record-every 0", "wm learn --seed-users 0"])
-def test_counts_below_one_exit_1(argv, name, wm_params_file, capsys):
-    rc = main([a.format(wm=wm_params_file) for a in argv])
+    (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
+    (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
+], ids=["bp simulate --record-every 0", "wm learn --seed-users 0",
+        "game study --samples 0", "market fit --bin-width 0"])
+def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    rc = main([a.format(wm=wm_params_file, graph=graph) for a in argv])
     assert rc == 1
     assert name in capsys.readouterr().err
 

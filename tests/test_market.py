@@ -236,6 +236,13 @@ class TestGraph:
             assert np.all(np.diff(nbrs) > 0) and i not in nbrs
         assert build_graph([3, 1], [3, 2]).n_nodes == 2     # a loop alone adds no node
 
+    @pytest.mark.parametrize("us, vs", [([3, 5], [3, 5]), ([], [])],
+                             ids=["self-loops only", "no edges"])
+    def test_no_edges_give_empty_graph(self, us, vs):
+        g = build_graph(us, vs)
+        assert g.neighbors == [] and g.n_nodes == g.n_edges == 0
+        assert g.mean_degree == 0.0
+
 
 class TestPropagate:
     def test_triangle_full_coverage(self, tmp_path):

@@ -456,9 +456,8 @@ class TestHoverClassify:
         assert hover_classify(seq, {0.5: SADDLE}) == "converged_saddle"
 
     def test_alternating_sequence_hovers(self):
-        delta, delta1 = 0.01, 0.05
-        seq = [0.5 + (2 * delta1 if i % 2 else 0.0) for i in range(100)]
-        assert hover_classify(seq, {0.5}, delta, delta1) == "hovering"
+        seq = [0.5 + (0.1 if i % 2 else 0.0) for i in range(100)]
+        assert hover_classify(seq, {0.5}) == "hovering"
 
     def test_far_sequence_undecided(self):
         assert hover_classify(np.linspace(0.2, 0.3, 50), {0.9}) == "undecided"
@@ -466,8 +465,60 @@ class TestHoverClassify:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             hover_classify([], {0.5})
-        with pytest.raises(ValueError):
-            hover_classify([0.1], {0.5}, delta=0.1, delta1=0.05)
+
+
+def _hover_two_flag(betas, targets):
+    """Reference for ``hover_classify``: the per-point entry/exit state
+    machine it replaced, with its first-target convergence scan."""
+    delta, delta1 = 0.01, 0.05
+    betas = np.asarray(betas, dtype=float)
+    if isinstance(targets, dict):
+        kinds = {float(k): v for k, v in targets.items()}
+    else:
+        kinds = {float(k): ATTRACTOR for k in targets}
+    pts = np.array(sorted(kinds))
+    tail = betas[betas.size // 2:]
+    dists = np.abs(tail[:, None] - pts[None, :])
+    dmin = dists.min(axis=1)
+    for j, p in enumerate(pts):
+        if np.all(dists[:, j] <= delta):
+            return "converged_saddle" if kinds[float(p)] == SADDLE else "converged_attractor"
+    enters = exits = 0
+    inside = dmin[0] <= delta
+    beyond = dmin[0] > delta1
+    for d in dmin[1:]:
+        if d <= delta and not inside:
+            enters += 1
+            inside = True
+        elif d > delta:
+            inside = False
+        if d > delta1 and not beyond:
+            exits += 1
+            beyond = True
+        elif d <= delta1:
+            beyond = False
+    return "hovering" if enters >= 2 and exits >= 2 else "undecided"
+
+
+# offsets from a target on and around both band edges, so every verdict occurs
+_HOVER_OFFSETS = st.one_of(st.sampled_from([0.0, 0.01, -0.01, 0.05, -0.05, 0.2]),
+                           st.floats(-0.08, 0.08))
+
+
+@settings(max_examples=400, deadline=None)
+@given(targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
+       labelled=st.booleans(), data=st.data())
+def test_hover_classify_matches_two_flag_loop(targets, labelled, data):
+    step = st.tuples(st.integers(0, len(targets) - 1), _HOVER_OFFSETS)
+    # long lists make hovering common; short ones cover tails of one or two points
+    steps = data.draw(st.one_of(st.lists(step, min_size=1, max_size=7),
+                                st.lists(step, min_size=8, max_size=60)))
+    betas = [targets[i] + off for i, off in steps]
+    if labelled:
+        targets = {t: data.draw(st.sampled_from([ATTRACTOR, SADDLE])) for t in targets}
+    else:
+        targets = set(targets)
+    assert hover_classify(betas, targets) == _hover_two_flag(betas, targets)
 
 
 def test_lifted_attractor_is_ode_limit():
