@@ -18,7 +18,7 @@ import numpy as np
 from .bp_core import (MeanModel, OffspringSample, PopulationState, make_rng,
                       replication_seed, require_counts)
 from .ode_engine import (ATTRACTOR, REPELLER, Equilibrium, EquilibriumReport,
-                         ScalarField, lift_limits, make_h)
+                         lift_limits, make_h)
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,6 @@ class AttackLimits:
             [self.e_xx + self.e_xy * lt1, -self.e_xy * lt1],
             [-self.e_yx * gt0, self.e_yy + self.e_yx * gt0],
         ])
-
-
-def build_gbeta(limits: AttackLimits) -> ScalarField:
-    """Scalar proportion field g(b) = (-e_yx + b m_tilde - b^2 m_inf) on (0,1),
-    zero at both endpoints by the indicator; g takes a float or an array."""
-    e_yx, mt, mi = limits.e_yx, limits.m_tilde, limits.m_inf
-
-    def g(beta):
-        inside = (beta > 0.0) & (beta < 1.0)
-        return np.where(inside, -e_yx + beta * mt - beta * beta * mi, 0.0)[()]
-
-    g.vectorized = True
-    return ScalarField(g=g, kinks=[0.0, 1.0])
 
 
 def h_limits(limits: AttackLimits):

@@ -285,46 +285,6 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
                       s0=(init.cx, init.cy, init.ax, init.ay), extinct=extinct)
 
 
-def sa_recursion_ratios(traj: Trajectory) -> np.ndarray:
-    """Recompute the ratio sequence through the incremental 1/n recursion.
-
-    Equals the direct ratio computation to machine precision; used as a
-    cross-check of the stochastic-approximation form of the dynamics.
-    Event n's increments are the changes of (S, Cx, Sa, Ax) from epoch n-1
-    (``s0`` before the first).  The first epoch absorbs the initial
-    population (the 1/n recursion is an exact identity only from the second
-    death on).  Requires an unthinned trajectory (epoch 1..n).
-    """
-    if not np.array_equal(traj.epoch, np.arange(1, len(traj) + 1)):
-        raise ValueError("unthinned trajectory required (record_every=1)")
-    cx0, cy0, ax0, ay0 = traj.s0
-    d_theta_c = np.diff(traj.cx, prepend=cx0)
-    d_psi_c = d_theta_c + np.diff(traj.cy, prepend=cy0)
-    d_theta_a = np.diff(traj.ax, prepend=ax0)
-    d_psi_a = d_theta_a + np.diff(traj.ay, prepend=ay0)
-    ups = np.empty((len(traj), 4))
-    psi_c = float(cx0 + cy0)
-    theta_c = float(cx0)
-    psi_a = float(ax0 + ay0)
-    theta_a = float(ax0)
-    for i in range(len(traj)):
-        n = i + 1
-        l_psi_c, l_theta_c = float(d_psi_c[i]), float(d_theta_c[i])
-        l_psi_a, l_theta_a = float(d_psi_a[i]), float(d_theta_a[i])
-        if n == 1:
-            psi_c += l_psi_c
-            theta_c += l_theta_c
-            psi_a += l_psi_a
-            theta_a += l_theta_a
-        else:
-            psi_c += (l_psi_c - psi_c) / n
-            theta_c += (l_theta_c - theta_c) / n
-            psi_a += (l_psi_a - psi_a) / n
-            theta_a += (l_theta_a - theta_a) / n
-        ups[i] = (psi_c, theta_c, psi_a, theta_a)
-    return ups
-
-
 @dataclass
 class DichotomyStats:
     replications: int

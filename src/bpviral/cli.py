@@ -245,8 +245,7 @@ def cmd_wm_simulate(p):
         p["init-fake"], p["init-real"], p["max-events"], p["seed"],
         record_every=p["record-every"])
     if p["out"]:
-        write_csv(p["out"], "k,beta",
-                  [(int(k), b) for k, b in zip(path.epoch, path.beta)])
+        write_csv(p["out"], "k,beta", zip(path.epoch.tolist(), path.beta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +281,8 @@ def cmd_market_simulate(p):
                                  record_every=p["record-every"],
                                  offspring=p["offspring"])
     if p["out"]:
-        rows = [(int(n), t, int(a), int(c)) for n, t, a, c
-                in zip(path.epoch, path.tau, path.a, path.c)]
-        write_csv(p["out"], "n,t,a,c", rows)
+        cols = (path.epoch, path.tau, path.a, path.c)
+        write_csv(p["out"], "n,t,a,c", zip(*(col.tolist() for col in cols)))
 
 
 def cmd_market_propagate(p):
@@ -294,13 +292,12 @@ def cmd_market_propagate(p):
         seeds = [int(s) for s in p["seeds"].split(",")]
         log = market_graph.propagate_on_graph(g, seeds, p["rho"], rng)
     else:
-        ids = rng.choice(g.n_nodes, size=p["n-seeds"], replace=False)
-        log = market_graph.propagate_on_graph(g, [int(i) for i in ids], p["rho"],
-                                              rng, by_label=False)
+        ids = market_graph.draw_seeds(g, p["n-seeds"], rng, name="n_seeds")
+        log = market_graph.propagate_on_graph(g, ids, p["rho"], rng, by_label=False)
     if p["out"]:
-        rows = [(int(e), int(r), int(f), int(a), int(c)) for e, r, f, a, c
-                in zip(log.epoch, log.reader, log.forwards, log.a, log.c)]
-        write_csv(p["out"], "epoch,reader,forwards,a,c", rows)
+        cols = (log.epoch, log.reader, log.forwards, log.a, log.c)
+        write_csv(p["out"], "epoch,reader,forwards,a,c",
+                  zip(*(col.tolist() for col in cols)))
     print(json.dumps({"reach": log.reach, "events": int(log.epoch[-1])}))
 
 

@@ -74,16 +74,6 @@ def response(alpha: float, omega: float, params: GameParams) -> float:
     return min(params.resp_c * alpha ** params.resp_a * omega ** params.resp_b, 1.0)
 
 
-def warning_mfg(beta: float, w: float, params: GameParams) -> float:
-    """Warning level making the composed response linear in beta:
-    r(alpha_u, omega(beta)) = min{c w alpha_R (alpha_u/alpha_R)^a beta, 1}."""
-    if beta <= 0:
-        return 0.0
-    return (w ** (1.0 / params.resp_b)
-            * params.alpha_r ** ((1.0 - params.resp_a) / params.resp_b)
-            * beta ** (1.0 / params.resp_b))
-
-
 def participant_fractions(mu, mua):
     """(eta, eta_a): type-1 and adversarial fractions among participants."""
     mu0, mu1, mu2 = mu
@@ -120,11 +110,8 @@ def fp_residual(beta: float, mu, w: float, params: GameParams, u: str) -> float:
 
 
 def tagging_rhs(w: float, params: GameParams, u: str, mu):
-    """Scalar ODE drift g_u(beta) of the tagging dynamics.
-
-    ``g`` is elementwise in beta, so it is marked ``vectorized`` and
-    ``picard_solve`` evaluates a whole (mesh+1, 1) iterate in one call.
-    """
+    """Scalar ODE drift g_u(beta) of the tagging dynamics, elementwise in
+    beta, so ``picard_solve`` can pass it a whole (mesh+1, 1) iterate."""
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
     mult = params.response_slope(w, u)
@@ -132,7 +119,6 @@ def tagging_rhs(w: float, params: GameParams, u: str, mu):
     def g(beta, t=0.0):
         r = np.minimum(mult * beta, 1.0)
         return alpha_u * eta + (1.0 - eta - eta_a) * r - beta
-    g.vectorized = True
     return g
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .bp_core import make_rng, require_counts
-from .ode_engine import EULER_GAMMA, bisect_root, epochs_before, harmonic_number
+from .ode_engine import EULER_GAMMA, bisect_root
 
 
 @dataclass(frozen=True)
@@ -259,45 +259,3 @@ def metrics(params: TefParams, a0: float) -> dict:
         "tau_s": cf.tau_s,
         "tau_e": cf.tau_e,
     }
-
-
-def stpbp_nonauto_rhs(params: TefParams, n_start: int):
-    """Drift of the 2-D ratio ODE for the saturated process, anchored at
-    epoch ``n_start``: the total shares are reconstructed as psi_a * eta(t)
-    on the harmonic clock, so the drift follows the transient TeF."""
-    t0 = harmonic_number(n_start)
-
-    def rhs(upsilon, t):
-        psi_c, psi_a = float(upsilon[0]), float(upsilon[1])
-        if psi_c <= 0:
-            return np.zeros(2)
-        n_eta = max(epochs_before(t0 + t), 1)
-        m = tef(psi_a * n_eta, params)
-        return np.array([m - 1.0 - psi_c, m - psi_a])
-    return rhs
-
-
-def extinction_prob_pgf(pgf) -> float:
-    """Smallest fixed point of a probability generating function on [0,1].
-
-    Bisection on f(s) - s after a sign scan.  A scan point where f(s) - s
-    is exactly zero is the root itself, so a sub-critical or critical law,
-    whose first zero is s = 1, returns 1; the identity PGF returns 0.
-    """
-    tol = 1e-12
-
-    def g(s):
-        return pgf(s) - s
-
-    if abs(g(0.0)) <= tol:
-        return 0.0
-    xs = np.linspace(0.0, 1.0, 2001)
-    vals = np.array([g(float(x)) for x in xs])
-    if np.all(np.abs(vals) <= tol):
-        return 0.0
-    for i in range(len(xs) - 1):
-        if vals[i] > 0 and vals[i + 1] <= 0:
-            if vals[i + 1] == 0.0:
-                return float(xs[i + 1])
-            return bisect_root(g, float(xs[i]), float(xs[i + 1]), vals[i], tol)
-    return 1.0

@@ -129,6 +129,15 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
                       forwards=forwards, a=a, c=a - epoch, reach=int(a[-1]))
 
 
+def draw_seeds(graph: Graph, count: int, rng, name: str = "seeds_per_run") -> list:
+    """``count`` distinct uniformly drawn internal ids to seed a cascade; a
+    count below one or above the graph's node count fails naming ``name``."""
+    require_counts(**{name: count})
+    if count > graph.n_nodes:
+        raise ValueError(f"{name} must be <= {graph.n_nodes} (the graph's nodes), got {count}")
+    return rng.choice(graph.n_nodes, size=count, replace=False).tolist()
+
+
 @dataclass
 class TefFit:
     params: TefParams | None
@@ -197,9 +206,8 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     rng = make_rng(seed)
     bins, forwards = [], []
     for _ in range(runs):
-        seeds = rng.choice(graph.n_nodes, size=seeds_per_run, replace=False)
-        log = propagate_on_graph(graph, [int(s) for s in seeds], rho, rng,
-                                 by_label=False)
+        log = propagate_on_graph(graph, draw_seeds(graph, seeds_per_run, rng), rho,
+                                 rng, by_label=False)
         if viral_threshold is None or log.reach >= viral_threshold:
             bins.append((log.a - log.forwards) // bin_width)   # by shares before the read
             forwards.append(log.forwards)

@@ -272,14 +272,13 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     two consecutive sweeps agree to machine precision; ``final_increment``
     and ``converged`` say whether they did.
 
-    An rhs whose ``vectorized`` attribute is true is called once per sweep
-    as ``rhs(Y, ts)``, with Y the (mesh+1, dim) iterate and ts the mesh
-    times, and returns the (mesh+1, dim) drifts, one row per mesh point (as
-    ``scipy.integrate.solve_ivp(vectorized=True)`` evaluates many points in
-    one call, but with points as rows).  Any other rhs is called once per
-    mesh point as ``rhs(Y[j], t_j)`` with a float t_j.  Either way the
-    drifts are checked once per sweep, and a non-finite one raises a
-    ``ValueError`` naming the first mesh time where it occurs.
+    The rhs is called once per sweep as ``rhs(Y, ts)``, with Y the
+    (mesh+1, dim) iterate and ts the mesh times, and returns the drifts, one
+    row per mesh point: shape (mesh+1, dim), or (mesh+1,) when dim is 1
+    (``scipy.integrate.solve_ivp`` takes such an rhs with points as
+    columns).  Drifts of any other size raise a ``ValueError`` naming both
+    shapes; a non-finite drift raises one naming the first mesh time where
+    it occurs.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -289,16 +288,14 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     ts = np.linspace(0.0, T, mesh + 1)
     dt = ts[1] - ts[0] if mesh > 0 else 0.0
     Y = np.tile(y0, (mesh + 1, 1))
-    vectorized = getattr(rhs, "vectorized", False)
     used = 0
     delta = math.inf
     for sweep in range(sweeps):
-        if vectorized:
-            F = np.asarray(rhs(Y, ts), dtype=float).reshape(Y.shape)
-        else:
-            F = np.empty_like(Y)
-            for j, t in enumerate(ts.tolist()):
-                F[j] = rhs(Y[j], t)
+        F = np.asarray(rhs(Y, ts), dtype=float)
+        if F.size != Y.size:
+            raise ValueError(f"rhs returned drifts of shape {F.shape}, expected "
+                             f"{Y.shape} (one row per mesh point)")
+        F = F.reshape(Y.shape)
         bad = ~np.isfinite(F).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite right-hand side at t={ts[bad.argmax()]}")
@@ -314,41 +311,6 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     return OdeTrajectory(times=ts, values=Y, sweeps_used=used, final_increment=delta)
 
 
-def picard_chain(rhs, y0, T) -> OdeTrajectory:
-    """Long-horizon integration by restarting Picard on fixed windows.
-
-    Successive approximation contracts only while L*window stays well below
-    the sweep count, so horizons beyond ~20 Lipschitz times are integrated
-    on windows of 4 time units (60 sweeps, 200 mesh points per unit),
-    restarting from the previous endpoint.  ``sweeps_used`` and
-    ``final_increment`` are the largest of any window, so ``converged``
-    holds only if every window converged.  The time shift of each window
-    keeps the rhs's ``vectorized`` mark (see ``picard_solve``).
-    """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    t_all = [np.array([0.0])]
-    y_all = [y0[None, :]]
-    t0 = 0.0
-    y = y0
-    used = 0
-    worst = 0.0
-    while t0 < T - 1e-12:
-        span = min(4.0, T - t0)
-
-        def shifted(v, s, off=t0):
-            return rhs(v, s + off)
-        shifted.vectorized = getattr(rhs, "vectorized", False)
-        local = picard_solve(shifted, y, span, sweeps=60, mesh=max(20, int(200 * span)))
-        t_all.append(t0 + local.times[1:])
-        y_all.append(local.values[1:])
-        y = local.values[-1]
-        used = max(used, local.sweeps_used)
-        worst = max(worst, local.final_increment)
-        t0 += span
-    return OdeTrajectory(times=np.concatenate(t_all), values=np.vstack(y_all),
-                         sweeps_used=used, final_increment=worst)
-
-
 # -- epoch/time bookkeeping for the 1/n step-size scheme ---------------------
 
 def harmonic_number(n: int) -> float:
@@ -356,13 +318,6 @@ def harmonic_number(n: int) -> float:
     if n <= 0:
         return 0.0
     return float(digamma(n + 1)) + EULER_GAMMA
-
-
-def harmonic_times(n: int) -> np.ndarray:
-    """Array [t_0..t_n] with t_k = sum_{j<=k} 1/j, computed by direct summation."""
-    t = np.zeros(n + 1)
-    t[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
-    return t
 
 
 def epochs_before(t: float) -> int:
@@ -375,24 +330,6 @@ def epochs_before(t: float) -> int:
     while n >= 1 and harmonic_number(n) > t:
         n -= 1
     return n
-
-
-def nonauto_rhs(upsilon, t, model) -> np.ndarray:
-    """Drift of the non-autonomous ratio ODE built from the transient means.
-
-    The population vector is reconstructed from the ratios and the epoch
-    count eta(t); the drift uses the exact, population-dependent mean matrix
-    and collapses to the autonomous drift when the means equal their limits.
-    """
-    psi_c, theta_c, psi_a, theta_a = (float(v) for v in upsilon)
-    n_eta = epochs_before(float(t))
-    phi = (theta_c * n_eta, (psi_c - theta_c) * n_eta,
-           theta_a * n_eta, (psi_a - theta_a) * n_eta)
-    beta = theta_c / psi_c if psi_c > 0 else 0.0
-    m = np.asarray(model.mean_matrix(phi), dtype=float)
-    ind = 1.0 if psi_c > 0 else 0.0
-    return np.array([d * ind - y for d, y in
-                     zip(_drift(beta, m), (psi_c, theta_c, psi_a, theta_a))])
 
 
 def _drift(f, m):
@@ -419,12 +356,11 @@ def make_h(m_inf):
 def make_autonomous_rhs(m_inf):
     """Autonomous drift g(upsilon) = h(beta) 1_{psi_c>0} - upsilon.
 
-    ``g`` takes one 4-vector or a (k, 4) array of them and is marked
-    ``vectorized`` for ``picard_solve``.  So ``m_inf`` must accept an array
-    of betas and return a 2x2 matrix whose entries broadcast against it
-    (each entry a scalar or of the betas' shape); it is also called at
-    beta = 0 for rows with psi_c <= 0, whose drift is -upsilon whatever it
-    returns.
+    ``g`` takes one 4-vector or a (k, 4) array of them, such as the whole
+    iterate ``picard_solve`` passes.  So ``m_inf`` must accept an array of
+    betas and return a 2x2 matrix whose entries broadcast against it (each
+    entry a scalar or of the betas' shape); it is also called at beta = 0
+    for rows with psi_c <= 0, whose drift is -upsilon whatever it returns.
     """
     def g(upsilon, t=0.0):
         upsilon = np.asarray(upsilon, dtype=float)
@@ -434,7 +370,6 @@ def make_autonomous_rhs(m_inf):
         beta = np.divide(upsilon[..., 1], psi_c, out=np.zeros_like(psi_c), where=alive)[()]
         h = np.array(_drift(beta, np.asarray(m_inf(beta), dtype=float))).T
         return np.where(alive[..., None], h - upsilon, -upsilon)
-    g.vectorized = True
     return g
 
 

@@ -1,0 +1,161 @@
+"""Test references for the paper's theory: per-point drifts, recursions and
+closed forms that no library caller needs, against which the library's
+array code and Monte-Carlo kernels are checked."""
+
+import numpy as np
+
+from bpviral.bp_attack import AttackLimits
+from bpviral.bp_core import Trajectory
+from bpviral.game import GameParams
+from bpviral.market import TefParams, tef
+from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
+                                epochs_before, harmonic_number, make_h,
+                                picard_solve)
+
+
+def per_row(rhs):
+    """Whole-iterate form of a per-point rhs(y, t): one call per mesh point."""
+    return lambda Y, ts: np.array([rhs(y, t) for y, t in zip(Y, ts.tolist())])
+
+
+def sa_recursion_ratios(traj: Trajectory) -> np.ndarray:
+    """Recompute the ratio sequence through the incremental 1/n recursion.
+
+    Equals the direct ratio computation to machine precision; used as a
+    cross-check of the stochastic-approximation form of the dynamics.
+    Event n's increments are the changes of (S, Cx, Sa, Ax) from epoch n-1
+    (``s0`` before the first).  The first epoch absorbs the initial
+    population (the 1/n recursion is an exact identity only from the second
+    death on).  Requires an unthinned trajectory (epoch 1..n).
+    """
+    if not np.array_equal(traj.epoch, np.arange(1, len(traj) + 1)):
+        raise ValueError("unthinned trajectory required (record_every=1)")
+    cx0, cy0, ax0, ay0 = traj.s0
+    d_theta_c = np.diff(traj.cx, prepend=cx0)
+    d_theta_a = np.diff(traj.ax, prepend=ax0)
+    steps = np.column_stack([d_theta_c + np.diff(traj.cy, prepend=cy0), d_theta_c,
+                             d_theta_a + np.diff(traj.ay, prepend=ay0), d_theta_a])
+    ups = np.empty((len(traj), 4))
+    x = np.array([cx0 + cy0, cx0, ax0 + ay0, ax0], dtype=float)
+    for n, step in enumerate(steps.astype(float), start=1):
+        x = x + step if n == 1 else x + (step - x) / n   # (psi_c, theta_c, psi_a, theta_a)
+        ups[n - 1] = x
+    return ups
+
+
+def picard_chain(rhs, y0, T) -> OdeTrajectory:
+    """Long-horizon integration by restarting Picard on fixed windows.
+
+    Successive approximation contracts only while L*window stays well below
+    the sweep count, so horizons beyond ~20 Lipschitz times are integrated
+    on windows of 4 time units (60 sweeps, 200 mesh points per unit),
+    restarting from the previous endpoint.  ``rhs`` takes the whole iterate,
+    as for ``picard_solve``.  ``sweeps_used`` and ``final_increment`` are the
+    largest of any window, so ``converged`` holds only if every window
+    converged.
+    """
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    t_all, y_all = [np.array([0.0])], [y[None, :]]
+    t0, used, worst = 0.0, 0, 0.0
+    while t0 < T - 1e-12:
+        span = min(4.0, T - t0)
+        local = picard_solve(lambda Y, ts, off=t0: rhs(Y, ts + off), y, span,
+                             sweeps=60, mesh=max(20, int(200 * span)))
+        t_all.append(t0 + local.times[1:])
+        y_all.append(local.values[1:])
+        y = local.values[-1]
+        used = max(used, local.sweeps_used)
+        worst = max(worst, local.final_increment)
+        t0 += span
+    return OdeTrajectory(times=np.concatenate(t_all), values=np.vstack(y_all),
+                         sweeps_used=used, final_increment=worst)
+
+
+def harmonic_times(n: int) -> np.ndarray:
+    """Array [t_0..t_n] with t_k = sum_{j<=k} 1/j, computed by direct summation."""
+    t = np.zeros(n + 1)
+    t[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
+    return t
+
+
+def nonauto_rhs(upsilon, t, model) -> np.ndarray:
+    """Drift of the non-autonomous ratio ODE built from the transient means.
+
+    The population vector is reconstructed from the ratios and the epoch
+    count eta(t); the drift uses the exact, population-dependent mean matrix
+    and collapses to the autonomous drift when the means equal their limits.
+    """
+    psi_c, theta_c, psi_a, theta_a = (float(v) for v in upsilon)
+    n_eta = epochs_before(float(t))
+    phi = (theta_c * n_eta, (psi_c - theta_c) * n_eta,
+           theta_a * n_eta, (psi_a - theta_a) * n_eta)
+    beta = theta_c / psi_c if psi_c > 0 else 0.0
+    m = np.asarray(model.mean_matrix(phi), dtype=float)
+    ind = 1.0 if psi_c > 0 else 0.0
+    return make_h(lambda _: m)(beta) * ind - np.array([psi_c, theta_c, psi_a, theta_a])
+
+
+def stpbp_nonauto_rhs(params: TefParams, n_start: int):
+    """Drift of the 2-D ratio ODE for the saturated process, anchored at
+    epoch ``n_start``: the total shares are reconstructed as psi_a * eta(t)
+    on the harmonic clock, so the drift follows the transient TeF.  Per
+    point; ``per_row`` makes it a ``picard_solve`` rhs."""
+    t0 = harmonic_number(n_start)
+
+    def rhs(upsilon, t):
+        psi_c, psi_a = float(upsilon[0]), float(upsilon[1])
+        if psi_c <= 0:
+            return np.zeros(2)
+        n_eta = max(epochs_before(t0 + t), 1)
+        m = tef(psi_a * n_eta, params)
+        return np.array([m - 1.0 - psi_c, m - psi_a])
+    return rhs
+
+
+def extinction_prob_pgf(pgf) -> float:
+    """Smallest fixed point of a probability generating function on [0,1].
+
+    Bisection on f(s) - s after a sign scan.  A scan point where f(s) - s
+    is exactly zero is the root itself, so a sub-critical or critical law,
+    whose first zero is s = 1, returns 1; the identity PGF returns 0.
+    """
+    tol = 1e-12
+
+    def g(s):
+        return pgf(s) - s
+
+    if abs(g(0.0)) <= tol:
+        return 0.0
+    xs = np.linspace(0.0, 1.0, 2001)
+    vals = np.array([g(float(x)) for x in xs])
+    if np.all(np.abs(vals) <= tol):
+        return 0.0
+    for i in range(len(xs) - 1):
+        if vals[i] > 0 and vals[i + 1] <= 0:
+            if vals[i + 1] == 0.0:
+                return float(xs[i + 1])
+            return bisect_root(g, float(xs[i]), float(xs[i + 1]), vals[i], tol)
+    return 1.0
+
+
+def build_gbeta(limits: AttackLimits) -> ScalarField:
+    """Scalar proportion field g(b) = (-e_yx + b m_tilde - b^2 m_inf) on (0,1),
+    zero at both endpoints by the indicator; g takes a float or an array."""
+    e_yx, mt, mi = limits.e_yx, limits.m_tilde, limits.m_inf
+
+    def g(beta):
+        inside = (beta > 0.0) & (beta < 1.0)
+        return np.where(inside, -e_yx + beta * mt - beta * beta * mi, 0.0)[()]
+
+    g.vectorized = True
+    return ScalarField(g=g, kinks=[0.0, 1.0])
+
+
+def warning_mfg(beta: float, w: float, params: GameParams) -> float:
+    """Warning level making the composed response linear in beta:
+    r(alpha_u, omega(beta)) = min{c w alpha_R (alpha_u/alpha_R)^a beta, 1}."""
+    if beta <= 0:
+        return 0.0
+    return (w ** (1.0 / params.resp_b)
+            * params.alpha_r ** ((1.0 - params.resp_a) / params.resp_b)
+            * beta ** (1.0 / params.resp_b))

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from bpviral.bp_attack import (AttackLimits, attack_model, build_gbeta,
+from bpviral.bp_attack import (AttackLimits, attack_model,
                                classify_regime_and_limits, interior_repeller,
                                simulate_attack_betas,
                                terminal_beta_study)
 from bpviral.bp_core import (DeathModel, OffspringSample, PopulationState,
                              make_rng, simulate, step_embedded)
 from bpviral.ode_engine import ATTRACTOR, REPELLER, classify_scalar
+from oracles import build_gbeta
 
 
 class TestGbeta:

@@ -7,8 +7,8 @@ from bpviral import bp_core
 from bpviral.bp_core import (DeathModel, MeanModel, OffspringSample,
                              PopulationState, death_weights,
                              dichotomy_study, make_rng, ratios_and_dichotomy,
-                             replication_seed, sa_recursion_ratios, simulate,
-                             step_embedded)
+                             replication_seed, simulate, step_embedded)
+from oracles import extinction_prob_pgf, sa_recursion_ratios
 
 
 def unit_deaths():
@@ -209,7 +209,6 @@ def test_dichotomy_study_statistics():
     assert stats.all_grew_or_died
     # extinction probability of a unit-start process with Poisson(1.5)
     # offspring: smallest root of exp(m(s-1)) = s
-    from bpviral.market import extinction_prob_pgf
     q = extinction_prob_pgf(lambda s: np.exp(1.5 * (s - 1.0)))
     se = np.sqrt(q * (1 - q) / 400)
     assert abs(stats.extinct_fraction - q) < 4 * se + 0.01

@@ -246,14 +246,31 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
+    (["market", "fit", "--graph", "{graph}", "--seed", "1", "--seeds-per-run", "0"],
+     "seeds_per_run"),
+    (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--n-seeds", "0"],
+     "n_seeds"),
 ], ids=["bp simulate --record-every 0", "wm learn --seed-users 0",
-        "game study --samples 0", "market fit --bin-width 0"])
+        "game study --samples 0", "market fit --bin-width 0",
+        "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])
 def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")
     rc = main([a.format(wm=wm_params_file, graph=graph) for a in argv])
     assert rc == 1
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["market", "fit", "--seeds-per-run", "4"], "seeds_per_run"),
+    (["market", "propagate", "--n-seeds", "4"], "n_seeds"),
+], ids=["market fit --seeds-per-run 4", "market propagate --n-seeds 4"])
+def test_seed_counts_above_graph_size_exit_1(argv, name, tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    rc = main(argv + ["--graph", str(graph), "--seed", "1"])
+    assert rc == 1
+    assert f"{name} must be <= 3" in capsys.readouterr().err
 
 
 def test_replications_are_not_other_seeds(tmp_path):

@@ -7,9 +7,8 @@ from bpviral.game import (FAKE, REAL, AiDesign, GameParams,
                           design_ai_game, fp_residual, gamma_floor,
                           participant_fractions, random_study, response,
                           simulate_tagging_game, success_probability,
-                          tagging_rhs, utility_eval, verify_equilibria,
-                          warning_mfg)
-from bpviral.ode_engine import picard_chain
+                          tagging_rhs, utility_eval, verify_equilibria)
+from oracles import picard_chain, warning_mfg
 
 
 def base_params(**kw):

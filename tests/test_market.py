@@ -6,9 +6,11 @@ import pytest
 
 from bpviral.bp_core import make_rng
 from bpviral.market import (EULER_GAMMA, SNAP_FIT, TefParams, closed_form,
-                            extinction_prob_pgf, metrics, simulate_stpbp, tef)
+                            metrics, simulate_stpbp, tef)
 from bpviral.market_graph import (build_graph, estimate_tef, fit_two_slope,
                                   parse_graph, propagate_on_graph)
+from bpviral.ode_engine import finite_time_gap, picard_solve
+from oracles import extinction_prob_pgf, per_row, stpbp_nonauto_rhs
 
 
 class TestTef:
@@ -312,16 +314,13 @@ class TestTefFit:
 
 def test_simulation_tracks_nonautonomous_ode():
     # SA-vs-ODE sup gap over a fixed window shrinks as the anchor epoch grows
-    from bpviral.market import stpbp_nonauto_rhs
-    from bpviral.ode_engine import finite_time_gap, picard_solve
-
     p = TefParams(rho=0.6, **SNAP_FIT)
     path = simulate_stpbp(p, a0=2, max_events=30_000, seed=13)
     assert not path.extinct or path.epoch[-1] >= 21_000
     ups = path.ratios()
     gaps = []
     for n0 in (200, 1000):
-        rhs = stpbp_nonauto_rhs(p, n0)
+        rhs = per_row(stpbp_nonauto_rhs(p, n0))
         ode = picard_solve(rhs, ups[n0 - 1], T=3.0, sweeps=60, mesh=3000)
         gaps.append(finite_time_gap(ups, ode, n_start=n0, T=3.0))
     assert gaps[1] < gaps[0]

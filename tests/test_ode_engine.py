@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpviral.bp_attack import AttackLimits, build_gbeta, h_limits
+from bpviral.bp_attack import AttackLimits, h_limits
 from bpviral.bp_core import (DeathModel, PopulationState, simulate,
                              single_type_ramp_model)
-from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE,
-                                DegenerateFieldError, OdeTrajectory,
-                                ScalarField, bisect_root, classify_scalar,
-                                epochs_before,
-                                finite_time_gap, harmonic_number,
-                                harmonic_times, hover_classify, lift_limits,
-                                make_autonomous_rhs, make_h, nonauto_rhs,
-                                picard_chain, picard_solve)
+from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE, DegenerateFieldError,
+                                OdeTrajectory, ScalarField, bisect_root, classify_scalar,
+                                epochs_before, finite_time_gap, harmonic_number,
+                                hover_classify, lift_limits, make_autonomous_rhs,
+                                make_h, picard_solve)
 from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, NAIVE_POST, REAL,
                         MechanismDesign, gbeta_field, naive_mix)
+from oracles import (build_gbeta, harmonic_times, nonauto_rhs, per_row,
+                     picard_chain)
 
 
 class TestClassifyScalar:
@@ -279,18 +278,18 @@ class TestPicard:
         assert np.max(np.abs(traj.values[:, 0] - exact)) < 1e-6
 
     def test_constant_slope_exact(self):
-        traj = picard_solve(lambda y, t: np.ones(1), 0.0, T=2.0, sweeps=5, mesh=500)
+        traj = picard_solve(lambda y, t: np.ones_like(y), 0.0, T=2.0, sweeps=5, mesh=500)
         assert np.allclose(traj.values[:, 0], traj.times, atol=1e-12)
 
     def test_chain_reports_sweeps_used(self):
         # a constant slope is exact after one sweep; the second confirms it,
         # in each of the three windows of a 10-unit horizon
-        traj = picard_chain(lambda y, t: np.ones(1), 0.0, T=10.0)
+        traj = picard_chain(lambda y, t: np.ones_like(y), 0.0, T=10.0)
         assert traj.sweeps_used == 2
         assert np.allclose(traj.values[:, 0], traj.times, atol=1e-12)
 
     def test_indicator_rhs_matches_fine_euler(self):
-        rhs = lambda y, t: np.array([2.0 * (y[0] > 0) - y[0]])
+        rhs = lambda y, t: 2.0 * (y[..., 0] > 0) - y[..., 0]
         traj = picard_solve(rhs, 0.5, T=3.0, sweeps=80, mesh=6000)
         # forward-Euler oracle on a much finer mesh
         h = 1e-5
@@ -318,18 +317,18 @@ class TestPicard:
         assert all(d2 <= d1 + 1e-15 for d1, d2 in zip(dists[1:], dists[2:]))
 
     def test_nonfinite_rhs_reports_time(self):
-        def rhs(y, t):
-            return np.array([float("nan") if t > 1.0 else 1.0])
-        with pytest.raises(ValueError, match="non-finite"):
+        # an infinite drift is caught like a NaN one
+        def rhs(Y, ts):
+            return np.where(ts[:, None] > 1.0, np.inf, 1.0)
+        with pytest.raises(ValueError, match=r"non-finite right-hand side at t="):
             picard_solve(rhs, 0.0, T=2.0, sweeps=3, mesh=100)
 
-    def test_marked_rhs_called_once_per_sweep(self):
+    def test_rhs_called_once_per_sweep(self):
         shapes = []
 
         def rhs(Y, ts):
             shapes.append((Y.shape, ts.shape))
             return -Y
-        rhs.vectorized = True
         picard_solve(rhs, 1.0, T=2.0, sweeps=3, mesh=100)
         assert shapes == [((101, 1), (101,))] * 3
 
@@ -337,9 +336,14 @@ class TestPicard:
         # the mesh of [0, 2] has step 0.02, so t = 1.02 is the first t > 1
         def rhs(Y, ts):
             return np.where(ts[:, None] > 1.0, np.nan, 1.0)
-        rhs.vectorized = True
         with pytest.raises(ValueError, match=r"non-finite right-hand side at t=1\.02$"):
             picard_solve(rhs, 0.0, T=2.0, sweeps=3, mesh=100)
+
+    def test_per_point_rhs_names_shapes(self):
+        # a per-point rhs returns one row for the whole iterate
+        with pytest.raises(ValueError, match=re.escape(
+                "rhs returned drifts of shape (1,), expected (501, 1)")):
+            picard_solve(lambda y, t: np.ones(1), 0.0, T=2.0, sweeps=5, mesh=500)
 
     def test_convergence_flag(self):
         # three sweeps of y' = -y leave a visible increment; a constant
@@ -347,24 +351,22 @@ class TestPicard:
         traj = picard_solve(lambda y, t: -y, 1.0, T=2.0, sweeps=3, mesh=400)
         assert traj.sweeps_used == 3 and traj.final_increment > 1e-15
         assert not traj.converged
-        traj = picard_solve(lambda y, t: np.ones(1), 0.0, T=2.0, sweeps=5, mesh=500)
+        traj = picard_solve(lambda y, t: np.ones_like(y), 0.0, T=2.0, sweeps=5, mesh=500)
         assert traj.sweeps_used == 2 and traj.final_increment < 1e-15
         assert traj.converged
-        assert picard_chain(lambda y, t: np.ones(1), 0.0, T=10.0).converged
+        assert picard_chain(lambda y, t: np.ones_like(y), 0.0, T=10.0).converged
 
     def test_marked_rhs_matches_per_point_loop(self):
         # criterion 6's case: the ramp model's SA path from seed 1, integrated
-        # from three start epochs with the marked g (one call per sweep) and
-        # with a plain per-point wrapper of the same g
+        # from three start epochs with g on the whole iterate (one call per
+        # sweep) and with g called once per mesh point
         model = single_type_ramp_model()
         g = make_autonomous_rhs(model.limit_mean_matrix)
-        assert g.vectorized
         ups = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
                        max_events=11_000, seed=1).ratios()
         for n0 in (5, 50, 500):
             fast = picard_solve(g, ups[n0 - 1], T=3.0, sweeps=60, mesh=3000)
-            slow = picard_solve(lambda y, t: g(y, t), ups[n0 - 1], T=3.0,
-                                sweeps=60, mesh=3000)
+            slow = picard_solve(per_row(g), ups[n0 - 1], T=3.0, sweeps=60, mesh=3000)
             assert fast.values.tobytes() == slow.values.tobytes()
             assert fast.sweeps_used == slow.sweeps_used
             assert fast.final_increment == slow.final_increment
@@ -417,7 +419,6 @@ class TestNonautoRhs:
         assert np.allclose(nonauto_rhs(ups, 3.0, Model), -ups)
 
     def test_transient_mean_enters_drift(self):
-        from bpviral.bp_core import single_type_ramp_model
         model = single_type_ramp_model()
         t = harmonic_number(100)
         ups = np.array([1.0, 1.0, 2.0, 2.0])   # phi = (100, 0, 200, 0)
@@ -539,10 +540,8 @@ def test_lifted_attractor_is_ode_limit():
 
 
 def test_scalar_flow_monotone_into_attractor():
-    from bpviral.ode_engine import picard_chain
     g = lambda b: b * (1 - b) * (0.5 - b)
-    traj = picard_chain(lambda y, t: np.array([g(y[0])]), np.array([0.05]),
-                        T=80.0)
+    traj = picard_chain(lambda y, t: g(y), np.array([0.05]), T=80.0)
     y = traj.values[:, 0]
     inside = np.abs(y - 0.5) <= 1e-6
     upto = int(np.argmax(inside)) if inside.any() else len(y)
