@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_core import (MeanModel, OffspringSample, PopulationState, make_rng,
-                      replication_seed, require_counts)
+from .bp_core import (MeanModel, PopulationState, make_rng, replication_seed,
+                      require_counts)
 from .ode_engine import (ATTRACTOR, REPELLER, Equilibrium, EquilibriumReport,
                          lift_limits, make_h)
 
@@ -132,7 +132,7 @@ def attack_model(limits: AttackLimits) -> MeanModel:
             own_mean, att_mean, other = e.e_yy, e.e_yx, state.cx
         own = int(rng.poisson(own_mean))
         captured = min(int(rng.poisson(att_mean)), other)
-        return OffspringSample(parent_type=ptype, own=own + captured, cross=-captured)
+        return own + captured, -captured
 
     return MeanModel(
         mean_matrix=mean_matrix,

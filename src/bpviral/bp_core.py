@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +43,9 @@ def require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-@dataclass(frozen=True)
-class PopulationState:
+class PopulationState(NamedTuple):
+    """phi = (cx, cy, ax, ay), current and total counts per type: the start
+    of ``simulate`` and the ``state``/``phi`` every model callback reads."""
     cx: int
     cy: int
     ax: int
@@ -59,20 +61,13 @@ class PopulationState:
         return self
 
 
-@dataclass(frozen=True)
-class OffspringSample:
-    parent_type: str          # 'x' or 'y'
-    own: int = 0              # own-type offspring, always >= 0
-    cross: int = 0            # other-type offspring; < 0 models an attack
-
-
 @dataclass
 class DeathModel:
     """Death kinds and their (possibly population-dependent) rates.
 
-    ``rate(ptype, kind, state)`` must return a strictly positive value; a
-    lower bound of 1e-12 is asserted, the thesis never fixes one
-    numerically.
+    ``rate(ptype, kind, state)`` of a dying type ('x' or 'y'), its death
+    kind and the ``PopulationState`` must be strictly positive; a lower
+    bound of 1e-12 is asserted, the thesis never fixes one numerically.
     """
     kinds_x: tuple = (0,)
     kinds_y: tuple = (0,)
@@ -110,40 +105,17 @@ def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
     return weights
 
 
-def step_embedded(state: PopulationState, sample: OffspringSample) -> PopulationState:
-    """Apply one death event; extinction is absorbing.
-
-    Deaths never decrease totals (the -1 hits the current count only), but a
-    negative cross term removes the attacked individuals from the other
-    type's current AND total count: acquisition changes their type.
-    """
-    if state.extinct:
-        raise ValueError("absorbing state has no death event")
-    if sample.own < 0:
-        raise ValueError("invalid offspring sample: own-type offspring negative")
-    if sample.parent_type == "x":
-        cx = state.cx - 1 + sample.own
-        ax = state.ax + sample.own
-        cy = state.cy + sample.cross
-        ay = state.ay + sample.cross
-    else:
-        cy = state.cy - 1 + sample.own
-        ay = state.ay + sample.own
-        cx = state.cx + sample.cross
-        ax = state.ax + sample.cross
-    if cx < 0 or cy < 0:
-        raise ValueError("invalid offspring sample: cross term drives a count negative")
-    return PopulationState(cx=cx, cy=cy, ax=ax, ay=ay)
-
-
 @dataclass
 class MeanModel:
     """Mean structure of the offspring law plus a concrete sampler.
 
-    ``mean_matrix(phi)`` maps a population tuple (cx, cy, ax, ay) to the 2x2
-    conditional mean matrix [[m_xx, m_xy], [m_yx, m_yy]]; ``limit_mean_matrix``
-    is its proportion-dependent limit.  ``sampler(ptype, kind, state, rng)``
-    draws an OffspringSample consistent with those means.
+    ``mean_matrix(phi)`` maps a ``PopulationState`` phi = (cx, cy, ax, ay)
+    to the 2x2 conditional mean matrix [[m_xx, m_xy], [m_yx, m_yy]];
+    ``limit_mean_matrix`` is its proportion-dependent limit.
+    ``sampler(ptype, kind, state, rng)`` draws the offspring of one death
+    of type ``ptype`` as ``(own, cross)``: own-type offspring (>= 0) and
+    other-type offspring, consistent with those means.  A negative cross
+    term is an attack that captures that many other-type individuals.
     """
     mean_matrix: callable
     limit_mean_matrix: callable
@@ -154,14 +126,11 @@ def make_poisson_sampler(mean_matrix):
     """Independent Poisson offspring with population-dependent means,
     clamped at zero."""
     def sampler(ptype, kind, state, rng):
-        m = np.asarray(mean_matrix((state.cx, state.cy, state.ax, state.ay)), dtype=float)
-        if ptype == "x":
-            own_mean, cross_mean = m[0, 0], m[0, 1]
-        else:
-            own_mean, cross_mean = m[1, 1], m[1, 0]
-        own = int(rng.poisson(max(own_mean, 0.0)))
-        cross = int(rng.poisson(max(cross_mean, 0.0)))
-        return OffspringSample(parent_type=ptype, own=own, cross=cross)
+        m = np.asarray(mean_matrix(state), dtype=float)
+        i = 0 if ptype == "x" else 1          # the dying type's row
+        own_mean, cross_mean = m[i, i], m[i, 1 - i]
+        return (int(rng.poisson(max(own_mean, 0.0))),
+                int(rng.poisson(max(cross_mean, 0.0))))
     return sampler
 
 
@@ -226,9 +195,7 @@ class Trajectory:
         """Proportion Cx_n/S_n at the recorded epochs; 0 once S_n = 0, where
         the ratio ODE is pure decay and the proportion is immaterial."""
         s = self.cx + self.cy
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = np.where(s > 0, self.cx / np.maximum(s, 1), 0.0)
-        return b
+        return np.where(s > 0, self.cx / np.maximum(s, 1), 0.0)
 
     def rows(self):
         """Per recorded epoch: epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta."""
@@ -247,21 +214,22 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
 
     Inter-death times are exponential with the total rate summed over living
     individuals and death kinds; the trajectory is reproducible under a
-    fixed seed.  ``record_every=k`` keeps every k-th epoch (and the last);
-    only the states are stored, so ``record_every=1`` keeps the whole path.
+    fixed seed.  A type-z death takes one from z's current count and adds
+    ``own`` to z's counts and ``cross`` to the other type's: births never
+    lower a total, but a negative cross (an attack) moves the captured out
+    of the other type's current AND total count.  ``record_every=k`` keeps
+    every k-th epoch (and the last); ``record_every=1`` keeps the whole path.
     """
     require_counts(max_events=max_events, record_every=record_every)
-    init.validate()
+    cx, cy, ax, ay = init.validate()
     rng = make_rng(seed)
-    state = init
     rec, rec_tau = [], []
     t = 0.0
     sample_offspring = model.sampler
-    extinct = state.extinct
     for n in range(1, max_events + 1):
-        if state.extinct:
-            extinct = True
+        if cx + cy == 0:
             break
+        state = PopulationState(cx, cy, ax, ay)
         weights = death_weights(state, deaths)
         total_rate = sum(weights.values())
         t += rng.exponential(1.0 / total_rate)
@@ -272,17 +240,21 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
             acc += w
             if u <= acc:
                 break
-        state = step_embedded(state, sample_offspring(ptype, kind, state, rng))
-        if n % record_every == 0 or state.extinct or n == max_events:
-            rec.extend((n, state.cx, state.cy, state.ax, state.ay))
+        own, cross = sample_offspring(ptype, kind, state, rng)
+        if own < 0:
+            raise ValueError("invalid offspring sample: own-type offspring negative")
+        if ptype == "x":
+            cx, ax, cy, ay = cx - 1 + own, ax + own, cy + cross, ay + cross
+        else:
+            cy, ay, cx, ax = cy - 1 + own, ay + own, cx + cross, ax + cross
+        if cx < 0 or cy < 0:
+            raise ValueError("invalid offspring sample: cross term drives a count negative")
+        if n % record_every == 0 or cx + cy == 0 or n == max_events:
+            rec.extend((n, cx, cy, ax, ay))
             rec_tau.append(t)
-        if state.extinct:
-            extinct = True
-            break
-    epoch, cx, cy, ax, ay = np.array(rec, dtype=np.int64).reshape(-1, 5).T
-    return Trajectory(epoch=epoch, tau=np.asarray(rec_tau, dtype=float),
-                      cx=cx, cy=cy, ax=ax, ay=ay,
-                      s0=(init.cx, init.cy, init.ax, init.ay), extinct=extinct)
+    epoch, *counts = np.array(rec, dtype=np.int64).reshape(-1, 5).T
+    return Trajectory(epoch, np.asarray(rec_tau, dtype=float), *counts,
+                      s0=tuple(init), extinct=bool(cx + cy == 0))
 
 
 @dataclass

@@ -154,6 +154,7 @@ def cmd_simulate(build_model, p):
     """Replication r (from 0) on the stream ``replication_seed(seed, r)``,
     one CSV each (first rows to stdout without --out); ``--jobs`` > 1 runs
     them in a process pool."""
+    bp_core.require_counts(replications=p["replications"], jobs=p["jobs"])
     packs = [(build_model, p, r) for r in range(p["replications"])]
     if p["jobs"] > 1 and len(packs) > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
@@ -264,6 +265,7 @@ def cmd_market_metrics(p):
 
 
 def cmd_market_closed_form(p):
+    bp_core.require_counts(n_points=p["n-points"])
     cf = market.closed_form(_tef_params(p), a0=p["a0"])
     n_max = cf.n_e
     ns = np.unique(np.round(np.geomspace(1, max(n_max, 2), p["n-points"])).astype(np.int64))

@@ -386,6 +386,8 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     (sample, feasible, ai, degradation_pct) tuple per sample.
     """
     require_counts(n_samples=n_samples)
+    if not 0.0 < d < 1.0:
+        raise ValueError(f"d must be in (0, 1), got {d}")
     rng = make_rng(seed)
     feasible = 0
     ai_ok = 0

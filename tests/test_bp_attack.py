@@ -5,8 +5,8 @@ from bpviral.bp_attack import (AttackLimits, attack_model,
                                classify_regime_and_limits, interior_repeller,
                                simulate_attack_betas,
                                terminal_beta_study)
-from bpviral.bp_core import (DeathModel, OffspringSample, PopulationState,
-                             make_rng, simulate, step_embedded)
+from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, make_rng,
+                             simulate)
 from bpviral.ode_engine import ATTRACTOR, REPELLER, classify_scalar
 from oracles import build_gbeta
 
@@ -94,23 +94,23 @@ class TestSampling:
     def test_no_targets_pure_birth(self):
         sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=4, cy=0, ax=4, ay=0)
-        samp = sampler("x", 0, state, make_rng(1))
-        assert samp.cross == 0 and samp.own == 0
+        assert sampler("x", 0, state, make_rng(1)) == (0, 0)
 
     def test_attack_cap_arithmetic(self):
         sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=9, cy=3, ax=9, ay=3)
         rng = make_rng(2)
-        samp = sampler("x", 0, state, rng)
-        assert samp.parent_type == "x" and samp.own == 3 and samp.cross == -3
-        samp = sampler("y", 0, state, rng)
-        assert samp.parent_type == "y" and samp.own == 9 and samp.cross == -9
+        assert sampler("x", 0, state, rng) == (3, -3)
+        assert sampler("y", 0, state, rng) == (9, -9)
 
     def test_attack_step_conserves_transfer(self):
-        # the transferred individuals cancel in the sum current population
-        state = PopulationState(cx=5, cy=4, ax=5, ay=4)
-        new = step_embedded(state, OffspringSample("x", own=2 + 3, cross=-3))
-        assert (new.cx + new.cy) - (state.cx + state.cy) == 2 - 1
+        # the transferred individuals cancel in the sum current population:
+        # one death with 2 births and 3 captures, whichever type dies
+        scripted = MeanModel(mean_matrix=None, limit_mean_matrix=None,
+                             sampler=lambda p, k, state, rng: (2 + 3, -3))
+        traj = simulate(scripted, DeathModel(), PopulationState(cx=5, cy=4, ax=5, ay=4),
+                        max_events=1, seed=1)
+        assert (traj.cx[0] + traj.cy[0]) - (5 + 4) == 2 - 1
 
     def test_mean_matrix_caps_attack(self):
         model = attack_model(AttackLimits(3, 1, 3, 1))

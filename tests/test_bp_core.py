@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpviral import bp_core
-from bpviral.bp_core import (DeathModel, MeanModel, OffspringSample,
-                             PopulationState, death_weights,
-                             dichotomy_study, make_rng, ratios_and_dichotomy,
-                             replication_seed, simulate, step_embedded)
+from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
+                             death_weights, dichotomy_study, make_rng,
+                             ratios_and_dichotomy, replication_seed, simulate)
 from oracles import extinction_prob_pgf, sa_recursion_ratios
 
 
@@ -59,42 +58,61 @@ class TestDeathProbabilities:
             DeathModel(**{field: ()})
 
 
-class TestStepEmbedded:
-    def test_plain_birth(self):
-        state = PopulationState(cx=3, cy=2, ax=5, ay=4)
-        new = step_embedded(state, OffspringSample("x", own=2, cross=1))
-        assert (new.cx, new.cy, new.ax, new.ay) == (4, 3, 7, 5)
-
-    def test_extinction_epoch(self):
-        state = PopulationState(cx=1, cy=0, ax=1, ay=0)
-        new = step_embedded(state, OffspringSample("x", own=0, cross=0))
-        assert (new.cx, new.cy, new.ax, new.ay) == (0, 0, 1, 0)
-        assert new.extinct
-
-    def test_attack_transfers_both_counts(self):
-        state = PopulationState(cx=2, cy=3, ax=2, ay=3)
-        new = step_embedded(state, OffspringSample("x", own=1, cross=-2))
-        assert (new.cx, new.cy, new.ax, new.ay) == (2, 1, 3, 1)
-
-    def test_cap_violation_rejected(self):
-        state = PopulationState(cx=2, cy=1, ax=2, ay=1)
-        with pytest.raises(ValueError, match="invalid offspring sample"):
-            step_embedded(state, OffspringSample("x", own=1, cross=-2))
-
-    def test_negative_own_rejected(self):
-        state = PopulationState(cx=2, cy=1, ax=2, ay=1)
-        with pytest.raises(ValueError, match="invalid offspring sample"):
-            step_embedded(state, OffspringSample("x", own=-1, cross=0))
+def scripted_model(own, cross):
+    """Every death draws the fixed (own, cross); the means are those draws."""
+    m = np.array([[own, cross], [cross, own]], dtype=float)
+    return MeanModel(
+        mean_matrix=lambda phi: m,
+        limit_mean_matrix=lambda beta: m,
+        sampler=lambda p, k, state, rng: (own, cross),
+    )
 
 
 def identity_model():
     """Deterministic own=1, cross=0 for both types: counts freeze."""
-    m = np.array([[1.0, 0.0], [0.0, 1.0]])
-    return MeanModel(
-        mean_matrix=lambda phi: m,
-        limit_mean_matrix=lambda beta: m,
-        sampler=lambda p, k, s, rng: OffspringSample(p, own=1, cross=0),
-    )
+    return scripted_model(1, 0)
+
+
+# y-type deaths at the 1e-12 rate floor: seed 1's first death is x-type
+X_DEATHS = DeathModel(rate=lambda p, k, s: 1.0 if p == "x" else 1e-12)
+
+
+def one_x_death(init, own, cross):
+    """The trajectory and state after one x-type death from ``init`` that
+    draws (own, cross)."""
+    def sampler(ptype, kind, state, rng):
+        assert (ptype, kind, state) == ("x", 0, init)
+        return own, cross
+    traj = simulate(MeanModel(None, None, sampler), X_DEATHS, init, max_events=1, seed=1)
+    assert traj.epoch.tolist() == [1]
+    return traj, (traj.cx[0], traj.cy[0], traj.ax[0], traj.ay[0])
+
+
+class TestStepEmbedded:
+    """One event of the embedded chain, applied by ``simulate``."""
+
+    def test_plain_birth(self):
+        _, new = one_x_death(PopulationState(cx=3, cy=2, ax=5, ay=4), own=2, cross=1)
+        assert new == (4, 3, 7, 5)
+
+    def test_extinction_epoch(self):
+        traj, new = one_x_death(PopulationState(cx=1, cy=0, ax=1, ay=0), own=0, cross=0)
+        assert new == (0, 0, 1, 0)
+        assert traj.extinct
+
+    def test_attack_transfers_both_counts(self):
+        _, new = one_x_death(PopulationState(cx=2, cy=3, ax=2, ay=3), own=1, cross=-2)
+        assert new == (2, 1, 3, 1)
+
+    def test_cap_violation_rejected(self):
+        state = PopulationState(cx=2, cy=1, ax=2, ay=1)
+        with pytest.raises(ValueError, match="invalid offspring sample: cross term"):
+            one_x_death(state, own=1, cross=-2)
+
+    def test_negative_own_rejected(self):
+        state = PopulationState(cx=2, cy=1, ax=2, ay=1)
+        with pytest.raises(ValueError, match="invalid offspring sample: own-type"):
+            one_x_death(state, own=-1, cross=0)
 
 
 class TestSimulate:
@@ -135,21 +153,12 @@ class TestSimulate:
 
 class TestRatios:
     def test_first_epoch_ratios(self):
-        init = PopulationState(1, 1, 1, 1)
-        state = step_embedded(init, OffspringSample("x", own=2, cross=0))
-        traj = bp_core.Trajectory(
-            epoch=np.array([1]), tau=np.array([0.5]),
-            cx=np.array([state.cx]), cy=np.array([state.cy]),
-            ax=np.array([state.ax]), ay=np.array([state.ay]))
+        traj, _ = one_x_death(PopulationState(1, 1, 1, 1), own=2, cross=0)
         assert traj.ratios()[0] == pytest.approx([3.0, 2.0, 4.0, 3.0])
 
     def test_extinction_path_ratios_vanish(self):
         # frozen numerators over a growing epoch index
-        zero_model = MeanModel(
-            mean_matrix=lambda phi: np.zeros((2, 2)),
-            limit_mean_matrix=lambda b: np.zeros((2, 2)),
-            sampler=lambda p, k, s, rng: OffspringSample(p, own=0, cross=0))
-        traj = simulate(zero_model, unit_deaths(), PopulationState(3, 3, 3, 3),
+        traj = simulate(scripted_model(0, 0), unit_deaths(), PopulationState(3, 3, 3, 3),
                         max_events=100, seed=1)
         assert traj.extinct
         assert traj.epoch[-1] == 6

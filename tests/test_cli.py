@@ -243,6 +243,13 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, name", [
     (["bp", "simulate", "--seed", "1", "--record-every", "0"], "record_every"),
+    (["bp", "simulate", "--seed", "1", "--replications", "0"], "replications"),
+    (["attack", "simulate", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1",
+      "--seed", "1", "--jobs", "0"], "jobs"),
+    (["market", "closed-form", "--n-points", "0"], "n_points"),
+    (["market", "closed-form", "--n-points", "-3"], "n_points"),
+    (["game", "study", "--seed", "1", "--samples", "1", "--d", "1.0"], "d must be in (0, 1)"),
+    (["game", "study", "--seed", "1", "--samples", "1", "--d", "0"], "d must be in (0, 1)"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
@@ -250,7 +257,10 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
      "seeds_per_run"),
     (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--n-seeds", "0"],
      "n_seeds"),
-], ids=["bp simulate --record-every 0", "wm learn --seed-users 0",
+], ids=["bp simulate --record-every 0", "bp simulate --replications 0",
+        "attack simulate --jobs 0", "market closed-form --n-points 0",
+        "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
+        "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])
 def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):

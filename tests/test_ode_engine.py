@@ -332,7 +332,7 @@ class TestPicard:
         picard_solve(rhs, 1.0, T=2.0, sweeps=3, mesh=100)
         assert shapes == [((101, 1), (101,))] * 3
 
-    def test_nonfinite_marked_rhs_reports_first_time(self):
+    def test_nonfinite_rhs_reports_first_time(self):
         # the mesh of [0, 2] has step 0.02, so t = 1.02 is the first t > 1
         def rhs(Y, ts):
             return np.where(ts[:, None] > 1.0, np.nan, 1.0)
@@ -356,7 +356,7 @@ class TestPicard:
         assert traj.converged
         assert picard_chain(lambda y, t: np.ones_like(y), 0.0, T=10.0).converged
 
-    def test_marked_rhs_matches_per_point_loop(self):
+    def test_rhs_matches_per_row_loop(self):
         # criterion 6's case: the ramp model's SA path from seed 1, integrated
         # from three start epochs with g on the whole iterate (one call per
         # sweep) and with g called once per mesh point
