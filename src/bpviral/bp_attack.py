@@ -17,8 +17,8 @@ import numpy as np
 
 from .bp_core import (MeanModel, PopulationState, make_rng, replication_seed,
                       require_counts)
-from .ode_engine import (ATTRACTOR, REPELLER, Equilibrium, EquilibriumReport,
-                         lift_limits, make_h)
+from .ode_engine import (ATTRACTOR, HOVERING, REPELLER, SADDLE, Equilibrium,
+                         EquilibriumReport, hover_classify, lift_limits, make_h)
 
 
 @dataclass(frozen=True)
@@ -196,28 +196,24 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     the proportions recorded every 200 events.  Replication r (from 0) runs
     on the stream ``replication_seed(seed, r)``.
     """
-    from .ode_engine import hover_classify, HOVERING, SADDLE
-
     if init is None:
         init = PopulationState(cx=5, cy=5, ax=5, ay=5)
     in_e, report = classify_regime_and_limits(limits)
-    targets = {e.beta: ("attractor" if e.kind == ATTRACTOR else SADDLE)
+    targets = {e.beta: (ATTRACTOR if e.kind == ATTRACTOR else SADDLE)
                for e in report.equilibria}
-    terminal, hovering, n_extinct = [], [], 0
+    terminal, hovering = [], []
     for r in range(replications):
         betas, extinct = simulate_attack_betas(limits, init, max_events,
                                                replication_seed(seed, r), 200)
         if extinct:
-            n_extinct += 1
             continue
         terminal.append(float(betas[-1]))
-        verdict = hover_classify(betas, targets)
-        hovering.append(verdict == HOVERING)
+        hovering.append(hover_classify(betas, targets) == HOVERING)
     return {
         "in_regime_e": in_e,
         "limit_betas": sorted(targets),
         "terminal_betas": np.asarray(terminal),
         "hover_flags": np.asarray(hovering, dtype=bool),
-        "extinct": n_extinct,
+        "extinct": replications - len(terminal),
         "replications": replications,
     }

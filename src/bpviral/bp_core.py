@@ -333,7 +333,6 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
     """
     require_counts(replications=replications, cap=cap)
     rng = make_rng(seed)
-    n_extinct = 0
     rates = []
     all_grew = True
     done = 0
@@ -341,17 +340,11 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
         b = min(200, replications - done)
         incr = rng.poisson(offspring_mean, size=(b, cap)).astype(np.int64) - 1
         s = s0 + np.cumsum(incr, axis=1)
-        hit = s <= 0
-        ext_idx = np.where(hit.any(axis=1), hit.argmax(axis=1), cap)
         exp_draws = rng.exponential(size=(b, cap))
         s_prev = np.empty_like(s)
         s_prev[:, 0] = s0
         s_prev[:, 1:] = s[:, :-1]
-        for i in range(b):
-            k = int(ext_idx[i])
-            if k < cap:
-                n_extinct += 1
-                continue
+        for i in np.flatnonzero((s > 0).all(axis=1)).tolist():
             path = s[i].astype(float)
             tau = np.cumsum(exp_draws[i] / s_prev[i])
             if path[-1] < path[cap // 2]:
@@ -360,7 +353,7 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
         done += b
     return DichotomyStats(
         replications=replications,
-        extinct_fraction=n_extinct / replications,
+        extinct_fraction=(replications - len(rates)) / replications,
         survivor_rates=np.asarray(rates),
         rate_threshold=offspring_mean - 1.0,
         all_grew_or_died=all_grew,

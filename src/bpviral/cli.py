@@ -20,6 +20,7 @@ import secrets
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,15 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _emit_csv(out, header, rows):
+    """Write the CSV to ``out``, or print its first ten rows without one."""
+    if out is None:
+        for row in islice(rows, 10):
+            print(",".join(_fmt(v) for v in row))
+    else:
+        write_csv(out, header, rows)
+
+
 def _write_sidecar(out, command, params):
     if out is None:
         return
@@ -65,8 +75,6 @@ def _json_default(v):
         return v.item()
     if isinstance(v, np.ndarray):
         return v.tolist()
-    if isinstance(v, float) and math.isnan(v):
-        return None
     raise TypeError(f"not JSON serialisable: {type(v)}")
 
 
@@ -152,8 +160,7 @@ def _run_replication(argpack):
 
 def cmd_simulate(build_model, p):
     """Replication r (from 0) on the stream ``replication_seed(seed, r)``,
-    one CSV each (first rows to stdout without --out); ``--jobs`` > 1 runs
-    them in a process pool."""
+    one CSV each; ``--jobs`` > 1 runs them in a process pool."""
     bp_core.require_counts(replications=p["replications"], jobs=p["jobs"])
     packs = [(build_model, p, r) for r in range(p["replications"])]
     if p["jobs"] > 1 and len(packs) > 1:
@@ -162,12 +169,7 @@ def cmd_simulate(build_model, p):
     else:
         results = [_run_replication(a) for a in packs]
     for rep, rows in enumerate(results):
-        path = _rep_path(p["out"], rep, p["replications"])
-        if path is None:
-            for row in rows[:10]:
-                print(",".join(_fmt(v) for v in row))
-        else:
-            write_csv(path, bp_core.CSV_HEADER, rows)
+        _emit_csv(_rep_path(p["out"], rep, p["replications"]), bp_core.CSV_HEADER, rows)
 
 
 def _rep_path(out, rep, total):
@@ -245,8 +247,7 @@ def cmd_wm_simulate(p):
         p["kind"], design, post, mix, p["actuality"],
         p["init-fake"], p["init-real"], p["max-events"], p["seed"],
         record_every=p["record-every"])
-    if p["out"]:
-        write_csv(p["out"], "k,beta", zip(path.epoch.tolist(), path.beta.tolist()))
+    _emit_csv(p["out"], "k,beta", zip(path.epoch.tolist(), path.beta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,7 @@ def cmd_market_closed_form(p):
     for n in ns:
         t = market.EULER_GAMMA + math.log(n)
         rows.append((int(n), t, cf.a_epoch(float(n)), cf.c_epoch(float(n))))
-    if p["out"]:
-        write_csv(p["out"], "n,t,a,c", rows)
+    _emit_csv(p["out"], "n,t,a,c", rows)
 
 
 def cmd_market_simulate(p):
@@ -282,9 +282,8 @@ def cmd_market_simulate(p):
                                  max_events=p["max-events"], seed=p["seed"],
                                  record_every=p["record-every"],
                                  offspring=p["offspring"])
-    if p["out"]:
-        cols = (path.epoch, path.tau, path.a, path.c)
-        write_csv(p["out"], "n,t,a,c", zip(*(col.tolist() for col in cols)))
+    cols = (path.epoch, path.tau, path.a, path.c)
+    _emit_csv(p["out"], "n,t,a,c", zip(*(col.tolist() for col in cols)))
 
 
 def cmd_market_propagate(p):
@@ -335,24 +334,21 @@ def cmd_game_design(p):
 
 
 def cmd_game_verify(p):
-    params = _game_params(p["params"])
-    design = game.design_ai_game(params)
-    report = game.verify_equilibria(design, params)
+    report = game.verify_equilibria(game.design_ai_game(_game_params(p["params"])))
     report["ne_list"] = [{"mu": list(d["mu"]), "ai": d["ai"]} for d in report["ne_list"]]
     _emit_json(report, p["out"])
 
 
 def cmd_game_simulate(p):
-    params = _game_params(p["params"])
-    design = game.design_ai_game(params)
-    ks, betas = game.simulate_tagging_game(design.mu_eta(), design, params,
-                                           p["actuality"], p["k-max"], p["seed"],
+    design = game.design_ai_game(_game_params(p["params"]))
+    ks, betas = game.simulate_tagging_game(design.mu_eta(), design, p["actuality"],
+                                           p["k-max"], p["seed"],
                                            record_every=p["record-every"])
     if p["out"]:
         write_csv(p["out"], "k,beta", zip(ks.tolist(), betas))
     print(json.dumps({"terminal_beta": float(betas[-1]),
                       "predicted": game.beta_fixed_point(
-                          design.mu_eta(), design.w, params, p["actuality"])}))
+                          design.mu_eta(), design.w, design.params, p["actuality"])}))
 
 
 def cmd_game_study(p):

@@ -132,9 +132,9 @@ class AiDesign:
     x_eta: float
     eta_star: float                 # participation level achieving theta_tilde exactly
     eta_bar: float
+    params: GameParams
     feasible: bool = True
     reason: str = ""
-    params: GameParams | None = None
 
     def mu_eta(self):
         return (0.0, self.eta, 1.0 - self.eta - self.params.mua)
@@ -218,9 +218,10 @@ def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
                     feasible=True, reason="", params=params)
 
 
-def success_probability(mu, design: AiDesign, params: GameParams) -> float:
+def success_probability(mu, design: AiDesign) -> float:
     """P(success | mix) using the almost-sure tagging limits; the all-idle
     mix has success probability zero by convention."""
+    params = design.params
     mu0, mu1, mu2 = mu
     if mu1 + mu2 <= 0:
         return 0.0
@@ -234,12 +235,13 @@ def success_probability(mu, design: AiDesign, params: GameParams) -> float:
     return params.p * ok_f + (1.0 - params.p) * ok_r
 
 
-def utility_eval(strategy: int, mu, design: AiDesign, params: GameParams) -> float:
+def utility_eval(strategy: int, mu, design: AiDesign) -> float:
     """Utility of one user given the population mix (mean-field limit)."""
+    params = design.params
     if strategy == 0:
         return params.q_np
     mu0, mu1, mu2 = mu
-    ps = success_probability(mu, design, params)
+    ps = success_probability(mu, design)
     share = design.reward * ps / (mu1 + params.mua + design.gamma * mu2)
     if strategy == 1:
         return params.q_p + share
@@ -248,10 +250,11 @@ def utility_eval(strategy: int, mu, design: AiDesign, params: GameParams) -> flo
     raise ValueError("strategy in {0,1,2}")
 
 
-def _identification(design: AiDesign, params: GameParams) -> tuple:
+def _identification(design: AiDesign) -> tuple:
     """Tagging limits (beta_F, beta_R) at the designed mix, the adjusted
     targets theta_tilde(1-mua) and delta(1-mua), and a message naming the
     first target missed by more than 1e-9 (None when both are met)."""
+    params = design.params
     mu_eta = design.mu_eta()
     b_f = beta_fixed_point(mu_eta, design.w, params, FAKE)
     b_r = beta_fixed_point(mu_eta, design.w, params, REAL)
@@ -271,7 +274,7 @@ def _degradation(b_f_x: float, params: GameParams) -> float:
     return (theta_a - b_f_x) * 100.0 / theta_a
 
 
-def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
+def verify_equilibria(design: AiDesign) -> dict:
     """Check the designed game's guarantees; raise naming any failed one.
 
     Conditions: (a) the designed mix identifies both posts at the adjusted
@@ -281,14 +284,13 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
     """
     if not design.feasible:
         raise GameVerificationError(f"design infeasible: {design.reason}")
+    params = design.params
     mua = params.mua
     mu_eta = design.mu_eta()
-    b_f, b_r, theta_a_tilde, delta_a, missed = _identification(design, params)
+    b_f, b_r, theta_a_tilde, delta_a, missed = _identification(design)
     if missed:
         raise GameVerificationError(missed)
-    u0 = utility_eval(0, mu_eta, design, params)
-    u1 = utility_eval(1, mu_eta, design, params)
-    u2 = utility_eval(2, mu_eta, design, params)
+    u0, u1, u2 = (utility_eval(s, mu_eta, design) for s in (0, 1, 2))
     if abs(u1 - u2) > 1e-9 * max(1.0, abs(u1)):
         raise GameVerificationError(f"type-1/type-2 indifference violated: {u1} != {u2}")
     if not (u1 > u0):
@@ -316,12 +318,12 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
             if not b_f_x >= floor - 1e-9:
                 raise GameVerificationError(
                     f"second-NE fake-post floor violated: {b_f_x} < {floor}")
-        ps = success_probability(mu_x, design, params)
+        ps = success_probability(mu_x, design)
         # x_eta is a Nash equilibrium only if the game is NOT fully
         # successful there (indifference of types 1 and 2 needs P = 1-p)
         if ps < 1.0 - 1e-12:
-            u1x = utility_eval(1, mu_x, design, params)
-            u2x = utility_eval(2, mu_x, design, params)
+            u1x = utility_eval(1, mu_x, design)
+            u2x = utility_eval(2, mu_x, design)
             if abs(ps - (1.0 - params.p)) < 1e-12 and abs(u1x - u2x) > 1e-9:
                 raise GameVerificationError(
                     f"second NE indifference violated: {u1x} != {u2x}")
@@ -332,29 +334,29 @@ def verify_equilibria(design: AiDesign, params: GameParams) -> dict:
     return report
 
 
-def simulate_tagging_game(mu, design: AiDesign, params: GameParams, u: str,
-                          k_max: int, seed: int,
+def simulate_tagging_game(mu, design: AiDesign, u: str, k_max: int, seed: int,
                           record_every: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo tagging stream: per epoch a participant (type-1, type-2
     or adversary) tags, and the running fake-tag fraction updates as the
     empirical mean.  Returns the recorded epochs (every ``record_every``-th
     and the last) and the beta at each."""
+    if u not in (FAKE, REAL):
+        raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {u!r}")
     require_counts(k_max=k_max, record_every=record_every)
+    params = design.params
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)
     mult = params.response_slope(design.w, u)
     rng = make_rng(seed)
-    uu = rng.random(k_max)
-    ud = rng.random(k_max)
     fakes = 0
     epochs, betas = [], []
     beta = 0.0
-    for k in range(1, k_max + 1):
-        r = uu[k - 1]
+    for k, r, ud in zip(range(1, k_max + 1), rng.random(k_max).tolist(),
+                        rng.random(k_max).tolist()):
         if r < eta:
-            tag_fake = ud[k - 1] < alpha_u
+            tag_fake = ud < alpha_u
         elif r < 1.0 - eta_a:
-            tag_fake = ud[k - 1] < min(mult * beta, 1.0)
+            tag_fake = ud < min(mult * beta, 1.0)
         else:
             tag_fake = False
         if tag_fake:
@@ -383,16 +385,20 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     multipliers (default floor + 1000) keep x_eta governed by the mix alone.
     ``verify=True`` additionally runs every design through
     verify_equilibria and reports the pass fraction.  ``rows`` holds one
-    (sample, feasible, ai, degradation_pct) tuple per sample.
+    (sample, feasible, ai, degradation_pct) tuple per sample, and every
+    fraction is read from it.  Every draw is a valid ``GameParams`` only
+    when alpha_F < min(theta, 1) for alpha_R up to 0.30, so larger d is
+    rejected.
     """
     require_counts(n_samples=n_samples)
     if not 0.0 < d < 1.0:
         raise ValueError(f"d must be in (0, 1), got {d}")
+    cap = min(theta, 1.0)
+    if not 0.30 <= cap * (1.0 - d):
+        bound = 1.0 - 0.30 / cap if cap > 0 else -math.inf
+        raise ValueError(f"d must be <= 1 - 0.30/min(theta, 1) = {bound:.6g} "
+                         f"at theta={theta}, got {d}")
     rng = make_rng(seed)
-    feasible = 0
-    ai_ok = 0
-    small_degradation = 0
-    second_ne = 0
     degradations = []
     rows = []
     for i in range(n_samples):
@@ -408,36 +414,31 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
         if not design.feasible:
             rows.append((i, 0, 0, float("nan")))
             continue
-        feasible += 1
         if verify:
             try:
-                verify_equilibria(design, params)
+                verify_equilibria(design)
             except GameVerificationError:
                 rows.append((i, 1, 0, float("nan")))
                 continue
             ai = True
         else:
-            ai = _identification(design, params)[-1] is None
-        ai_ok += ai
+            ai = _identification(design)[-1] is None
         x = design.x_eta
         level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
         if x <= level_theta or x >= 1.0 - mua:
-            small_degradation += 1
-            rows.append((i, 1, int(ai), 0.0))
-            continue
-        second_ne += 1
-        b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
-        degradation = _degradation(b_f_x, params)
-        degradations.append(degradation)
-        if degradation < 10.0:
-            small_degradation += 1
+            degradation = 0.0
+        else:
+            b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
+            degradation = _degradation(b_f_x, params)
+            degradations.append(degradation)
         rows.append((i, 1, int(ai), degradation))
+    # infeasible and unverified rows carry NaN, which fails "< 10"
     return {
         "samples": n_samples,
-        "feasible_fraction": feasible / n_samples,
-        "ai_fraction": ai_ok / n_samples,
-        "second_ne_fraction": second_ne / n_samples,
-        "small_degradation_fraction": small_degradation / n_samples,
+        "feasible_fraction": sum(r[1] for r in rows) / n_samples,
+        "ai_fraction": sum(r[2] for r in rows) / n_samples,
+        "second_ne_fraction": len(degradations) / n_samples,
+        "small_degradation_fraction": sum(r[3] < 10.0 for r in rows) / n_samples,
         "degradations": np.asarray(degradations),
         "rows": rows,
     }

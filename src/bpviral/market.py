@@ -96,11 +96,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     rec, rec_tau = [], []
     t = 0.0
     p_geo = 1.0 / (1.0 + params.m_bar)    # success prob: mean m_bar on {0,1,..}
-    extinct = False
     for n in range(1, max_events + 1):
-        if c == 0:
-            extinct = True
-            break
         t += rng.exponential(1.0 / c)
         mean = tef(a, params)
         if offspring == "poisson":
@@ -117,11 +113,10 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
             rec.extend((n, a, c))
             rec_tau.append(t)
         if c == 0:
-            extinct = True
             break
-    epoch, a, c = np.array(rec, dtype=np.int64).reshape(-1, 3).T
+    epoch, a_rec, c_rec = np.array(rec, dtype=np.int64).reshape(-1, 3).T
     return MarketPath(epoch=epoch, tau=np.asarray(rec_tau, dtype=float),
-                      a=a, c=c, extinct=extinct)
+                      a=a_rec, c=c_rec, extinct=c == 0)
 
 
 def _phase_constants(params: TefParams, a0: float):

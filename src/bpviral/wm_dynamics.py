@@ -11,7 +11,7 @@ from itertools import chain
 import numpy as np
 
 from .bp_core import make_rng, require_counts
-from .wm import (REAL, MechanismDesign, PostModel, UserMix, eo_warning,
+from .wm import (FAKE, REAL, MechanismDesign, PostModel, UserMix, eo_warning,
                  warning_value)
 
 _BUF = 1 << 14
@@ -126,6 +126,8 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
     have been made.
     """
+    if actuality not in (FAKE, REAL):
+        raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {actuality!r}")
     if min(init_fake, init_real) < 0 or init_fake + init_real < 1:
         raise ValueError("need nonnegative initial copies, at least one in all; got "
                          f"init_fake={init_fake}, init_real={init_real}")

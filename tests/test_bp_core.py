@@ -306,7 +306,7 @@ def _kernels():
         "simulate_stpbp": (lambda **kw: market.simulate_stpbp(
             market.TefParams(rho=0.6, **market.SNAP_FIT), 2, seed=1, **kw), pair),
         "simulate_tagging_game": (lambda **kw: game.simulate_tagging_game(
-            gd.mu_eta(), gd, gp, "F", seed=1, **kw), {"k_max": 5, "record_every": 1}),
+            gd.mu_eta(), gd, "F", seed=1, **kw), {"k_max": 5, "record_every": 1}),
         "random_study": (lambda **kw: game.random_study(d=0.1, seed=1, **kw),
                          {"n_samples": 1}),
         "estimate_tef": (lambda **kw: market_graph.estimate_tef(

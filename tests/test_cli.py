@@ -119,14 +119,32 @@ def test_sidecar_roundtrip(cmd, tmp_path, wm_params_file, game_params_file, caps
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("cmd", [["bp", "simulate"], ["attack", "simulate", "--e-xx", "3",
-                                  "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]],
-                         ids=lambda c: " ".join(c[:2]))
-def test_simulate_prints_first_rows_without_out(cmd, capsys):
-    assert main([*cmd, "--seed", "3", "--max-events", "50", "--record-every", "1"]) == 0
+_FIRST_RUN = ["--seed", "3", "--max-events", "50", "--record-every", "1"]
+
+
+@pytest.mark.parametrize("cmd", [
+    ["bp", "simulate", *_FIRST_RUN],
+    ["attack", "simulate", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1",
+     *_FIRST_RUN],
+    ["wm", "simulate", "--params", "{wm}", *_FIRST_RUN],
+    ["market", "simulate", *_FIRST_RUN],
+    ["market", "closed-form"],
+], ids=lambda c: " ".join(c[:2]))
+def test_simulate_prints_first_rows_without_out(cmd, wm_params_file, capsys):
+    assert main([a.format(wm=wm_params_file) for a in cmd]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
     assert [int(line.split(",")[0]) for line in lines] == list(range(1, 11))
+
+
+@pytest.mark.parametrize("actuality", ["Z", "f"])
+@pytest.mark.parametrize("module", ["wm", "game"])
+def test_unknown_actuality_exit_1(module, actuality, wm_params_file, game_params_file,
+                                  capsys):
+    params = {"wm": wm_params_file, "game": game_params_file}[module]
+    assert main([module, "simulate", "--params", params, "--actuality", actuality,
+                 "--seed", "1"]) == 1
+    assert "actuality" in capsys.readouterr().err
 
 
 def test_generated_seed_recorded(tmp_path):
@@ -250,6 +268,10 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     (["market", "closed-form", "--n-points", "-3"], "n_points"),
     (["game", "study", "--seed", "1", "--samples", "1", "--d", "1.0"], "d must be in (0, 1)"),
     (["game", "study", "--seed", "1", "--samples", "1", "--d", "0"], "d must be in (0, 1)"),
+    (["game", "study", "--seed", "1", "--samples", "1", "--d", "0.65"],
+     "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
+    (["game", "study", "--seed", "1", "--samples", "3", "--d", "0.8"],
+     "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
@@ -260,6 +282,7 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
 ], ids=["bp simulate --record-every 0", "bp simulate --replications 0",
         "attack simulate --jobs 0", "market closed-form --n-points 0",
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
+        "game study --d 0.65", "game study --d 0.8",
         "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bpviral.bp_core import make_rng
+from bpviral.bp_core import dichotomy_study, make_rng
 from bpviral.game import (FAKE, REAL, AiDesign, GameParams,
                           GameVerificationError, beta_fixed_point,
                           design_ai_game, fp_residual, gamma_floor,
@@ -141,7 +141,7 @@ class TestDesign:
             p = random_params(rng)
             design = design_ai_game(p)
             assert design.feasible, "d=0.10 draws must be feasible"
-            report = verify_equilibria(design, p)
+            report = verify_equilibria(design)
             assert report["beta_F_eta"] >= report["theta_a_tilde"] - 1e-9
             assert report["beta_R_eta"] <= report["delta_a"] + 1e-9
             u0, u1, u2 = report["utilities_at_eta"]
@@ -153,7 +153,7 @@ class TestDesign:
     def test_second_ne_semantics(self):
         p = base_params()
         design = design_ai_game(p)
-        report = verify_equilibria(design, p)
+        report = verify_equilibria(design)
         if report["second_ne"] is not None:
             sn = report["second_ne"]
             assert sn["success_prob"] == pytest.approx(1 - p.p)
@@ -171,7 +171,7 @@ class TestDesign:
                        reward=1.0, x_eta=0.5, eta_star=0.3, eta_bar=0.1,
                        feasible=False, reason="test", params=p)
         with pytest.raises(GameVerificationError, match="infeasible"):
-            verify_equilibria(bad, p)
+            verify_equilibria(bad)
 
 
 class TestUtilities:
@@ -179,17 +179,17 @@ class TestUtilities:
         p = base_params()
         d = design_ai_game(p)
         mu = (1 - p.mua, 0.0, 0.0)     # nobody participates: P = 0 by convention
-        assert success_probability(mu, d, p) == 0.0
-        assert utility_eval(0, mu, d, p) == p.q_np
+        assert success_probability(mu, d) == 0.0
+        assert utility_eval(0, mu, d) == p.q_np
 
     def test_reward_share_structure(self):
         p = base_params()
         d = design_ai_game(p)
         mu = d.mu_eta()
-        ps = success_probability(mu, d, p)
+        ps = success_probability(mu, d)
         share = d.reward * ps / (mu[1] + p.mua + d.gamma * mu[2])
-        assert utility_eval(1, mu, d, p) == pytest.approx(p.q_p + share)
-        assert utility_eval(2, mu, d, p) == pytest.approx(
+        assert utility_eval(1, mu, d) == pytest.approx(p.q_p + share)
+        assert utility_eval(2, mu, d) == pytest.approx(
             p.q_p - p.c_e + d.gamma * share)
 
     def test_indifference_at_design(self):
@@ -200,15 +200,15 @@ class TestUtilities:
             if not d.feasible:
                 continue
             mu = d.mu_eta()
-            assert utility_eval(1, mu, d, p) == pytest.approx(
-                utility_eval(2, mu, d, p), abs=1e-10)
+            assert utility_eval(1, mu, d) == pytest.approx(
+                utility_eval(2, mu, d), abs=1e-10)
 
 
 class TestSimulation:
     def test_all_adversaries_never_tag_fake(self):
         p = base_params()
         d = design_ai_game(p)
-        _, betas = simulate_tagging_game((0.0, 0.0, 1e-12), d, p, FAKE,
+        _, betas = simulate_tagging_game((0.0, 0.0, 1e-12), d, FAKE,
                                          k_max=2000, seed=1)
         assert np.all(betas == 0.0)
 
@@ -216,7 +216,7 @@ class TestSimulation:
         p = base_params(mua=0.0)
         d = design_ai_game(p)
         mu = (0.0, 1.0, 0.0)
-        _, betas = simulate_tagging_game(mu, d, p, FAKE, k_max=40_000, seed=2)
+        _, betas = simulate_tagging_game(mu, d, FAKE, k_max=40_000, seed=2)
         assert betas[-1] == pytest.approx(p.alpha_f, abs=0.01)
 
     def test_designed_instance_converges(self):
@@ -226,8 +226,8 @@ class TestSimulation:
         k_max = 50_000
         finals_r, finals_f = [], []
         for s in range(10):
-            finals_r.append(simulate_tagging_game(mu, d, p, REAL, k_max, seed=s)[1][-1])
-            finals_f.append(simulate_tagging_game(mu, d, p, FAKE, k_max, seed=s)[1][-1])
+            finals_r.append(simulate_tagging_game(mu, d, REAL, k_max, seed=s)[1][-1])
+            finals_f.append(simulate_tagging_game(mu, d, FAKE, k_max, seed=s)[1][-1])
         eta, eta_a = participant_fractions(mu, p.mua)
         # the real post mixes at a healthy linear rate: tight check
         b_r = beta_fixed_point(mu, d.w, p, REAL)
@@ -248,3 +248,34 @@ def test_random_study_smoke():
     assert 0.0 <= res["small_degradation_fraction"] <= 1.0
     res2 = random_study(200, d=0.10, seed=3)
     assert len(res2["rows"]) == 200
+
+
+def test_study_tallies_pinned(sha256):
+    # every fraction and tally of the game and dichotomy studies, and the
+    # game's tagging stream, as bytes
+    parts = []
+    for n, d, seed, verify in ((400, 0.08, 97, False), (400, 0.28, 97, False),
+                               (300, 0.10, 31, True)):
+        res = random_study(n, d, seed, verify=verify)
+        parts += [np.array([res[k] for k in ("feasible_fraction", "ai_fraction",
+                                             "second_ne_fraction",
+                                             "small_degradation_fraction")]),
+                  res["degradations"], repr(res["rows"]).encode()]
+    for args in ((1.5, 1, 300, 400, 5), (0.9, 2, 50, 100, 2)):
+        st = dichotomy_study(*args)
+        parts += [np.array([st.extinct_fraction]), st.survivor_rates,
+                  bytes([st.all_grew_or_died])]
+    d = design_ai_game(base_params())
+    for mu in (d.mu_eta(), d.mu_x(0.3)):
+        for u in (FAKE, REAL):
+            parts += simulate_tagging_game(mu, d, u, 20_000, seed=8, record_every=250)
+    assert sha256(*parts) == "51abbab9cfb20b4fce6003beaf4f5d47a56a9e93727b5de8309eb71cdf3ad098"
+
+
+def test_random_study_d_bound():
+    # alpha_F = alpha_R/(1-d) < min(theta, 1) for every alpha_R < 0.30
+    assert random_study(50, d=0.6, seed=1)["feasible_fraction"] > 0
+    assert random_study(50, d=0.65, seed=1, theta=0.9)["samples"] == 50
+    for d, theta in ((0.61, 0.75), (0.67, 0.9), (0.01, 0.3)):
+        with pytest.raises(ValueError, match=rf"^d must be <= .* at theta={theta}, got {d}"):
+            random_study(5, d=d, seed=1, theta=theta)
