@@ -149,38 +149,62 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
     Equivalent in law to the generic event loop on ``attack_model(limits)``
     (single death kind, unit rates).  Pre-drawn uniform and Poisson blocks,
     held as Python lists so the counts stay Python ints, keep the per-event
-    cost low.  Returns the beta recorded every ``record_every`` events and
-    at the last one, and whether the final state is empty.
+    cost low while both types live.  Once one type is gone it never returns
+    (it has nothing to attack with and nothing left to lose), so the
+    survivor moves by own - 1 per event and the rest of each block is one
+    cumulative sum on the same draws.  Returns the beta recorded every
+    ``record_every`` events and at the last one, and whether the final
+    state is empty.
     """
     require_counts(max_events=max_events, record_every=record_every)
     init.validate()
     rng = make_rng(seed)
     cx, cy = init.cx, init.cy
+    means = (limits.e_xx, limits.e_xy, limits.e_yy, limits.e_yx)
     betas = []
     buf = 1 << 14
-    j = buf                                   # the first event draws a block
-    for n in range(1, max_events + 1):
-        s = cx + cy
-        if s == 0:
-            break
-        if j >= buf:
-            u = rng.random(buf).tolist()
-            own_x = rng.poisson(limits.e_xx, buf).tolist()
-            att_x = rng.poisson(limits.e_xy, buf).tolist()
-            own_y = rng.poisson(limits.e_yy, buf).tolist()
-            att_y = rng.poisson(limits.e_yx, buf).tolist()
-            j = 0
-        if u[j] * s < cx:     # an x-type individual dies
-            captured = att_x[j] if att_x[j] < cy else cy
-            cx += -1 + own_x[j] + captured
-            cy -= captured
+    n = 0                                     # events run so far
+    while n < max_events and cx + cy > 0:
+        take = min(buf, max_events - n)
+        if cx and cy or n + take < max_events:
+            # all five blocks are drawn, read or not, so that the next block
+            # starts at the same stream position whichever phase reads this one
+            blocks = [rng.random(buf)] + [rng.poisson(m, buf) for m in means]
         else:
-            captured = att_y[j] if att_y[j] < cx else cx
-            cy += -1 + own_y[j] + captured
-            cx -= captured
-        j += 1
-        if n % record_every == 0 or cx + cy == 0:
-            betas.append(cx / (cx + cy) if cx + cy > 0 else 0.0)
+            # the last block of a one-type path: no draw after the survivor's
+            # own offspring is read, so the stream stops there
+            k = 0 if cx else 2
+            blocks = ([rng.random(buf)] + [rng.poisson(m, buf) for m in means[:k]]
+                      + [rng.poisson(means[k], take)])
+        j = 0
+        if cx and cy:
+            u, own_x, att_x, own_y, att_y = (b.tolist() for b in blocks)
+            # with both types alive an event loses at most one individual
+            # of at least two, so the population cannot empty here
+            while j < take and cx and cy:
+                if u[j] * (cx + cy) < cx:     # an x-type individual dies
+                    captured = att_x[j] if att_x[j] < cy else cy
+                    cx += -1 + own_x[j] + captured
+                    cy -= captured
+                else:
+                    captured = att_y[j] if att_y[j] < cx else cx
+                    cy += -1 + own_y[j] + captured
+                    cx -= captured
+                j += 1
+                if (n + j) % record_every == 0:
+                    betas.append(cx / (cx + cy))
+        n += j
+        if j < take:          # one type left: beta is pinned at 1.0 or 0.0
+            path = cx + cy + np.cumsum(blocks[1 if cx else 3][j:take] - 1)
+            dead = np.flatnonzero(path == 0)
+            run = int(dead[0]) + 1 if dead.size else take - j
+            c = int(path[run - 1])
+            # the grid records of these events; the extinction event records 0.0
+            grid = (n + run) // record_every - n // record_every
+            grid -= c == 0 and (n + run) % record_every == 0
+            betas += [float(cx > 0)] * grid + [0.0] * (c == 0)
+            cx, cy = (c, 0) if cx else (0, c)
+            n += run
     if cx + cy > 0 and max_events % record_every:
         betas.append(cx / (cx + cy))
     return np.asarray(betas), bool(cx + cy == 0)
@@ -191,17 +215,19 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
                         init: PopulationState | None = None) -> dict:
     """Replicated attack runs: terminal proportions and hover flags.
 
-    Reports, per surviving replication, the terminal beta and a finite-sample
+    Reports, per surviving replication, the terminal beta, a finite-sample
     hover verdict against the theoretical limit set of the regime, read from
-    the proportions recorded every 200 events.  Replication r (from 0) runs
-    on the stream ``replication_seed(seed, r)``.
+    the proportions recorded every 200 events, and the first record at which
+    one type was gone (beta exactly 0 or 1; -1 if both types lived to the
+    end).  Replication r (from 0) runs on the stream
+    ``replication_seed(seed, r)``.
     """
     if init is None:
         init = PopulationState(cx=5, cy=5, ax=5, ay=5)
     in_e, report = classify_regime_and_limits(limits)
     targets = {e.beta: (ATTRACTOR if e.kind == ATTRACTOR else SADDLE)
                for e in report.equilibria}
-    terminal, hovering = [], []
+    terminal, hovering, absorbed = [], [], []
     for r in range(replications):
         betas, extinct = simulate_attack_betas(limits, init, max_events,
                                                replication_seed(seed, r), 200)
@@ -209,11 +235,14 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
             continue
         terminal.append(float(betas[-1]))
         hovering.append(hover_classify(betas, targets) == HOVERING)
+        one_type = (betas == 0.0) | (betas == 1.0)
+        absorbed.append(int(one_type.argmax()) if one_type.any() else -1)
     return {
         "in_regime_e": in_e,
         "limit_betas": sorted(targets),
         "terminal_betas": np.asarray(terminal),
         "hover_flags": np.asarray(hovering, dtype=bool),
+        "absorbed_record": np.asarray(absorbed, dtype=int),
         "extinct": replications - len(terminal),
         "replications": replications,
     }

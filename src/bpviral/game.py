@@ -197,6 +197,8 @@ def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
         theta_tilde = min(base + (max(0.0, theta - theta2) + 1e-6), 1.0)
 
     es = eta_star_of(theta_tilde)
+    if es <= 0.0:
+        return fail(f"eta_star <= 0 at theta_tilde={theta_tilde:g}")
     lo = (1.0 / (1.0 - mua)) * max(1.0, 1.0 / (dra * theta_tilde))
     hi = min(1.0 / delta_a, (delta_a - es * aR) / (delta_a * (1.0 - mua - es)))
     if not hi > lo:

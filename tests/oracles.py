@@ -5,7 +5,8 @@ array code and Monte-Carlo kernels are checked."""
 import numpy as np
 
 from bpviral.bp_attack import AttackLimits
-from bpviral.bp_core import Trajectory
+from bpviral.bp_core import (PopulationState, Trajectory, make_rng,
+                             require_counts)
 from bpviral.game import GameParams
 from bpviral.market import TefParams, tef
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
@@ -149,6 +150,45 @@ def build_gbeta(limits: AttackLimits) -> ScalarField:
 
     g.vectorized = True
     return ScalarField(g=g, kinks=[0.0, 1.0])
+
+
+def attack_betas_scalar(limits: AttackLimits, init: PopulationState,
+                        max_events: int, seed: int,
+                        record_every: int = 100) -> tuple[np.ndarray, bool]:
+    """Event-by-event reference for ``bp_attack.simulate_attack_betas``: the
+    same draws and records, one Python event at a time to the end."""
+    require_counts(max_events=max_events, record_every=record_every)
+    init.validate()
+    rng = make_rng(seed)
+    cx, cy = init.cx, init.cy
+    betas = []
+    buf = 1 << 14
+    j = buf                                   # the first event draws a block
+    for n in range(1, max_events + 1):
+        s = cx + cy
+        if s == 0:
+            break
+        if j >= buf:
+            u = rng.random(buf).tolist()
+            own_x = rng.poisson(limits.e_xx, buf).tolist()
+            att_x = rng.poisson(limits.e_xy, buf).tolist()
+            own_y = rng.poisson(limits.e_yy, buf).tolist()
+            att_y = rng.poisson(limits.e_yx, buf).tolist()
+            j = 0
+        if u[j] * s < cx:     # an x-type individual dies
+            captured = att_x[j] if att_x[j] < cy else cy
+            cx += -1 + own_x[j] + captured
+            cy -= captured
+        else:
+            captured = att_y[j] if att_y[j] < cx else cx
+            cy += -1 + own_y[j] + captured
+            cx -= captured
+        j += 1
+        if n % record_every == 0 or cx + cy == 0:
+            betas.append(cx / (cx + cy) if cx + cy > 0 else 0.0)
+    if cx + cy > 0 and max_events % record_every:
+        betas.append(cx / (cx + cy))
+    return np.asarray(betas), bool(cx + cy == 0)
 
 
 def warning_mfg(beta: float, w: float, params: GameParams) -> float:

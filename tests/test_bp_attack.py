@@ -8,7 +8,7 @@ from bpviral.bp_attack import (AttackLimits, attack_model,
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, make_rng,
                              simulate)
 from bpviral.ode_engine import ATTRACTOR, REPELLER, classify_scalar
-from oracles import build_gbeta
+from oracles import attack_betas_scalar, build_gbeta
 
 
 class TestGbeta:
@@ -227,6 +227,51 @@ def test_attack_fast_path_pinned(sha256):
         "short-1.2-1.5-0": "9ed0df257e5b3abc94e33dc7c26b0dcd0ce6c3a71b3fca593b6794906402ce15",
         "short-0.5-0.8-0.3": "2cdc0a738ccf0d1f08001bdcf7ca96bc83e739f5829985d8752bf6b222720f78",
     }
+
+
+# (record_every, max_events): every-event, every-7 and every-200 records,
+# off-grid ends, and runs that end on and across the 16384-event blocks
+_ORACLE_SHAPES = ((1, 50), (7, 1_003), (200, 2_001), (7, 16_384),
+                  (200, 2 * 16_384 + 5))
+
+
+def test_attack_array_phase_matches_scalar():
+    """Past absorption the kernel steps a block at a time; its records,
+    dtype and extinct flag equal the event-by-event loop's on the same
+    seeds, and paths die out after absorption on and off the record grid."""
+    on_grid = off_grid = 0
+    for limits in (AttackLimits(3, 1, 3, 1), AttackLimits(3, 1, 3, 0),
+                   AttackLimits(0.6, 0.3, 0.7, 0.2), AttackLimits(1.2, 1, 1.2, 1)):
+        for init in (PopulationState(5, 5, 5, 5), PopulationState(1, 1, 1, 1),
+                     PopulationState(3, 0, 3, 0)):
+            for seed in range(6):
+                for record_every, max_events in _ORACLE_SHAPES:
+                    betas, extinct = simulate_attack_betas(
+                        limits, init, max_events, seed, record_every)
+                    ref, ref_extinct = attack_betas_scalar(
+                        limits, init, max_events, seed, record_every)
+                    assert betas.dtype == ref.dtype
+                    assert betas.tobytes() == ref.tobytes()
+                    assert extinct is ref_extinct
+                    if extinct and record_every > 1:
+                        # the draws do not depend on record_every, so the
+                        # every-event run ends at the extinction event
+                        death = len(attack_betas_scalar(limits, init, max_events,
+                                                        seed, 1)[0])
+                        on_grid += death % record_every == 0
+                        off_grid += death % record_every != 0
+    assert on_grid > 0 and off_grid > 0
+
+
+def test_study_reports_absorption_record():
+    # what criterion 5 reads: from (5,5,5,5) on (3,1,3,1) almost every
+    # surviving path has lost one type by the first record (event 200)
+    limits = AttackLimits(3, 1, 3, 1)
+    first = [terminal_beta_study(limits, 100, 2_000, seed)["absorbed_record"]
+             for seed in (777, 778)]
+    absorbed = np.concatenate(first)
+    assert absorbed.dtype.kind == "i" and absorbed.min() >= -1
+    assert np.mean(absorbed == 0) >= 0.95
 
 
 def test_terminal_beta_study_pinned(sha256):

@@ -279,3 +279,14 @@ def test_random_study_d_bound():
     for d, theta in ((0.61, 0.75), (0.67, 0.9), (0.01, 0.3)):
         with pytest.raises(ValueError, match=rf"^d must be <= .* at theta={theta}, got {d}"):
             random_study(5, d=d, seed=1, theta=theta)
+
+
+def test_no_participation_at_theta_one_is_infeasible():
+    # theta_tilde = 1 leaves eta_star = 0: the design has no participation
+    # interval, so it fails instead of passing a design verify_equilibria rejects
+    res = random_study(150, 0.1, 11, theta=1.0, verify=True)
+    assert res["feasible_fraction"] == 0.0
+    design = design_ai_game(base_params(theta=1.0))
+    assert not design.feasible and design.reason == "eta_star <= 0 at theta_tilde=1"
+    near = random_study(150, 0.1, 11, theta=0.99, verify=True)
+    assert near["feasible_fraction"] == 1.0 and near["ai_fraction"] == 1.0
