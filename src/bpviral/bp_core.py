@@ -68,6 +68,7 @@ class DeathModel:
     ``rate(ptype, kind, state)`` of a dying type ('x' or 'y'), its death
     kind and the ``PopulationState`` must be strictly positive; a lower
     bound of 1e-12 is asserted, the thesis never fixes one numerically.
+    ``rate=None`` (the default) is unit rate for every kind.
     """
     kinds_x: tuple = (0,)
     kinds_y: tuple = (0,)
@@ -77,11 +78,11 @@ class DeathModel:
         for name in ("kinds_x", "kinds_y"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must name at least one death kind")
-        if self.rate is None:
-            self.rate = lambda ptype, kind, state: 1.0
+        if self.rate is not None and not callable(self.rate):
+            raise TypeError(f"rate must be callable or None, got {self.rate!r}")
 
     def rate_checked(self, ptype, kind, state):
-        lam = float(self.rate(ptype, kind, state))
+        lam = 1.0 if self.rate is None else float(self.rate(ptype, kind, state))
         if not lam >= 1e-12:
             raise ValueError(f"death rate {lam} below floor for ({ptype},{kind})")
         return lam
@@ -116,51 +117,45 @@ class MeanModel:
     of type ``ptype`` as ``(own, cross)``: own-type offspring (>= 0) and
     other-type offspring, consistent with those means.  A negative cross
     term is an attack that captures that many other-type individuals.
+    The built-in models draw Poisson offspring at the dying type's row of
+    ``mean_matrix``, clamped at zero; a zero mean draws nothing from the stream.
     """
     mean_matrix: callable
     limit_mean_matrix: callable
     sampler: callable
 
 
-def make_poisson_sampler(mean_matrix):
-    """Independent Poisson offspring with population-dependent means,
-    clamped at zero."""
-    def sampler(ptype, kind, state, rng):
-        m = np.asarray(mean_matrix(state), dtype=float)
-        i = 0 if ptype == "x" else 1          # the dying type's row
-        own_mean, cross_mean = m[i, i], m[i, 1 - i]
-        return (int(rng.poisson(max(own_mean, 0.0))),
-                int(rng.poisson(max(cross_mean, 0.0))))
-    return sampler
+def _poisson(rng, lam) -> int:
+    """One Poisson(lam) draw; lam = 0 returns 0 without a call, as numpy
+    returns 0 for it before reading the stream.  A NaN lam still raises."""
+    return int(rng.poisson(lam)) if lam else 0
 
 
 def constant_matrix_model(m: np.ndarray) -> MeanModel:
     """Population-independent two-type model with mean matrix m."""
     m = np.asarray(m, dtype=float)
-    return MeanModel(
-        mean_matrix=lambda phi: m,
-        limit_mean_matrix=lambda beta: m,
-        sampler=make_poisson_sampler(lambda phi: m),
-    )
+    (mxx, mxy), (myx, myy) = ([max(v, 0.0) for v in row] for row in m.tolist())
+
+    def sampler(ptype, kind, state, rng):
+        own, cross = (mxx, mxy) if ptype == "x" else (myy, myx)
+        return _poisson(rng, own), _poisson(rng, cross)
+
+    return MeanModel(lambda phi: m, lambda beta: m, sampler)
 
 
 def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
                            floor: float = 1.2, a_break: float = 400.0) -> MeanModel:
     """Single-type model whose mean offspring decays linearly in the total
     population until a breakpoint, then stays at a super-critical floor."""
-    def mean_matrix(phi):
-        ax = phi[2]
-        mxx = m0 - slope * ax if ax <= a_break else floor
-        return np.array([[mxx, 0.0], [0.0, 0.0]])
+    def mxx(ax):
+        return m0 - slope * ax if ax <= a_break else floor
 
-    def limit_mean_matrix(beta):
-        return np.array([[floor, 0.0], [0.0, 0.0]])
+    def sampler(ptype, kind, state, rng):
+        return (_poisson(rng, max(mxx(state[2]), 0.0)) if ptype == "x" else 0), 0
 
-    return MeanModel(
-        mean_matrix=mean_matrix,
-        limit_mean_matrix=limit_mean_matrix,
-        sampler=make_poisson_sampler(mean_matrix),
-    )
+    return MeanModel(mean_matrix=lambda phi: np.array([[mxx(phi[2]), 0.0], [0.0, 0.0]]),
+                     limit_mean_matrix=lambda beta: np.array([[floor, 0.0], [0.0, 0.0]]),
+                     sampler=sampler)
 
 
 @dataclass
@@ -219,27 +214,38 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     lower a total, but a negative cross (an attack) moves the captured out
     of the other type's current AND total count.  ``record_every=k`` keeps
     every k-th epoch (and the last); ``record_every=1`` keeps the whole path.
+    ``DeathModel()`` (unit rates, one kind per type) weighs each type by its
+    count; any other death model draws from the ``death_weights`` dict.
     """
     require_counts(max_events=max_events, record_every=record_every)
     cx, cy, ax, ay = init.validate()
     rng = make_rng(seed)
+    exponential, random = rng.exponential, rng.random
     rec, rec_tau = [], []
     t = 0.0
     sample_offspring = model.sampler
+    by_counts = deaths.rate is None and len(deaths.kinds_x) == len(deaths.kinds_y) == 1
+    kind_x, kind_y = deaths.kinds_x[0], deaths.kinds_y[0]
     for n in range(1, max_events + 1):
         if cx + cy == 0:
             break
         state = PopulationState(cx, cy, ax, ay)
-        weights = death_weights(state, deaths)
-        total_rate = sum(weights.values())
-        t += rng.exponential(1.0 / total_rate)
-        # categorical draw over (type, kind); the last weight ends at total_rate
-        u = rng.random() * total_rate
-        acc = 0.0
-        for (ptype, kind), w in weights.items():
-            acc += w
-            if u <= acc:
-                break
+        if by_counts:
+            total_rate = float(cx + cy)
+            t += exponential(1.0 / total_rate)
+            u = random() * total_rate
+            ptype, kind = ("x", kind_x) if cx and (u <= cx or not cy) else ("y", kind_y)
+        else:
+            weights = death_weights(state, deaths)
+            total_rate = sum(weights.values())
+            t += exponential(1.0 / total_rate)
+            # categorical draw over (type, kind); the last weight ends at total_rate
+            u = random() * total_rate
+            acc = 0.0
+            for (ptype, kind), w in weights.items():
+                acc += w
+                if u <= acc:
+                    break
         own, cross = sample_offspring(ptype, kind, state, rng)
         if own < 0:
             raise ValueError("invalid offspring sample: own-type offspring negative")

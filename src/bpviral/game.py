@@ -47,6 +47,8 @@ class GameParams:
             raise ValueError("need Q_p >= Q_np and C_e > 0")
         if min(self.resp_a, self.resp_b, self.resp_c) <= 0:
             raise ValueError("response exponents/scale must be positive")
+        if not self.theta <= 1:
+            raise ValueError(f"theta must be <= 1, got {self.theta}")
         if not (self.theta > self.alpha_f and self.alpha_r < self.delta < self.theta):
             raise ValueError("need theta > alpha_F and delta in (alpha_R, theta)")
 

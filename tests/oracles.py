@@ -5,8 +5,8 @@ array code and Monte-Carlo kernels are checked."""
 import numpy as np
 
 from bpviral.bp_attack import AttackLimits
-from bpviral.bp_core import (PopulationState, Trajectory, make_rng,
-                             require_counts)
+from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
+                             death_weights, make_rng, require_counts)
 from bpviral.game import GameParams
 from bpviral.market import TefParams, tef
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
@@ -189,6 +189,60 @@ def attack_betas_scalar(limits: AttackLimits, init: PopulationState,
     if cx + cy > 0 and max_events % record_every:
         betas.append(cx / (cx + cy))
     return np.asarray(betas), bool(cx + cy == 0)
+
+
+def make_poisson_sampler(mean_matrix):
+    """Reference sampler: independent Poisson offspring at the dying type's
+    row of ``mean_matrix(state)``, clamped at zero, own then cross."""
+    def sampler(ptype, kind, state, rng):
+        m = np.asarray(mean_matrix(state), dtype=float)
+        i = 0 if ptype == "x" else 1          # the dying type's row
+        own_mean, cross_mean = m[i, i], m[i, 1 - i]
+        return (int(rng.poisson(max(own_mean, 0.0))),
+                int(rng.poisson(max(cross_mean, 0.0))))
+    return sampler
+
+
+def simulate_scalar(model: MeanModel, deaths: DeathModel, init: PopulationState,
+                    max_events: int = 1_000_000, seed: int = 0,
+                    record_every: int = 1) -> Trajectory:
+    """Event-by-event reference for ``bp_core.simulate``: every death goes
+    through the ``death_weights`` dict and a cumulative categorical draw."""
+    require_counts(max_events=max_events, record_every=record_every)
+    cx, cy, ax, ay = init.validate()
+    rng = make_rng(seed)
+    rec, rec_tau = [], []
+    t = 0.0
+    sample_offspring = model.sampler
+    for n in range(1, max_events + 1):
+        if cx + cy == 0:
+            break
+        state = PopulationState(cx, cy, ax, ay)
+        weights = death_weights(state, deaths)
+        total_rate = sum(weights.values())
+        t += rng.exponential(1.0 / total_rate)
+        # categorical draw over (type, kind); the last weight ends at total_rate
+        u = rng.random() * total_rate
+        acc = 0.0
+        for (ptype, kind), w in weights.items():
+            acc += w
+            if u <= acc:
+                break
+        own, cross = sample_offspring(ptype, kind, state, rng)
+        if own < 0:
+            raise ValueError("invalid offspring sample: own-type offspring negative")
+        if ptype == "x":
+            cx, ax, cy, ay = cx - 1 + own, ax + own, cy + cross, ay + cross
+        else:
+            cy, ay, cx, ax = cy - 1 + own, ay + own, cx + cross, ax + cross
+        if cx < 0 or cy < 0:
+            raise ValueError("invalid offspring sample: cross term drives a count negative")
+        if n % record_every == 0 or cx + cy == 0 or n == max_events:
+            rec.extend((n, cx, cy, ax, ay))
+            rec_tau.append(t)
+    epoch, *counts = np.array(rec, dtype=np.int64).reshape(-1, 5).T
+    return Trajectory(epoch, np.asarray(rec_tau, dtype=float), *counts,
+                      s0=tuple(init), extinct=bool(cx + cy == 0))
 
 
 def warning_mfg(beta: float, w: float, params: GameParams) -> float:

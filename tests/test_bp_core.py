@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpviral import bp_core
+from bpviral.bp_attack import AttackLimits, attack_model
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
                              death_weights, dichotomy_study, make_rng,
                              ratios_and_dichotomy, replication_seed, simulate)
-from oracles import extinction_prob_pgf, sa_recursion_ratios
+from oracles import (extinction_prob_pgf, make_poisson_sampler, sa_recursion_ratios,
+                     simulate_scalar)
 
 
 def unit_deaths():
@@ -149,6 +151,88 @@ class TestSimulate:
                         max_events=1000, seed=7, record_every=100)
         if not traj.extinct:
             assert list(traj.epoch) == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+
+
+def _reference(model):
+    """The same means, drawn by the reference sampler at ``mean_matrix``."""
+    return MeanModel(model.mean_matrix, model.limit_mean_matrix,
+                     make_poisson_sampler(model.mean_matrix))
+
+
+def _scalar_cases():
+    """(name, library model, reference model): the built-in models against
+    the reference sampler at their own means; the rest share their sampler."""
+    def builtin(name, model):
+        return name, model, _reference(model)
+
+    def shared(name, model):
+        return name, model, model
+
+    scripted = MeanModel(None, None, lambda p, k, s, rng: ((s.ax + k) % 3, int(p == "y")))
+    return [
+        builtin("ramp", bp_core.single_type_ramp_model()),
+        builtin("ramp-to-zero", bp_core.single_type_ramp_model(2.0, 0.01, 0.0, 150.0)),
+        builtin("ramp-negative", bp_core.single_type_ramp_model(3.0, 0.0, -1.0, 10.0)),
+        builtin("constant-zero", bp_core.constant_matrix_model([[1.5, 0.0], [-0.0, 1.1]])),
+        builtin("constant-negative", bp_core.constant_matrix_model([[1.3, -0.5], [0.6, 0.9]])),
+        shared("attack-E", attack_model(AttackLimits(3, 1, 3, 1))),
+        shared("attack-not-E", attack_model(AttackLimits(1.2, 0.5, 1.1, 0))),
+        shared("scripted", scripted),
+    ]
+
+
+_SCALAR_DEATHS = {
+    "default": DeathModel(),
+    "type-dependent": DeathModel(rate=lambda p, k, s: 2.0 if p == "x" else 1.0),
+    "multi-kind-state": DeathModel(kinds_x=(0, 1, 2), kinds_y=(0, 1),
+                                   rate=lambda p, k, s: 0.5 + k + s.cx / (1 + s.ax)),
+    "x-deaths": X_DEATHS,
+    "default-two-x-kinds": DeathModel(kinds_x=(0, 1)),
+    "default-relabelled": DeathModel(kinds_x=(3,), kinds_y=(5,)),
+}
+
+
+def test_simulate_matches_scalar():
+    """``simulate`` and its event-by-event reference give the same bytes."""
+    starts = [PopulationState(2, 0, 2, 0), PopulationState(3, 2, 3, 2),
+              PopulationState(1, 1, 1, 1), PopulationState(0, 4, 0, 4)]
+    for name, model, ref_model in _scalar_cases():
+        for dname, deaths in _SCALAR_DEATHS.items():
+            for init in starts:
+                for record_every in (1, 7):
+                    for seed in (1, 2, 20240601):
+                        args = (deaths, init, 200, seed, record_every)
+                        got, ref = simulate(model, *args), simulate_scalar(ref_model, *args)
+                        case = (name, dname, init, record_every, seed)
+                        for col in ("epoch", "tau", "cx", "cy", "ax", "ay"):
+                            assert (getattr(got, col).tobytes()
+                                    == getattr(ref, col).tobytes()), (case, col)
+                        assert (got.extinct, got.s0) == (ref.extinct, ref.s0), case
+
+
+@pytest.mark.parametrize("model, builtin, deaths, init, match", [
+    (bp_core.single_type_ramp_model(), True, DeathModel(rate=lambda p, k, s: 1e-13),
+     PopulationState(2, 0, 2, 0), "below floor"),
+    (scripted_model(-1, 0), False, DeathModel(), PopulationState(2, 0, 2, 0), "own-type"),
+    (scripted_model(1, -5), False, DeathModel(), PopulationState(3, 2, 3, 2), "cross term"),
+    (bp_core.constant_matrix_model([[np.nan, 0.0], [0.0, 1.0]]), True, DeathModel(),
+     PopulationState(1, 1, 1, 1), "NaN"),
+    (bp_core.single_type_ramp_model(np.nan), True, DeathModel(),
+     PopulationState(2, 0, 2, 0), "NaN"),
+], ids=["rate-below-floor", "negative-own", "negative-cross", "nan-constant", "nan-ramp"])
+def test_simulate_errors_match_scalar(model, builtin, deaths, init, match):
+    errors = []
+    for run, m in ((simulate, model), (simulate_scalar, _reference(model) if builtin else model)):
+        with pytest.raises(ValueError, match=match) as err:
+            run(m, deaths, init, max_events=50, seed=3)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_non_callable_rate_rejected():
+    with pytest.raises(TypeError, match="rate"):
+        DeathModel(rate=2.0)
+    assert DeathModel().rate_checked("x", 0, PopulationState(1, 0, 1, 0)) == 1.0
 
 
 class TestRatios:

@@ -272,6 +272,8 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
      "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
     (["game", "study", "--seed", "1", "--samples", "3", "--d", "0.8"],
      "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
+    (["game", "study", "--samples", "20", "--d", "0.1", "--seed", "11", "--theta", "1.2"],
+     "theta must be <= 1, got 1.2"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
@@ -282,7 +284,7 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
 ], ids=["bp simulate --record-every 0", "bp simulate --replications 0",
         "attack simulate --jobs 0", "market closed-form --n-points 0",
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
-        "game study --d 0.65", "game study --d 0.8",
+        "game study --d 0.65", "game study --d 0.8", "game study --theta 1.2",
         "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])

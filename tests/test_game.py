@@ -281,6 +281,14 @@ def test_random_study_d_bound():
             random_study(5, d=d, seed=1, theta=theta)
 
 
+@pytest.mark.parametrize("theta", [1.2, 1.0 + 2**-52, np.inf, np.nan])
+def test_theta_above_one_rejected(theta):
+    # no design reaches a target proportion above one; theta = 1 stays a
+    # valid, infeasible input (below)
+    with pytest.raises(ValueError, match=f"^theta must be <= 1, got {theta}$"):
+        base_params(theta=theta)
+
+
 def test_no_participation_at_theta_one_is_infeasible():
     # theta_tilde = 1 leaves eta_star = 0: the design has no participation
     # interval, so it fails instead of passing a design verify_equilibria rejects
