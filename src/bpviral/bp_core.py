@@ -125,12 +125,6 @@ class MeanModel:
     sampler: callable
 
 
-def _poisson(rng, lam) -> int:
-    """One Poisson(lam) draw; lam = 0 returns 0 without a call, as numpy
-    returns 0 for it before reading the stream.  A NaN lam still raises."""
-    return int(rng.poisson(lam)) if lam else 0
-
-
 def constant_matrix_model(m: np.ndarray) -> MeanModel:
     """Population-independent two-type model with mean matrix m."""
     m = np.asarray(m, dtype=float)
@@ -138,7 +132,7 @@ def constant_matrix_model(m: np.ndarray) -> MeanModel:
 
     def sampler(ptype, kind, state, rng):
         own, cross = (mxx, mxy) if ptype == "x" else (myy, myx)
-        return _poisson(rng, own), _poisson(rng, cross)
+        return int(rng.poisson(own)), int(rng.poisson(cross))
 
     return MeanModel(lambda phi: m, lambda beta: m, sampler)
 
@@ -151,7 +145,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
         return m0 - slope * ax if ax <= a_break else floor
 
     def sampler(ptype, kind, state, rng):
-        return (_poisson(rng, max(mxx(state[2]), 0.0)) if ptype == "x" else 0), 0
+        return (int(rng.poisson(max(mxx(state[2]), 0.0))) if ptype == "x" else 0), 0
 
     return MeanModel(mean_matrix=lambda phi: np.array([[mxx(phi[2]), 0.0], [0.0, 0.0]]),
                      limit_mean_matrix=lambda beta: np.array([[floor, 0.0], [0.0, 0.0]]),
@@ -225,7 +219,8 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     t = 0.0
     sample_offspring = model.sampler
     by_counts = deaths.rate is None and len(deaths.kinds_x) == len(deaths.kinds_y) == 1
-    kind_x, kind_y = deaths.kinds_x[0], deaths.kinds_y[0]
+    if by_counts:
+        (kind_x,), (kind_y,) = deaths.kinds_x, deaths.kinds_y
     for n in range(1, max_events + 1):
         if cx + cy == 0:
             break
@@ -234,7 +229,7 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
             total_rate = float(cx + cy)
             t += exponential(1.0 / total_rate)
             u = random() * total_rate
-            ptype, kind = ("x", kind_x) if cx and (u <= cx or not cy) else ("y", kind_y)
+            ptype, kind = ("x", kind_x) if cx and u <= cx else ("y", kind_y)
         else:
             weights = death_weights(state, deaths)
             total_rate = sum(weights.values())

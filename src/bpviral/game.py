@@ -391,16 +391,17 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     verify_equilibria and reports the pass fraction.  ``rows`` holds one
     (sample, feasible, ai, degradation_pct) tuple per sample, and every
     fraction is read from it.  Every draw is a valid ``GameParams`` only
-    when alpha_F < min(theta, 1) for alpha_R up to 0.30, so larger d is
-    rejected.
+    when theta <= 1 and alpha_F < theta for alpha_R up to 0.30, so a larger
+    theta or d is rejected.
     """
     require_counts(n_samples=n_samples)
     if not 0.0 < d < 1.0:
         raise ValueError(f"d must be in (0, 1), got {d}")
-    cap = min(theta, 1.0)
-    if not 0.30 <= cap * (1.0 - d):
-        bound = 1.0 - 0.30 / cap if cap > 0 else -math.inf
-        raise ValueError(f"d must be <= 1 - 0.30/min(theta, 1) = {bound:.6g} "
+    if not theta <= 1:
+        raise ValueError(f"theta must be <= 1, got {theta}")
+    if not 0.30 <= theta * (1.0 - d):
+        bound = 1.0 - 0.30 / theta if theta > 0 else -math.inf
+        raise ValueError(f"d must be <= 1 - 0.30/theta = {bound:.6g} "
                          f"at theta={theta}, got {d}")
     rng = make_rng(seed)
     degradations = []

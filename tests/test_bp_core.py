@@ -189,6 +189,7 @@ _SCALAR_DEATHS = {
     "x-deaths": X_DEATHS,
     "default-two-x-kinds": DeathModel(kinds_x=(0, 1)),
     "default-relabelled": DeathModel(kinds_x=(3,), kinds_y=(5,)),
+    "default-set-kinds": DeathModel(kinds_x=frozenset({0, 1}), kinds_y=frozenset({2})),
 }
 
 

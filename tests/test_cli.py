@@ -269,10 +269,12 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     (["game", "study", "--seed", "1", "--samples", "1", "--d", "1.0"], "d must be in (0, 1)"),
     (["game", "study", "--seed", "1", "--samples", "1", "--d", "0"], "d must be in (0, 1)"),
     (["game", "study", "--seed", "1", "--samples", "1", "--d", "0.65"],
-     "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
+     "d must be <= 1 - 0.30/theta = 0.6 at theta=0.75"),
     (["game", "study", "--seed", "1", "--samples", "3", "--d", "0.8"],
-     "d must be <= 1 - 0.30/min(theta, 1) = 0.6 at theta=0.75"),
+     "d must be <= 1 - 0.30/theta = 0.6 at theta=0.75"),
     (["game", "study", "--samples", "20", "--d", "0.1", "--seed", "11", "--theta", "1.2"],
+     "theta must be <= 1, got 1.2"),
+    (["game", "study", "--samples", "5", "--d", "0.8", "--seed", "1", "--theta", "1.2"],
      "theta must be <= 1, got 1.2"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
@@ -285,6 +287,7 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
         "attack simulate --jobs 0", "market closed-form --n-points 0",
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
         "game study --d 0.65", "game study --d 0.8", "game study --theta 1.2",
+        "game study --theta 1.2 --d 0.8",
         "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])

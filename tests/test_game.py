@@ -273,12 +273,15 @@ def test_study_tallies_pinned(sha256):
 
 
 def test_random_study_d_bound():
-    # alpha_F = alpha_R/(1-d) < min(theta, 1) for every alpha_R < 0.30
+    # alpha_F = alpha_R/(1-d) < theta for every alpha_R < 0.30
     assert random_study(50, d=0.6, seed=1)["feasible_fraction"] > 0
     assert random_study(50, d=0.65, seed=1, theta=0.9)["samples"] == 50
     for d, theta in ((0.61, 0.75), (0.67, 0.9), (0.01, 0.3)):
         with pytest.raises(ValueError, match=rf"^d must be <= .* at theta={theta}, got {d}"):
             random_study(5, d=d, seed=1, theta=theta)
+    # theta is checked first, so an invalid theta is named, not d
+    with pytest.raises(ValueError, match=r"^theta must be <= 1, got 1.2$"):
+        random_study(5, d=0.8, seed=1, theta=1.2)
 
 
 @pytest.mark.parametrize("theta", [1.2, 1.0 + 2**-52, np.inf, np.nan])
