@@ -28,38 +28,39 @@ import numpy as np
 from . import bp_attack, bp_core, game, market, market_graph, wm, wm_dynamics
 from .market_graph import parse_graph
 
-FMT = "{:.12g}"
 
-
-def _fmt(v):
-    if isinstance(v, float):
-        return FMT.format(v)
-    return str(v)
+def _csv_lines(rows):
+    """One line per row, formatted by one %-format per row-type signature."""
+    formats = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join("%.12g" if issubclass(t, float) else "%s"
+                                      for t in types) + "\n"
+        yield formats[types] % row
 
 
 def write_csv(path, header, rows):
-    """Stable column order, floats at 12 significant digits."""
+    """Stable column order; a float cell is printed at 12 significant
+    digits, every other cell by ``str``."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(_csv_lines(rows))
 
 
 def _emit_csv(out, header, rows):
     """Write the CSV to ``out``, or print its first ten rows without one."""
     if out is None:
-        for row in islice(rows, 10):
-            print(",".join(_fmt(v) for v in row))
+        print("".join(islice(_csv_lines(rows), 10)), end="")
     else:
         write_csv(out, header, rows)
 
 
 def _write_sidecar(out, command, params):
-    if out is None:
-        return
-    sidecar = Path(str(out) + ".config.json")
-    with open(sidecar, "w") as fh:
-        json.dump({"command": command, "params": params}, fh, indent=2, sort_keys=True)
+    if out is not None:
+        with open(str(out) + ".config.json", "w") as fh:
+            json.dump({"command": command, "params": params}, fh, indent=2, sort_keys=True)
 
 
 def _emit_json(obj, out):
@@ -122,11 +123,6 @@ def _load_config(args):
     return data.get("params", data)
 
 
-def _seed_of(params):
-    if params.get("seed") is None:
-        params["seed"] = secrets.randbits(32)
-
-
 # ---------------------------------------------------------------------------
 # bp and attack: replicated trajectories of the generic simulator
 
@@ -173,17 +169,14 @@ def cmd_simulate(build_model, p):
 
 
 def _rep_path(out, rep, total):
-    if out is None:
-        return None
-    if total == 1:
+    if out is None or total == 1:
         return out
     stem = Path(out)
     return stem.with_name(f"{stem.stem}_rep{rep:03d}{stem.suffix}")
 
 
 def cmd_bp_ratios(p):
-    data = np.genfromtxt(p["in"], delimiter=",", names=True)
-    data = np.atleast_1d(data)
+    data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
     traj = bp_core.Trajectory(
         epoch=data["epoch"].astype(np.int64), tau=data["tau"],
         cx=data["cx"].astype(np.int64), cy=data["cy"].astype(np.int64),
@@ -268,12 +261,9 @@ def cmd_market_metrics(p):
 def cmd_market_closed_form(p):
     bp_core.require_counts(n_points=p["n-points"])
     cf = market.closed_form(_tef_params(p), a0=p["a0"])
-    n_max = cf.n_e
-    ns = np.unique(np.round(np.geomspace(1, max(n_max, 2), p["n-points"])).astype(np.int64))
-    rows = []
-    for n in ns:
-        t = market.EULER_GAMMA + math.log(n)
-        rows.append((int(n), t, cf.a_epoch(float(n)), cf.c_epoch(float(n))))
+    ns = np.unique(np.round(np.geomspace(1, max(cf.n_e, 2), p["n-points"])).astype(np.int64))
+    rows = [(int(n), market.EULER_GAMMA + math.log(n), cf.a_epoch(float(n)), cf.c_epoch(float(n)))
+            for n in ns]
     _emit_csv(p["out"], "n,t,a,c", rows)
 
 
@@ -290,7 +280,10 @@ def cmd_market_propagate(p):
     g = parse_graph(p["graph"])
     rng = bp_core.make_rng(p["seed"])
     if p["seeds"]:
-        seeds = [int(s) for s in p["seeds"].split(",")]
+        try:
+            seeds = [int(s) for s in p["seeds"].split(",")]
+        except ValueError:
+            raise ValueError(f"seeds must be comma-separated node ids, got {p['seeds']!r}") from None
         log = market_graph.propagate_on_graph(g, seeds, p["rho"], rng)
     else:
         ids = market_graph.draw_seeds(g, p["n-seeds"], rng, name="n_seeds")
@@ -454,9 +447,7 @@ def _add_flags(parser, spec):
             parser.add_argument(flag, dest=name.replace("-", "_"),
                                 action=argparse.BooleanOptionalAction, default=None)
         else:
-            parser.add_argument(flag, dest=name.replace("-", "_"), type=typ,
-                                default=None,
-                                required=False)
+            parser.add_argument(flag, dest=name.replace("-", "_"), type=typ, default=None)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file with parameter values (flags win)")
 
@@ -479,8 +470,8 @@ def main(argv=None) -> int:
     handler, spec = _COMMANDS[(args.module, args.subcommand)]
     try:
         p = resolve(args, _load_config(args), spec)
-        if "seed" in spec:
-            _seed_of(p)
+        if "seed" in spec and p["seed"] is None:
+            p["seed"] = secrets.randbits(32)
         handler(p)
         _write_sidecar(p["out"], f"{args.module} {args.subcommand}", p)
     except ParamError as exc:

@@ -17,7 +17,8 @@ from .market import TefParams
 class Graph:
     """Undirected simple graph with contiguous internal ids.  Each neighbour
     list is strictly increasing with no self-loop, as ``build_graph`` makes
-    it; a hand-built Graph with a repeated neighbour is outside that contract."""
+    it: contiguous slices of one array sorted by (node, neighbour).  A
+    hand-built Graph with a repeated neighbour is outside that contract."""
     neighbors: list                  # list of np.ndarray per node
     node_ids: np.ndarray             # original labels, index = internal id
 
@@ -43,10 +44,19 @@ class Graph:
 def parse_graph(path) -> Graph:
     """Read a whitespace-separated edge list.
 
-    Lines starting with '#' are skipped; self-loops are dropped and duplicate
-    edges are collapsed.  A line that is not two integers raises with its
-    line number.
+    Blank lines and lines starting with '#' are skipped; self-loops are
+    dropped and duplicate edges are collapsed.  A line that is not two
+    integers, or has a label outside int64, raises with its line number.
     """
+    try:
+        return build_graph(*_read_edges(path, int))
+    except OverflowError:
+        # a label outside int64: read again, checked, to name its line
+        _read_edges(path, lambda text: np.int64(int(text)))
+        raise
+
+
+def _read_edges(path, label):
     us, vs = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -57,29 +67,27 @@ def parse_graph(path) -> Graph:
             try:
                 if len(parts) != 2:
                     raise ValueError
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
+                u, v = label(parts[0]), label(parts[1])
+            except (ValueError, OverflowError):
                 raise ValueError(f"malformed edge on line {lineno}: {line!r}") from None
             us.append(u)
             vs.append(v)
-    return build_graph(us, vs)
+    return us, vs
 
 
 def build_graph(us, vs) -> Graph:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    loop = us == vs
-    us, vs = us[~loop], vs[~loop]
-    labels = np.unique(np.concatenate([us, vs])) if len(us) else np.array([], dtype=np.int64)
-    ui = np.searchsorted(labels, us)
-    vi = np.searchsorted(labels, vs)
-    a = np.concatenate([ui, vi])
-    b = np.concatenate([vi, ui])
-    pairs = np.unique(np.stack([a, b], axis=1), axis=0) if len(a) else np.empty((0, 2), dtype=np.int64)
-    # np.split of an empty array gives one chunk, so a graph of only
-    # self-loops needs the explicit empty list
-    neighbors = np.split(pairs[:, 1], np.searchsorted(
-        pairs[:, 0], np.arange(1, len(labels)))) if len(labels) else []
+    keep = us != vs
+    us, vs = us[keep], vs[keep]
+    labels, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    n, ui, vi = len(labels), ends[:len(us)], ends[len(us):]
+    # key src * n + dst sorts as (src, dst) and fits in int64: n**2 < 2**63;
+    # np.sort is about 20x faster on it than np.unique, which hashes it
+    key = np.sort(np.concatenate([ui * n + vi, vi * n + ui]))
+    src, dst = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    # np.split of nothing gives one chunk, so no edges needs the empty list
+    neighbors = np.split(dst, np.searchsorted(src, np.arange(1, n))) if n else []
     return Graph(neighbors=neighbors, node_ids=labels)
 
 

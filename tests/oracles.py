@@ -9,6 +9,7 @@ from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
                              death_weights, make_rng, require_counts)
 from bpviral.game import GameParams
 from bpviral.market import TefParams, tef
+from bpviral.market_graph import Graph
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
                                 epochs_before, harmonic_number, make_h,
                                 picard_solve)
@@ -253,3 +254,37 @@ def warning_mfg(beta: float, w: float, params: GameParams) -> float:
     return (w ** (1.0 / params.resp_b)
             * params.alpha_r ** ((1.0 - params.resp_a) / params.resp_b)
             * beta ** (1.0 / params.resp_b))
+
+
+def build_graph_pairs(us, vs) -> Graph:
+    """Graph build deduplicating the (src, dst) pairs as rows of a 2-D
+    array (``np.unique(axis=0)``); neighbour lists are strided views."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    loop = us == vs
+    us, vs = us[~loop], vs[~loop]
+    labels = np.unique(np.concatenate([us, vs])) if len(us) else np.array([], dtype=np.int64)
+    ui = np.searchsorted(labels, us)
+    vi = np.searchsorted(labels, vs)
+    a = np.concatenate([ui, vi])
+    b = np.concatenate([vi, ui])
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0) if len(a) else np.empty((0, 2), dtype=np.int64)
+    # np.split of an empty array gives one chunk, so a graph of only
+    # self-loops needs the explicit empty list
+    neighbors = np.split(pairs[:, 1], np.searchsorted(
+        pairs[:, 0], np.arange(1, len(labels)))) if len(labels) else []
+    return Graph(neighbors=neighbors, node_ids=labels)
+
+
+def write_csv_per_value(path, header, rows):
+    """CSV writer formatting cell by cell: floats through
+    ``"{:.12g}".format``, everything else through ``str``."""
+    def fmt(v):
+        if isinstance(v, float):
+            return "{:.12g}".format(v)
+        return str(v)
+
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")

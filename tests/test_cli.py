@@ -1,11 +1,14 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bpviral.cli import _COMMANDS, main
+from bpviral.cli import _COMMANDS, main, write_csv
+from oracles import write_csv_per_value
 
 
 @pytest.fixture
@@ -181,6 +184,25 @@ def test_csv_float_format(tmp_path):
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
+def test_write_csv_matches_scalar(tmp_path):
+    """The cached per-signature %-format writes the per-cell writer's bytes."""
+    rows = [
+        (1, 0.1, True, "x", None),
+        (np.int64(7), np.float64(1 / 3), False, "", (1, 2.5)),
+        [2, math.nan, math.inf, -math.inf, -0.0],
+        (3, 5e-324, 1e300, np.float64(-1e-7), 12345678901234567.0),
+        (4, 0.25, False, "y", None),            # a signature seen before
+        [np.float64("nan"), np.float64("-inf"), "a,b", 2.0 ** 0.5, -1],
+        (),
+    ]
+    for name, make in [("mixed", lambda: iter(rows)), ("empty", lambda: iter(())),
+                       ("zip", lambda: zip(range(5), [0.1 * k for k in range(5)]))]:
+        write_csv(tmp_path / f"{name}.csv", "a,b,c,d,e", make())
+        write_csv_per_value(tmp_path / f"{name}_ref.csv", "a,b,c,d,e", make())
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}_ref.csv").read_bytes()
+
+
 def test_bp_csv_header(tmp_path):
     out = tmp_path / "a.csv"
     main(["bp", "simulate", "--seed", "3", "--max-events", "50", "--out", str(out)])
@@ -259,6 +281,15 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_market_propagate_label_outside_int64(tmp_path, capsys):
+    bad = tmp_path / "big.txt"
+    bad.write_text("0 1\n1 99999999999999999999\n")
+    rc = main(["market", "propagate", "--graph", str(bad), "--seeds", "0",
+               "--seed", "1"])
+    assert rc == 1
+    assert "malformed edge on line 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["bp", "simulate", "--seed", "1", "--record-every", "0"], "record_every"),
     (["bp", "simulate", "--seed", "1", "--replications", "0"], "replications"),
@@ -283,6 +314,8 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
      "seeds_per_run"),
     (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--n-seeds", "0"],
      "n_seeds"),
+    (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--seeds", "0,x"],
+     "seeds must be comma-separated node ids, got '0,x'"),
 ], ids=["bp simulate --record-every 0", "bp simulate --replications 0",
         "attack simulate --jobs 0", "market closed-form --n-points 0",
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
@@ -290,7 +323,8 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
         "game study --theta 1.2 --d 0.8",
         "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
-        "market fit --seeds-per-run 0", "market propagate --n-seeds 0"])
+        "market fit --seeds-per-run 0", "market propagate --n-seeds 0",
+        "market propagate --seeds 0,x"])
 def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")

@@ -10,7 +10,8 @@ from bpviral.market import (EULER_GAMMA, SNAP_FIT, TefParams, closed_form,
 from bpviral.market_graph import (build_graph, estimate_tef, fit_two_slope,
                                   parse_graph, propagate_on_graph)
 from bpviral.ode_engine import finite_time_gap, picard_solve
-from oracles import extinction_prob_pgf, per_row, stpbp_nonauto_rhs
+from oracles import (build_graph_pairs, extinction_prob_pgf, per_row,
+                     stpbp_nonauto_rhs)
 
 
 class TestTef:
@@ -213,6 +214,36 @@ class TestGraph:
         with pytest.raises(ValueError, match="line 2"):
             parse_graph(f)
 
+    def test_trailing_comment_rejected(self, tmp_path):
+        # only whole-line comments: a '#' after an edge makes the line malformed
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n1 2  # hub\n")
+        with pytest.raises(ValueError, match="line 2: '1 2  # hub'"):
+            parse_graph(f)
+
+    def test_accepted_layouts_and_labels(self, tmp_path):
+        # tabs, CRLF and lone-CR endings, blank lines and indented comments;
+        # labels are read as Python ints, so signs, leading zeros and
+        # underscores are accepted
+        f = tmp_path / "g.txt"
+        f.write_bytes(b"# header\r\n0\t1\r\n\r\n   # indented\r\n\t1 \t 2\r+5 007\n"
+                      b"1_000 -0\n")
+        g = parse_graph(f)
+        assert g.node_ids.tolist() == [0, 1, 2, 5, 7, 1000]
+        assert [a.tolist() for a in g.neighbors] == [[1, 5], [0, 2], [1], [4], [3], [0]]
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", str(2**63), str(-2**63 - 1)])
+    def test_label_outside_int64_reports_number(self, tmp_path, label):
+        f = tmp_path / "g.txt"
+        f.write_text(f"# c\n0 1\n1 {label}\n{label} 0\n")
+        with pytest.raises(ValueError, match=f"malformed edge on line 3: '1 {label}'"):
+            parse_graph(f)
+
+    def test_int64_extremes_accepted(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(f"{-2**63} {2**63 - 1}\n")
+        assert parse_graph(f).node_ids.tolist() == [-2**63, 2**63 - 1]
+
     def test_parse_emit_roundtrip(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("5 9\n9 7\n7 5\n5 11\n")
@@ -356,6 +387,29 @@ def _chung_lu(seed, nodes=2000, mean_degree=30.0):
     vs = rng.choice(nodes, pairs, p=weight / weight.sum())
     keep = us != vs
     return us[keep], vs[keep]
+
+
+def test_build_graph_matches_scalar():
+    """The 1-D key dedupe gives the 2-D row dedupe's ids and neighbour
+    bytes: Chung-Lu graphs, loops with duplicates in both directions and
+    negative labels, labels near +-2**62 and the int64 ends, one edge, no
+    edges and loops only."""
+    rng = make_rng(6)
+    big = 2**62
+    cases = [_chung_lu(31), _chung_lu(5, nodes=300),
+             ([0, 1, 1, 2, 2, 5, -3, -3, 7, 0], [1, 0, 1, 1, 2, -3, 5, 0, 7, 1]),
+             (rng.integers(-40, 40, 3000), rng.integers(-40, 40, 3000)),
+             ([big, -big, big - 1, -2**63, 2**63 - 1, big],
+              [-big, big, -big + 1, 2**63 - 1, big, big]),
+             ([4], [9]), ([], []), ([3, 8, 8], [3, 8, 8])]
+    for us, vs in cases:
+        g, ref = build_graph(us, vs), build_graph_pairs(us, vs)
+        assert g.node_ids.dtype == ref.node_ids.dtype
+        assert g.node_ids.tobytes() == ref.node_ids.tobytes()
+        assert len(g.neighbors) == len(ref.neighbors)
+        for a, b in zip(g.neighbors, ref.neighbors):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert build_graph([], []).neighbors == build_graph([3], [3]).neighbors == []
 
 
 def test_stpbp_and_cascade_pinned(sha256):
