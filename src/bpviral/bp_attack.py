@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bp_core import (MeanModel, PopulationState, make_rng, replication_seed,
-                      require_counts)
+from .bp_core import MeanModel, PopulationState, make_rng, replicate, require_counts
 from .ode_engine import (ATTRACTOR, HOVERING, REPELLER, SADDLE, Equilibrium,
                          EquilibriumReport, hover_classify, lift_limits, make_h)
 
@@ -219,8 +219,7 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     hover verdict against the theoretical limit set of the regime, read from
     the proportions recorded every 200 events, and the first record at which
     one type was gone (beta exactly 0 or 1; -1 if both types lived to the
-    end).  Replication r (from 0) runs on the stream
-    ``replication_seed(seed, r)``.
+    end).  ``bp_core.replicate`` runs the replications on their streams.
     """
     if init is None:
         init = PopulationState(cx=5, cy=5, ax=5, ay=5)
@@ -228,9 +227,8 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     targets = {e.beta: (ATTRACTOR if e.kind == ATTRACTOR else SADDLE)
                for e in report.equilibria}
     terminal, hovering, absorbed = [], [], []
-    for r in range(replications):
-        betas, extinct = simulate_attack_betas(limits, init, max_events,
-                                               replication_seed(seed, r), 200)
+    for betas, extinct in replicate(partial(simulate_attack_betas, limits, init, max_events,
+                                            record_every=200), seed, replications):
         if extinct:
             continue
         terminal.append(float(betas[-1]))

@@ -12,6 +12,7 @@ stochastic-approximation recursion analysed elsewhere in the package.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy as np
 
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed with the whole seed, 0 <= seed < 2**128;
-    replication r of seed s runs on ``make_rng(replication_seed(s, r))``."""
+    ``replicate`` runs replication r of seed s on ``make_rng(replication_seed(s, r))``."""
     if not 0 <= int(seed) < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=int(seed)))
@@ -41,6 +42,18 @@ def require_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def replicate(run, seed: int, replications: int, jobs: int = 1) -> list:
+    """``[run(replication_seed(seed, r)) for r in range(replications)]``: the
+    one place that applies the stream rule.  ``jobs`` > 1 maps the seeds over
+    up to that many worker processes, so ``run`` must pickle."""
+    require_counts(replications=replications, jobs=jobs)
+    seeds = [replication_seed(seed, r) for r in range(replications)]
+    if jobs > 1 and replications > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, replications)) as ex:
+            return list(ex.map(run, seeds))
+    return [run(s) for s in seeds]
 
 
 class PopulationState(NamedTuple):

@@ -18,7 +18,6 @@ import json
 import math
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -144,26 +143,19 @@ def _attack_model(p):
     return bp_attack.attack_model(_attack_limits(p))
 
 
-def _run_replication(argpack):
-    build_model, p, rep = argpack
+def _replication_rows(build_model, p, seed):
     init = bp_core.PopulationState(cx=p["cx0"], cy=p["cy0"], ax=p["cx0"], ay=p["cy0"])
     traj = bp_core.simulate(build_model(p), bp_core.DeathModel(), init,
-                            max_events=p["max-events"],
-                            seed=bp_core.replication_seed(p["seed"], rep),
+                            max_events=p["max-events"], seed=seed,
                             record_every=p["record-every"])
     return list(traj.rows())
 
 
 def cmd_simulate(build_model, p):
-    """Replication r (from 0) on the stream ``replication_seed(seed, r)``,
-    one CSV each; ``--jobs`` > 1 runs them in a process pool."""
-    bp_core.require_counts(replications=p["replications"], jobs=p["jobs"])
-    packs = [(build_model, p, r) for r in range(p["replications"])]
-    if p["jobs"] > 1 and len(packs) > 1:
-        with ProcessPoolExecutor(max_workers=p["jobs"]) as ex:
-            results = list(ex.map(_run_replication, packs))
-    else:
-        results = [_run_replication(a) for a in packs]
+    """One CSV per replication, run by ``bp_core.replicate``; ``--jobs`` > 1
+    runs them in a process pool."""
+    results = bp_core.replicate(partial(_replication_rows, build_model, p), p["seed"],
+                                p["replications"], p["jobs"])
     for rep, rows in enumerate(results):
         _emit_csv(_rep_path(p["out"], rep, p["replications"]), bp_core.CSV_HEADER, rows)
 
@@ -279,7 +271,7 @@ def cmd_market_simulate(p):
 def cmd_market_propagate(p):
     g = parse_graph(p["graph"])
     rng = bp_core.make_rng(p["seed"])
-    if p["seeds"]:
+    if p["seeds"] is not None:
         try:
             seeds = [int(s) for s in p["seeds"].split(",")]
         except ValueError:

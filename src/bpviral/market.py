@@ -153,14 +153,15 @@ class ClosedFormShares:
     n_s: float = field(default=math.nan)
     n_e: float = field(default=math.nan)
 
-    def _w(self, t: float) -> tuple:
-        if self.w_phase2 is not None and t > self.tau_s:
+    def _w(self, x: float, switch: float) -> tuple:
+        """Phase-2 constants past the switch (time tau_s or epoch n_s)."""
+        if self.w_phase2 is not None and x > switch:
             return self.w_phase2
         return self.w_phase1
 
     def a(self, t: float) -> float:
         t_eff = min(t, self.tau_e)
-        w1, w2, w3 = self._w(t_eff)
+        w1, w2, w3 = self._w(t_eff, self.tau_s)
         return w1 - w2 * math.exp(-w3 * math.exp(t_eff))
 
     def c(self, t: float) -> float:
@@ -175,18 +176,13 @@ class ClosedFormShares:
 
     def a_epoch(self, n: float) -> float:
         n_eff = min(n, self.n_e)
-        w1, w2, w3 = self._w_epoch(n_eff)
+        w1, w2, w3 = self._w(n_eff, self.n_s)
         return w1 - w2 * math.exp(-n_eff * w3 * math.e ** EULER_GAMMA)
 
     def c_epoch(self, n: float) -> float:
         if n >= self.n_e:
             return 0.0
         return self.a_epoch(n) - n
-
-    def _w_epoch(self, n: float) -> tuple:
-        if self.w_phase2 is not None and n > self.n_s:
-            return self.w_phase2
-        return self.w_phase1
 
 
 def closed_form(params: TefParams, a0: float) -> ClosedFormShares:

@@ -353,6 +353,26 @@ def test_make_rng_pinned():
         assert make_rng(replication_seed(seed, 0)).random(4).tolist() == values
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replicate_runs_each_stream_in_order(jobs):
+    # int is the identity on a seed and pickles, so the pool path runs too
+    assert bp_core.replicate(int, 6, 3, jobs) == [replication_seed(6, r) for r in range(3)]
+
+
+def test_replicate_pool_no_wider_than_replications(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    widths = []
+
+    def pool(max_workers):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(bp_core, "ProcessPoolExecutor", pool)
+    assert bp_core.replicate(int, 6, 2, jobs=64) == [replication_seed(6, r) for r in range(2)]
+    assert widths == [2]
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: make_rng(-1), "seed"),
     (lambda: make_rng(2**128), "seed"),
@@ -382,7 +402,7 @@ def _kernels():
         "simulate_attack_betas": (lambda **kw: bp_attack.simulate_attack_betas(
             limits, init, seed=1, **kw), pair),
         "terminal_beta_study": (lambda **kw: bp_attack.terminal_beta_study(
-            limits, 1, seed=1, init=init, **kw), {"max_events": 5}),
+            limits, seed=1, init=init, **kw), {"max_events": 5, "replications": 1}),
         "simulate_tagging": (lambda **kw: wm_dynamics.simulate_tagging(
             wm.EO, design, wm.NAIVE_POST, mix, wm.FAKE, 1, 1, seed=1, **kw), pair),
         "learn_wm": (lambda **kw: wm_dynamics.learn_wm(
@@ -404,6 +424,7 @@ _COUNT_CASES = [("simulate", "max_events"), ("simulate", "record_every"),
                 ("simulate_attack_betas", "max_events"),
                 ("simulate_attack_betas", "record_every"),
                 ("terminal_beta_study", "max_events"),
+                ("terminal_beta_study", "replications"),
                 ("simulate_tagging", "max_events"), ("simulate_tagging", "record_every"),
                 ("learn_wm", "budget"), ("learn_wm", "record_every"),
                 ("learn_wm", "seed_users"),

@@ -316,6 +316,8 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
      "n_seeds"),
     (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--seeds", "0,x"],
      "seeds must be comma-separated node ids, got '0,x'"),
+    (["market", "propagate", "--graph", "{graph}", "--seed", "1", "--seeds", ""],
+     "seeds must be comma-separated node ids, got ''"),
 ], ids=["bp simulate --record-every 0", "bp simulate --replications 0",
         "attack simulate --jobs 0", "market closed-form --n-points 0",
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
@@ -324,7 +326,7 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
         "wm learn --seed-users 0",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0",
-        "market propagate --seeds 0,x"])
+        "market propagate --seeds 0,x", "market propagate --seeds ''"])
 def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")
@@ -356,12 +358,29 @@ def test_replications_are_not_other_seeds(tmp_path):
     assert (tmp_path / "a_rep001.csv").read_bytes() != (tmp_path / "seven.csv").read_bytes()
 
 
+ATTACK_LIMITS = ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]
+
+
 def test_parallel_replications_match_serial(tmp_path):
-    base = ["bp", "simulate", "--seed", "7", "--max-events", "200",
-            "--replications", "3"]
-    main([*base, "--jobs", "1", "--out", str(tmp_path / "s.csv")])
-    main([*base, "--jobs", "2", "--out", str(tmp_path / "p.csv")])
-    for rep in range(3):
-        a = (tmp_path / f"s_rep{rep:03d}.csv").read_bytes()
-        b = (tmp_path / f"p_rep{rep:03d}.csv").read_bytes()
-        assert a == b
+    for command in (["bp", "simulate"], ["attack", "simulate", *ATTACK_LIMITS]):
+        base = [*command, "--seed", "7", "--max-events", "200", "--replications", "3"]
+        assert main([*base, "--jobs", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main([*base, "--jobs", "2", "--out", str(tmp_path / "p.csv")]) == 0
+        for rep in range(3):
+            a = (tmp_path / f"s_rep{rep:03d}.csv").read_bytes()
+            b = (tmp_path / f"p_rep{rep:03d}.csv").read_bytes()
+            assert a == b, (command, rep)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["bp", "simulate", "--seed", "11", "--max-events", "300"],
+     "f684aab643064015a0df2fb77e0395874e08ff621603f19cc4185e1caef0e717"),
+    (["attack", "simulate", *ATTACK_LIMITS, "--seed", "12", "--max-events", "2000",
+      "--record-every", "50"],
+     "a7c32a6fad15e5f07b84fb10feb1d8e9367252868d3a58c78042e67188ac692c"),
+], ids=["bp simulate", "attack simulate"])
+def test_cli_replications_pinned(argv, digest, sha256, tmp_path):
+    """Frozen replicated artifacts: the rep000-rep002 CSVs, in order."""
+    assert main([*argv, "--replications", "3", "--out", str(tmp_path / "r.csv")]) == 0
+    reps = [(tmp_path / f"r_rep{rep:03d}.csv").read_bytes() for rep in range(3)]
+    assert sha256(*reps) == digest
