@@ -32,7 +32,7 @@ class UserMix:
 
     def __post_init__(self):
         vals = (self.mu0, self.mu1, self.mu2, self.mua)
-        if min(vals) < 0 or abs(sum(vals) - 1.0) > 1e-9:
+        if not (min(vals) >= 0 and abs(sum(vals) - 1.0) <= 1e-9):
             raise ValueError(f"user proportions must be nonnegative and sum to 1: {vals}")
 
     def require_crowd_signal(self):

@@ -5,14 +5,15 @@ stream of reads of a known real post.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
 
 from .bp_core import make_rng, require_counts
-from .wm import (FAKE, REAL, MechanismDesign, PostModel, UserMix, eo_warning,
-                 warning_value)
+from .wm import (EA, EH, EH2, EO, FAKE, LEARNED, REAL, MechanismDesign, PostModel,
+                 UserMix, eo_warning, warning_value)
 
 _BUF = 1 << 14
 
@@ -30,18 +31,6 @@ class _Buf:
             p = 1.0 / (1.0 + mean)
             block = lambda: (rng.geometric(p, _BUF) - 1).tolist()
         self.draw = chain.from_iterable(chain([block()], iter(block, None))).__next__
-
-
-def w_update(w: float, eps: float, indicator: float, kappa: float) -> float:
-    """Projected scale update at a special epoch: the tag indicator is
-    driven to 1 - kappa, and w never drops below one."""
-    return max(1.0, w - eps * (indicator - (1.0 - kappa)))
-
-
-def b_update(b: float, eps: float, beta: float, target: float) -> float:
-    """Projected damping update: the observed fake-tag fraction is driven
-    to the target; b never goes negative."""
-    return max(0.0, b + eps * (beta - target))
 
 
 @dataclass
@@ -71,7 +60,7 @@ def _reads(rng, post, mix, u, warning, bufs, cx, cy, ax, ay):
     copy, the class and the tag decision, then the geometric shares of
     users and of adversaries.
     """
-    unif_tag, unif_user, unif_decide, geo_user, geo_adv = bufs
+    tag, user, decide, geo_user, geo_adv = (buf.draw for buf in bufs)
     ax_u, ay_u = post.alpha_x(u), post.alpha_y(u)
     p_wi_x, p_wi_y = ax_u * post.rho, ay_u * post.rho
     thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
@@ -79,29 +68,28 @@ def _reads(rng, post, mix, u, warning, bufs, cx, cy, ax, ay):
     bonus, p_friends = post.share_bonus_k, 1.0 / (1.0 + post.m_f)
     while cx + cy > 0:
         s = cx + cy
-        fake_copy = unif_tag.draw() * s < cx
-        beta = cx / s
+        fake_copy = tag() * s < cx
         if fake_copy:
             cx -= 1
         else:
             cy -= 1
-        r = unif_user.draw()
+        r = user()
         if r < thr_np:
             yield cx, cy, ax, ay, False
             continue
         if r < thr_wi:
-            tagged_fake = unif_decide.draw() < (p_wi_x if fake_copy else p_wi_y)
+            tagged_fake = decide() < (p_wi_x if fake_copy else p_wi_y)
             eta, geo = eta_u, geo_user
         elif r < thr_ws:
-            omega = warning(beta, fake_copy)
-            p = min((ax_u if fake_copy else ay_u) * omega, 1.0)
-            tagged_fake = unif_decide.draw() < p
+            # the fraction before this read; decide() < 1 makes a clamp at 1 moot
+            omega = warning((cx + fake_copy) / s, fake_copy)
+            tagged_fake = decide() < (ax_u if fake_copy else ay_u) * omega
             eta, geo = eta_u, geo_user
         else:
             tagged_fake = False
             eta, geo = eta_a, geo_adv
         if bonus == 0.0:
-            shares = geo.draw()
+            shares = geo()
         else:
             friends = int(rng.geometric(p_friends)) - 1
             p = min(eta + bonus / max(ax + ay, 1) ** 2, 1.0)
@@ -126,6 +114,8 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
     have been made.
     """
+    if kind not in (EO, EA, EH, EH2, LEARNED):
+        raise ValueError(f"kind must be one of eo, ea, eh, eh2, learned; got {kind!r}")
     if actuality not in (FAKE, REAL):
         raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {actuality!r}")
     if min(init_fake, init_real) < 0 or init_fake + init_real < 1:
@@ -192,19 +182,28 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     """
     require_counts(budget=config.budget, record_every=config.record_every,
                    seed_users=config.seed_users)
-    if config.kappa < 1.0 - post.alpha_y_r / post.alpha_x_r:
-        raise ValueError("kappa below the admissible floor alpha ratio")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+    if not 1.0 - post.alpha_y_r / post.alpha_x_r <= config.kappa < 1.0:
+        raise ValueError(f"kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got {config.kappa!r}")
+    if not 0.0 <= target_beta <= 1.0:
+        raise ValueError(f"target_beta must be in [0, 1], got {target_beta!r}")
+    budget, record_every, one_minus_kappa = config.budget, config.record_every, 1.0 - config.kappa
+    eps_scale, neg_eps_power = config.eps_scale, -config.eps_power
+    eta_scale, neg_eta_power = config.eta_scale, -config.eta_power
     rng = make_rng(seed)
     unif_tag, unif_user, unif_decide, unif_coin = _Buf(rng), _Buf(rng), _Buf(rng), _Buf(rng)
     bufs = (unif_tag, unif_user, unif_decide,
             _Buf(rng, post.m_f * post.eta_r), _Buf(rng, post.m_f * post.eta_a))
-    gamma = post.gamma
+    coin, gamma = unif_coin.draw, post.gamma
     w, b = config.w0, config.b0
     eta_coin = config.eta0
 
     def warning(beta, fake_copy):
         nonlocal special
-        if unif_coin.draw() < eta_coin and not fake_copy:
+        if coin() < eta_coin and not fake_copy:
             special = True
             return w + gamma
         return eo_warning(beta, w, b, gamma)
@@ -214,18 +213,19 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     trace = []
     n_w_updates = 0
     special = False
-    for k, (cx, cy, _, _, tagged_fake) in zip(range(1, config.budget + 1), reads):
+    # coin() < 1 makes a clamp of eta_coin at 1 moot; projections send NaN to the bound as max()
+    for k, (cx, cy, _, _, tagged_fake) in zip(range(1, budget + 1), reads):
         s2 = cx + cy
         beta_post = cx / s2 if s2 > 0 else 0.0
-        eps = config.eps_scale * k ** (-config.eps_power)
         if special:
             special = False
             n_w_updates += 1
-            eps_w = config.eps_scale * n_w_updates ** (-config.eps_power)
-            w = w_update(w, eps_w, float(tagged_fake), config.kappa)
-        b = b_update(b, eps, beta_post, target_beta)
-        eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)
-        if k % config.record_every == 0 or k == config.budget or s2 == 0:
+            w -= (eps_scale * n_w_updates ** neg_eps_power) * (tagged_fake - one_minus_kappa)
+            w = w if w > 1.0 else 1.0
+        b += (eps_scale * k ** neg_eps_power) * (beta_post - target_beta)
+        b = b if b > 0.0 else 0.0
+        eta_coin = eta_scale * k ** neg_eta_power
+        if k % record_every == 0 or k == budget or s2 == 0:
             trace.append((k, w, b, beta_post))
     return LearnResult(w=w, b=b, trace=np.asarray(trace, dtype=float),
                        extinct=s2 == 0)

@@ -13,6 +13,9 @@ from bpviral.market_graph import Graph
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
                                 epochs_before, harmonic_number, make_h,
                                 picard_solve)
+from bpviral.wm import (REAL, MechanismDesign, PostModel, UserMix, eo_warning,
+                        warning_value)
+from bpviral.wm_dynamics import LearnConfig, LearnResult, TaggingPath, _Buf
 
 
 def per_row(rhs):
@@ -288,3 +291,127 @@ def write_csv_per_value(path, header, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def w_update(w: float, eps: float, indicator: float, kappa: float) -> float:
+    """Projected scale update at a special epoch: the tag indicator is
+    driven to 1 - kappa, and w never drops below one."""
+    return max(1.0, w - eps * (indicator - (1.0 - kappa)))
+
+
+def b_update(b: float, eps: float, beta: float, target: float) -> float:
+    """Projected damping update: the observed fake-tag fraction is driven
+    to the target; b never goes negative."""
+    return max(0.0, b + eps * (beta - target))
+
+
+def reads_scalar(rng, post, mix, u, warning, bufs, cx, cy, ax, ay):
+    """Reference for ``wm_dynamics._reads``: the same reader process, with
+    each draw through its buffer's ``draw`` attribute and the fake-tag
+    fraction formed before every read."""
+    unif_tag, unif_user, unif_decide, geo_user, geo_adv = bufs
+    ax_u, ay_u = post.alpha_x(u), post.alpha_y(u)
+    p_wi_x, p_wi_y = ax_u * post.rho, ay_u * post.rho
+    thr_np, thr_wi, thr_ws = mix.mu0, mix.mu0 + mix.mu1, mix.mu0 + mix.mu1 + mix.mu2
+    eta_u, eta_a = post.eta(u), post.eta_a
+    bonus, p_friends = post.share_bonus_k, 1.0 / (1.0 + post.m_f)
+    while cx + cy > 0:
+        s = cx + cy
+        fake_copy = unif_tag.draw() * s < cx
+        beta = cx / s
+        if fake_copy:
+            cx -= 1
+        else:
+            cy -= 1
+        r = unif_user.draw()
+        if r < thr_np:
+            yield cx, cy, ax, ay, False
+            continue
+        if r < thr_wi:
+            tagged_fake = unif_decide.draw() < (p_wi_x if fake_copy else p_wi_y)
+            eta, geo = eta_u, geo_user
+        elif r < thr_ws:
+            omega = warning(beta, fake_copy)
+            p = min((ax_u if fake_copy else ay_u) * omega, 1.0)
+            tagged_fake = unif_decide.draw() < p
+            eta, geo = eta_u, geo_user
+        else:
+            tagged_fake = False
+            eta, geo = eta_a, geo_adv
+        if bonus == 0.0:
+            shares = geo.draw()
+        else:
+            friends = int(rng.geometric(p_friends)) - 1
+            p = min(eta + bonus / max(ax + ay, 1) ** 2, 1.0)
+            shares = int(rng.binomial(friends, p)) if friends > 0 else 0
+        if tagged_fake:
+            cx += shares
+            ax += shares
+        else:
+            cy += shares
+            ay += shares
+        yield cx, cy, ax, ay, tagged_fake
+
+
+def simulate_tagging_scalar(kind: str, design: MechanismDesign, post: PostModel,
+                            mix: UserMix, actuality: str, init_fake: int,
+                            init_real: int, max_events: int, seed: int,
+                            record_every: int = 100) -> TaggingPath:
+    """Reference for ``wm_dynamics.simulate_tagging`` on valid input: the
+    same buffers and records, read through ``reads_scalar``."""
+    rng = make_rng(seed)
+    bufs = (_Buf(rng), _Buf(rng), _Buf(rng),
+            _Buf(rng, post.m_f * post.eta(actuality)), _Buf(rng, post.m_f * post.eta_a))
+    reads = reads_scalar(rng, post, mix, actuality,
+                         lambda beta, fake_copy: warning_value(kind, beta, design, post, mix),
+                         bufs, init_fake, init_real, init_fake, init_real)
+    rec = []
+    for n, (cx, cy, ax, ay, _) in zip(range(1, max_events + 1), reads):
+        if n % record_every == 0 or cx + cy == 0 or n == max_events:
+            rec.append((n, cx, cy, ax, ay))
+    epoch, cx, cy, ax, ay = np.array(rec, dtype=np.int64).T.copy()
+    s = cx + cy
+    return TaggingPath(epoch=epoch, beta=np.where(s > 0, cx / np.maximum(s, 1), 0.0),
+                       cx=cx, cy=cy, ax=ax, ay=ay, extinct=bool(s[-1] == 0))
+
+
+def learn_wm_scalar(config: LearnConfig, post: PostModel, mix: UserMix,
+                    target_beta: float, seed: int) -> LearnResult:
+    """Reference for ``wm_dynamics.learn_wm`` on valid input: the loop with
+    the ``config`` fields read at each epoch, the updates through
+    ``w_update``/``b_update`` and the reads through ``reads_scalar``."""
+    rng = make_rng(seed)
+    unif_tag, unif_user, unif_decide, unif_coin = _Buf(rng), _Buf(rng), _Buf(rng), _Buf(rng)
+    bufs = (unif_tag, unif_user, unif_decide,
+            _Buf(rng, post.m_f * post.eta_r), _Buf(rng, post.m_f * post.eta_a))
+    gamma = post.gamma
+    w, b = config.w0, config.b0
+    eta_coin = config.eta0
+
+    def warning(beta, fake_copy):
+        nonlocal special
+        if unif_coin.draw() < eta_coin and not fake_copy:
+            special = True
+            return w + gamma
+        return eo_warning(beta, w, b, gamma)
+
+    reads = reads_scalar(rng, post, mix, REAL, warning, bufs, 0, config.seed_users,
+                         0, config.seed_users)
+    trace = []
+    n_w_updates = 0
+    special = False
+    for k, (cx, cy, _, _, tagged_fake) in zip(range(1, config.budget + 1), reads):
+        s2 = cx + cy
+        beta_post = cx / s2 if s2 > 0 else 0.0
+        eps = config.eps_scale * k ** (-config.eps_power)
+        if special:
+            special = False
+            n_w_updates += 1
+            eps_w = config.eps_scale * n_w_updates ** (-config.eps_power)
+            w = w_update(w, eps_w, float(tagged_fake), config.kappa)
+        b = b_update(b, eps, beta_post, target_beta)
+        eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)
+        if k % config.record_every == 0 or k == config.budget or s2 == 0:
+            trace.append((k, w, b, beta_post))
+    return LearnResult(w=w, b=b, trace=np.asarray(trace, dtype=float),
+                       extinct=s2 == 0)

@@ -308,6 +308,16 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
     (["game", "study", "--samples", "5", "--d", "0.8", "--seed", "1", "--theta", "1.2"],
      "theta must be <= 1, got 1.2"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--budget", "2000",
+      "--target-beta", "nan"], "target_beta must be in [0, 1], got nan"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--budget", "2000",
+      "--target-beta", "1.5"], "target_beta must be in [0, 1], got 1.5"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "0.9"],
+     "kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got 1.15"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "nan"],
+     "kappa must be finite, got nan"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "inf"],
+     "eps_power must be finite, got inf"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--seeds-per-run", "0"],
@@ -323,7 +333,9 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
         "market closed-form --n-points -3", "game study --d 1.0", "game study --d 0",
         "game study --d 0.65", "game study --d 0.8", "game study --theta 1.2",
         "game study --theta 1.2 --d 0.8",
-        "wm learn --seed-users 0",
+        "wm learn --seed-users 0", "wm learn --target-beta nan",
+        "wm learn --target-beta 1.5", "wm learn --kappa-margin 0.9",
+        "wm learn --kappa-margin nan", "wm learn --eps-power inf",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0",
         "market propagate --seeds 0,x", "market propagate --seeds ''"])

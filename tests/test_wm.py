@@ -331,6 +331,15 @@ def test_learned_design_handles_large_w(naive_post, naive_mix):
     assert d.qos > 0
 
 
+@pytest.mark.parametrize("vals", [
+    (float("nan"), 0.5, 0.5, 0.0), (0.5, float("nan"), 0.5, 0.0), (0.5, 0.5, 0.0, float("inf")),
+    (-0.1, 0.6, 0.5, 0.0), (0.5, 0.5, 0.5, 0.0),
+], ids=["nan first", "nan later", "inf", "negative", "sum 1.5"])
+def test_user_mix_rejects_bad_proportions(vals):
+    with pytest.raises(ValueError, match="user proportions"):
+        UserMix(*vals)
+
+
 def test_crowd_signal_required_for_designs(naive_post):
     mix = UserMix(mu0=0.9, mu1=0.1, mu2=0.0, mua=0.0)
     d = MechanismDesign(kind=EO, w=1.0, b=0.1)

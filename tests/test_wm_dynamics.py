@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bpviral.bp_core import make_rng
-from bpviral.wm import (EH, EO, FAKE, REAL, UserMix, design_eh, design_eh2,
-                        learned_design, optimize_eo)
-from bpviral.wm_dynamics import (LearnConfig, _Buf, b_update, learn_wm,
-                                 simulate_tagging, w_update)
+from bpviral.wm import (EA, EH, EH2, EO, FAKE, REAL, UserMix, design_eh, design_eh2,
+                        design_for_kind, learned_design, optimize_eo)
+from bpviral.wm_dynamics import LearnConfig, _Buf, learn_wm, simulate_tagging
+from oracles import b_update, learn_wm_scalar, simulate_tagging_scalar, w_update
 
 
 class TestUpdates:
@@ -89,6 +89,13 @@ class TestSimulateTagging:
             simulate_tagging(EO, d, naive_post, naive_mix(0.1), FAKE, 0, 0,
                              max_events=10, seed=1)
 
+    @pytest.mark.parametrize("mix", [UserMix(0.5, 0.5, 0.0, 0.0), UserMix(0.25, 0.15, 0.5, 0.1)],
+                             ids=["no warning-seekers", "warning-seekers"])
+    def test_unknown_kind_rejected_before_reading(self, naive_post, mix):
+        d = optimize_eo(naive_post, UserMix(0.25, 0.15, 0.5, 0.1), 0.05)
+        with pytest.raises(ValueError, match="kind must be one of .*; got 'eo2'"):
+            simulate_tagging("eo2", d, naive_post, mix, FAKE, 1, 1, max_events=1000, seed=1)
+
     def test_negative_initial_count_rejected(self, naive_post, naive_mix):
         d = optimize_eo(naive_post, naive_mix(0.1), 0.05)
         with pytest.raises(ValueError, match="init_fake=-1"):
@@ -106,6 +113,18 @@ class TestLearn:
         cfg = LearnConfig(budget=10, kappa=0.0)
         with pytest.raises(ValueError, match="kappa"):
             learn_wm(cfg, naive_post, naive_mix(0.1), 0.05, seed=1)
+
+    @pytest.mark.parametrize("fields, target, match", [
+        ({"kappa": float("nan")}, 0.05, "kappa must be finite"),
+        ({"kappa": 1.0}, 0.05, "kappa must be in"),
+        ({"w0": float("inf")}, 0.05, "w0 must be finite"),
+        ({}, float("nan"), "target_beta must be in"),
+        ({}, -0.01, "target_beta must be in"),
+    ], ids=["kappa nan", "kappa 1", "w0 inf", "target nan", "target below 0"])
+    def test_bad_floats_rejected(self, naive_post, naive_mix, fields, target, match):
+        cfg = LearnConfig(**{"budget": 10, "kappa": 0.5, **fields})
+        with pytest.raises(ValueError, match=match):
+            learn_wm(cfg, naive_post, naive_mix(0.1), target, seed=1)
 
     def test_share_bonus_applies(self, naive_post, naive_mix):
         # learning reads through the tagging reader process, boost included
@@ -198,3 +217,60 @@ def test_tagging_and_learning_pinned(naive_post, naive_mix):
         "learn": "78fe2a8ce7cf46c789c48976f03d622bd3eec5bf3bc3e60305cd709d42977c37",
         "learn-extinct": "dc6be491c14184587073c4361bc6b68cb62b3ddfab15cbd4b4d4ffdb21e37f5c",
     }
+
+
+_SILENT = UserMix(0.9, 0.03, 0.05, 0.02)   # a mostly silent crowd: early extinctions
+_KAPPA = 1 - 0.09 / 0.12 + 1e-3
+
+
+def test_tagging_matches_scalar(naive_post, naive_mix):
+    """``simulate_tagging`` and its reference in ``oracles`` give the same
+    bytes: every kind, actuality and share boost; record grids of 1, 7 and
+    1000; extinctions on and off the grid; and a run past two buffer
+    refills (2 x 16,384 reads)."""
+    mix = naive_mix(0.1)
+    designs = {kind: design_for_kind(kind, naive_post, mix, 0.05) for kind in (EO, EA, EH, EH2)}
+    cases = [(kind, k, mix, u, 2, 2, 3000, 44, 7)
+             for kind in designs for u in (FAKE, REAL) for k in (0.0, 2.0)]
+    cases += [(EH, 0.0, mix, FAKE, 1, 0, 500, 5, 1),
+              (EO, 2.0, mix, REAL, 0, 1, 500, 6, 1),
+              (EH2, 0.0, mix, FAKE, 2, 2, 40_000, 44, 1000),
+              (EO, 0.0, _SILENT, FAKE, 3, 3, 3000, 87, 7),     # dies at read 49
+              (EO, 0.0, _SILENT, FAKE, 3, 3, 3000, 21, 7)]     # dies at read 143
+    ends = []
+    for kind, k, crowd, u, init_fake, init_real, events, seed, every in cases:
+        post = dataclasses.replace(naive_post, share_bonus_k=k)
+        args = (kind, designs[kind], post, crowd, u, init_fake, init_real, events, seed, every)
+        got, ref = simulate_tagging(*args), simulate_tagging_scalar(*args)
+        for col in ("epoch", "beta", "cx", "cy", "ax", "ay"):
+            assert getattr(got, col).tobytes() == getattr(ref, col).tobytes(), (args, col)
+        assert got.extinct == ref.extinct, args
+        ends.append((int(got.epoch[-1]), got.extinct))
+    assert ends[-3:] == [(40_000, False), (49, True), (143, True)]
+
+
+def test_learn_matches_scalar(naive_post, naive_mix):
+    """``learn_wm`` and its reference in ``oracles`` give the same bytes:
+    one, two and twenty seed users with and without the share boost; record
+    grids of 1, 7 and 1000; w held at its bound; extinctions on and off the
+    grid; and a budget past two buffer refills."""
+    mix = naive_mix(0.1)
+    cases = [(k, mix, dict(seed_users=users, budget=3000, record_every=every), 11)
+             for k in (0.0, 2.0) for users in (1, 2, 20) for every in (7, 1000)]
+    cases += [(0.0, mix, dict(budget=500, record_every=1), 4),
+              (2.0, mix, dict(seed_users=2, budget=500, record_every=1), 4),
+              (0.0, mix, dict(kappa=0.95, w0=1.0, budget=3000, record_every=7), 12),
+              (0.0, mix, dict(budget=40_000), 5),
+              (0.0, _SILENT, dict(seed_users=2, budget=3000, record_every=7), 28),  # dies at 168
+              (0.0, _SILENT, dict(seed_users=2, budget=3000, record_every=7), 45)]  # dies at 661
+    ends = []
+    for k, crowd, fields, seed in cases:
+        post = dataclasses.replace(naive_post, share_bonus_k=k)
+        cfg = LearnConfig(**{"kappa": _KAPPA, **fields})
+        got = learn_wm(cfg, post, crowd, 0.05, seed)
+        ref = learn_wm_scalar(cfg, post, crowd, 0.05, seed)
+        case = (k, crowd, fields, seed)
+        assert got.trace.tobytes() == ref.trace.tobytes(), case
+        assert (got.w.hex(), got.b.hex(), got.extinct) == (ref.w.hex(), ref.b.hex(), ref.extinct), case
+        ends.append((int(got.trace[-1, 0]), got.extinct, int((got.trace[:, 1] == 1.0).sum())))
+    assert ends[-4:] == [(3000, False, 58), (40_000, False, 0), (168, True, 0), (661, True, 0)]
