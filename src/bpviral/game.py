@@ -10,7 +10,8 @@ the game design routine and its verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -39,29 +40,41 @@ class GameParams:
     resp_c: float = 1.0       # response scale
 
     def __post_init__(self):
-        if not (0 < self.alpha_r < self.alpha_f < 1):
+        for name in ("q_p", "q_np", "c_e", "resp_a", "resp_b", "resp_c"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        ar, af, theta, delta = self.alpha_r, self.alpha_f, self.theta, self.delta
+        if not np.all((0 < ar) & (ar < af) & (af < 1)):
             raise ValueError("need 0 < alpha_R < alpha_F < 1")
-        if not (0 <= self.mua < 1) or not (0 < self.p < 1):
+        if not np.all((0 <= self.mua) & (self.mua < 1) & (0 < self.p) & (self.p < 1)):
             raise ValueError("mua in [0,1), p in (0,1)")
-        if self.q_p < self.q_np or self.c_e <= 0:
+        if not np.all((self.q_p >= self.q_np) & (self.c_e > 0)):
             raise ValueError("need Q_p >= Q_np and C_e > 0")
-        if min(self.resp_a, self.resp_b, self.resp_c) <= 0:
+        if not np.all((self.resp_a > 0) & (self.resp_b > 0) & (self.resp_c > 0)):
             raise ValueError("response exponents/scale must be positive")
-        if not self.theta <= 1:
-            raise ValueError(f"theta must be <= 1, got {self.theta}")
-        if not (self.theta > self.alpha_f and self.alpha_r < self.delta < self.theta):
+        if not np.all(theta <= 1):
+            raise ValueError(f"theta must be <= 1, got {theta}")
+        if not np.all((theta > af) & (ar < delta) & (delta < theta)):
             raise ValueError("need theta > alpha_F and delta in (alpha_R, theta)")
 
     @property
     def delta_ratio(self) -> float:
         return self.alpha_f / self.alpha_r          # Delta_R > 1
 
+    @cached_property
+    def _dra(self):
+        """(Delta_R)^a by Python's pow per lane (``np.power`` may round otherwise)."""
+        if np.ndim(self.delta_ratio) == np.ndim(self.resp_a) == 0:
+            return self.delta_ratio ** self.resp_a
+        ratio, a = np.broadcast_arrays(self.delta_ratio, self.resp_a)
+        return np.array(list(map(pow, ratio.tolist(), a.tolist())))
+
     def alpha(self, u: str) -> float:
         return self.alpha_f if u == FAKE else self.alpha_r
 
     def ratio_pow(self, u: str) -> float:
         """(alpha_u / alpha_R)^a, the response multiplier of the u-post."""
-        return (self.alpha(u) / self.alpha_r) ** self.resp_a
+        return self._dra if u == FAKE else 1.0
 
     def response_slope(self, w: float, u: str) -> float:
         """c w alpha_R (alpha_u/alpha_R)^a: the composed response of a
@@ -80,13 +93,14 @@ def participant_fractions(mu, mua):
     """(eta, eta_a): type-1 and adversarial fractions among participants."""
     mu0, mu1, mu2 = mu
     total = mu1 + mu2 + mua
-    if total <= 0:
+    if np.any(total <= 0):
         raise ValueError("no participants")
     return mu1 / total, mua / total
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def beta_fixed_point(mu, w: float, params: GameParams, u: str) -> float:
-    """Closed-form attractor of the tagging dynamics for a u-post.
+    """Closed-form attractor of the tagging dynamics for a u-post (per lane).
 
     With the linear-in-beta composed response the dynamics are piecewise
     linear: below the response saturation the fixed point is
@@ -96,14 +110,9 @@ def beta_fixed_point(mu, w: float, params: GameParams, u: str) -> float:
     alpha_u = params.alpha(u)
     mult = params.response_slope(w, u)
     rho_bar = alpha_u * eta + 1.0 - eta - eta_a
-    rho = 1.0 - (1.0 - eta - eta_a) * mult
-    if rho <= 0:
-        beta = rho_bar
-    elif rho_bar < 1.0 / mult:
-        beta = alpha_u * eta / rho
-    else:
-        beta = rho_bar
-    return float(beta)
+    rho = np.subtract(1.0, (1.0 - eta - eta_a) * mult)
+    beta = np.where(~(rho <= 0) & (rho_bar < np.divide(1.0, mult)), alpha_u * eta / rho, rho_bar)
+    return beta if beta.ndim else float(beta)
 
 
 def fp_residual(beta: float, mu, w: float, params: GameParams, u: str) -> float:
@@ -145,18 +154,35 @@ class AiDesign:
         return (0.0, x, 1.0 - x - self.params.mua)
 
     def to_dict(self):
-        return {
-            "theta_tilde": self.theta_tilde, "w": self.w, "eta": self.eta,
-            "gamma": self.gamma, "reward": self.reward, "x_eta": self.x_eta,
-            "eta_star": self.eta_star, "eta_bar": self.eta_bar,
-            "feasible": self.feasible, "reason": self.reason,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "params"}
 
 
 def gamma_floor(eta: float, params: GameParams) -> float:
     """Smallest reward multiplier keeping both participating types willing."""
     p, mua = params.p, params.mua
     return (1.0 / (1.0 - p)) * ((1.0 - (eta + mua) * (1.0 - p)) / (1.0 - eta - mua))
+
+
+def _first_failure(shape, checks) -> np.ndarray:
+    """The message of the first check each lane fails, "" where it passes
+    them all.  A check is (bad, text, *values): ``bad`` marks the lanes that
+    fail it, and ``text`` is formatted from the values at the lane."""
+    msg, ok = np.full(shape, "", dtype=object), np.ones(shape, dtype=bool)
+    for bad, text, *values in checks:
+        lanes = np.flatnonzero(bad & ok).tolist()
+        ok[lanes] = False
+        cols = [np.broadcast_to(v, shape).tolist() for v in values] if lanes else []
+        for i in lanes:
+            msg[i] = text.format(*(c[i] for c in cols))
+    return msg
+
+
+def _lanes(obj):
+    """A scalar GameParams or AiDesign as the one-lane case of its array form."""
+    cols = {f.name: np.array([getattr(obj, f.name)]) for f in fields(obj) if f.name != "params"}
+    if isinstance(obj, AiDesign):
+        cols["params"] = _lanes(obj.params)
+    return type(obj)(**cols)
 
 
 def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
@@ -167,11 +193,21 @@ def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
     inside its feasibility interval, the participation level
     eta = eta_bar + eps2, and finally (gamma, R) to make the designed mix an
     equilibrium.  The free slack choices are interval midpoints; gamma is
-    the floor plus ``gamma_margin``.
+    the floor plus ``gamma_margin``, which must be finite and >= 0.
     """
+    lanes = _design(_lanes(params), gamma_margin)
+    return AiDesign(params=params, **{k: v.tolist()[0] for k, v in lanes.to_dict().items()})
+
+
+@np.errstate(all="ignore")
+def _design(params: GameParams, gamma_margin: float) -> AiDesign:
+    """``design_ai_game`` on each lane of array params: a lane that fails
+    a step has NaN values and the reason of the first step it fails."""
+    if not (math.isfinite(gamma_margin) and gamma_margin >= 0):
+        raise ValueError(f"gamma_margin must be finite and >= 0, got {gamma_margin}")
     aR, aF = params.alpha_r, params.alpha_f
     theta, delta, mua = params.theta, params.delta, params.mua
-    dra = params.delta_ratio ** params.resp_a        # (Delta_R)^a
+    dra = params.ratio_pow(FAKE)                     # (Delta_R)^a
     delta_a = delta * (1.0 - mua)
 
     def eta_star_of(level):
@@ -179,47 +215,34 @@ def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
 
     kappa = delta * (dra * (1.0 - aF) - 1.0) - aR * dra
     k_delta = kappa * kappa - 4.0 * delta * aR * aF * dra
-
-    def fail(reason):
-        return AiDesign(theta_tilde=float("nan"), w=float("nan"), eta=float("nan"),
-                        gamma=float("nan"), reward=float("nan"), x_eta=float("nan"),
-                        eta_star=float("nan"), eta_bar=float("nan"),
-                        feasible=False, reason=reason, params=params)
-
     es_theta = eta_star_of(theta)
     f_denom = dra * (delta_a - aR * es_theta)
-    f_theta = (delta_a - es_theta * delta) / f_denom if f_denom != 0 else math.inf
-    if f_denom > 0 and theta > f_theta:
-        theta_tilde = theta
-    else:
-        if k_delta < 0:
-            return fail("K_delta negative")
-        theta2 = (-kappa + math.sqrt(k_delta)) / (2.0 * dra * aR)
-        base = max(theta2, 1.0 - delta * (1.0 - aF) / aR)
-        theta_tilde = min(base + (max(0.0, theta - theta2) + 1e-6), 1.0)
+    keep = (f_denom > 0) & (theta > (delta_a - es_theta * delta) / f_denom)
+    theta2 = (-kappa + np.sqrt(k_delta)) / (2.0 * dra * aR)
+    base = np.maximum(theta2, 1.0 - delta * (1.0 - aF) / aR)
+    theta_tilde = np.where(keep, theta,
+                           np.minimum(base + (np.maximum(0.0, theta - theta2) + 1e-6), 1.0))
 
     es = eta_star_of(theta_tilde)
-    if es <= 0.0:
-        return fail(f"eta_star <= 0 at theta_tilde={theta_tilde:g}")
-    lo = (1.0 / (1.0 - mua)) * max(1.0, 1.0 / (dra * theta_tilde))
-    hi = min(1.0 / delta_a, (delta_a - es * aR) / (delta_a * (1.0 - mua - es)))
-    if not hi > lo:
-        return fail("empty warning-scale interval")
+    lo = (1.0 / (1.0 - mua)) * np.maximum(1.0, 1.0 / (dra * theta_tilde))
+    hi = np.minimum(1.0 / delta_a, (delta_a - es * aR) / (delta_a * (1.0 - mua - es)))
     cwa = lo + 0.5 * (hi - lo)
-    w = cwa / (params.resp_c * aR)
-
     eta_bar = delta_a * ((1.0 - mua) * cwa - 1.0) / (cwa * delta_a - aR)
-    if not eta_bar < es:
-        return fail("participation interval empty")
     eta = eta_bar + 0.5 * (es - eta_bar)
+    reason = _first_failure(keep.shape, [
+        (~keep & (k_delta < 0), "K_delta negative"),
+        (es <= 0.0, "eta_star <= 0 at theta_tilde={:g}", theta_tilde),
+        (~(hi > lo), "empty warning-scale interval"),
+        (~(eta_bar < es), "participation interval empty")])
 
-    gam_lo = gamma_floor(eta, params)
-    gamma = max(gam_lo, 1.0) + gamma_margin
-    reward = params.c_e * (1.0 - eta - mua + 1.0 / (gamma - 1.0))
-    x_eta = params.p / (gamma - 1.0) + params.p * (1.0 - mua - eta) + eta
-    return AiDesign(theta_tilde=theta_tilde, w=w, eta=eta, gamma=gamma,
-                    reward=reward, x_eta=x_eta, eta_star=es, eta_bar=eta_bar,
-                    feasible=True, reason="", params=params)
+    gamma = np.maximum(gamma_floor(eta, params), 1.0) + gamma_margin
+    cols = dict(theta_tilde=theta_tilde, w=cwa / (params.resp_c * aR), eta=eta, gamma=gamma,
+                reward=params.c_e * (1.0 - eta - mua + 1.0 / (gamma - 1.0)),
+                x_eta=params.p / (gamma - 1.0) + params.p * (1.0 - mua - eta) + eta,
+                eta_star=es, eta_bar=eta_bar)
+    ok = reason == ""
+    return AiDesign(**{k: np.where(ok, v, np.nan) for k, v in cols.items()},
+                    params=params, feasible=ok, reason=reason)
 
 
 def success_probability(mu, design: AiDesign) -> float:
@@ -227,16 +250,14 @@ def success_probability(mu, design: AiDesign) -> float:
     mix has success probability zero by convention."""
     params = design.params
     mu0, mu1, mu2 = mu
-    if mu1 + mu2 <= 0:
+    if np.all(mu1 + mu2 <= 0):
         return 0.0
     eta, eta_a = participant_fractions(mu, params.mua)
     theta_a = params.theta * (1.0 - eta_a)
     delta_a = params.delta * (1.0 - eta_a)
     b_f = beta_fixed_point(mu, design.w, params, FAKE)
     b_r = beta_fixed_point(mu, design.w, params, REAL)
-    ok_f = 1.0 if b_f >= theta_a - 1e-12 else 0.0
-    ok_r = 1.0 if b_r <= delta_a + 1e-12 else 0.0
-    return params.p * ok_f + (1.0 - params.p) * ok_r
+    return params.p * (b_f >= theta_a - 1e-12) + (1.0 - params.p) * (b_r <= delta_a + 1e-12)
 
 
 def utility_eval(strategy: int, mu, design: AiDesign) -> float:
@@ -256,20 +277,18 @@ def utility_eval(strategy: int, mu, design: AiDesign) -> float:
 
 def _identification(design: AiDesign) -> tuple:
     """Tagging limits (beta_F, beta_R) at the designed mix, the adjusted
-    targets theta_tilde(1-mua) and delta(1-mua), and a message naming the
-    first target missed by more than 1e-9 (None when both are met)."""
+    targets theta_tilde(1-mua) and delta(1-mua), and the two checks (for
+    ``_first_failure``) that each lane meets both targets to within 1e-9."""
     params = design.params
     mu_eta = design.mu_eta()
     b_f = beta_fixed_point(mu_eta, design.w, params, FAKE)
     b_r = beta_fixed_point(mu_eta, design.w, params, REAL)
     theta_a_tilde = design.theta_tilde * (1.0 - params.mua)
     delta_a = params.delta * (1.0 - params.mua)
-    missed = None
-    if not b_f >= theta_a_tilde - 1e-9:
-        missed = f"beta_F^eta >= theta_tilde(1-mua) violated: {b_f} < {theta_a_tilde}"
-    elif not b_r <= delta_a + 1e-9:
-        missed = f"beta_R^eta <= delta_a violated: {b_r} > {delta_a}"
-    return b_f, b_r, theta_a_tilde, delta_a, missed
+    return b_f, b_r, theta_a_tilde, delta_a, [
+        (~(b_f >= theta_a_tilde - 1e-9),
+         "beta_F^eta >= theta_tilde(1-mua) violated: {} < {}", b_f, theta_a_tilde),
+        (~(b_r <= delta_a + 1e-9), "beta_R^eta <= delta_a violated: {} > {}", b_r, delta_a)]
 
 
 def _degradation(b_f_x: float, params: GameParams) -> float:
@@ -286,56 +305,57 @@ def verify_equilibria(design: AiDesign) -> dict:
     beat idling, (c) when a second equilibrium exists it still protects the
     real post, and its fake-post degradation is reported.
     """
-    if not design.feasible:
-        raise GameVerificationError(f"design infeasible: {design.reason}")
+    msg, cols = _verify(_lanes(design))
+    if msg[0]:
+        raise GameVerificationError(msg[0])
+    b_f, b_r, theta_a_tilde, delta_a, u0, u1, u2, ne, b_f_x, b_r_x, ps = (
+        c.tolist()[0] for c in cols)
+    report = {"beta_F_eta": b_f, "beta_R_eta": b_r, "theta_a_tilde": theta_a_tilde,
+              "delta_a": delta_a, "utilities_at_eta": (u0, u1, u2),
+              "ne_list": [{"mu": design.mu_eta(), "ai": True}],
+              "second_ne": None, "degradation_pct": None}
+    if ne:
+        report["ne_list"].append({"mu": design.mu_x(design.x_eta), "ai": False})
+        report["second_ne"] = {"x_eta": design.x_eta, "beta_F": b_f_x, "beta_R": b_r_x,
+                               "success_prob": ps}
+        report["degradation_pct"] = _degradation(b_f_x, design.params)
+    return report
+
+
+@np.errstate(all="ignore")
+def _verify(design: AiDesign) -> tuple:
+    """``verify_equilibria`` on each lane of an array design: the message of
+    the first guarantee each lane fails ("" when it passes) and the report's
+    columns, among them ``ne``, which marks the lanes with a second NE."""
     params = design.params
     mua = params.mua
-    mu_eta = design.mu_eta()
-    b_f, b_r, theta_a_tilde, delta_a, missed = _identification(design)
-    if missed:
-        raise GameVerificationError(missed)
-    u0, u1, u2 = (utility_eval(s, mu_eta, design) for s in (0, 1, 2))
-    if abs(u1 - u2) > 1e-9 * max(1.0, abs(u1)):
-        raise GameVerificationError(f"type-1/type-2 indifference violated: {u1} != {u2}")
-    if not (u1 > u0):
-        raise GameVerificationError(f"participation must beat idling: {u1} <= {u0}")
-
-    report = {
-        "beta_F_eta": b_f, "beta_R_eta": b_r,
-        "theta_a_tilde": theta_a_tilde, "delta_a": delta_a,
-        "utilities_at_eta": (u0, u1, u2),
-        "ne_list": [{"mu": mu_eta, "ai": True}],
-        "second_ne": None, "degradation_pct": None,
-    }
+    b_f, b_r, theta_a_tilde, delta_a, checks = _identification(design)
+    u0, u1, u2 = (utility_eval(s, design.mu_eta(), design) for s in (0, 1, 2))
     x = design.x_eta
-    if x < 1.0 - mua:
-        mu_x = design.mu_x(x)
-        b_f_x = beta_fixed_point(mu_x, design.w, params, FAKE)
-        b_r_x = beta_fixed_point(mu_x, design.w, params, REAL)
-        if not b_r_x <= delta_a + 1e-9:
-            raise GameVerificationError(
-                f"second-NE real-post bound violated: {b_r_x} > {delta_a}")
-        if x > design.eta_star:
-            mult = params.response_slope(design.w, FAKE)
-            x_f = (1.0 - mua - 1.0 / mult) / (1.0 - params.alpha_f)
-            floor = 1.0 / mult if x <= x_f else params.alpha_f * (1.0 - mua)
-            if not b_f_x >= floor - 1e-9:
-                raise GameVerificationError(
-                    f"second-NE fake-post floor violated: {b_f_x} < {floor}")
-        ps = success_probability(mu_x, design)
-        # x_eta is a Nash equilibrium only if the game is NOT fully
-        # successful there (indifference of types 1 and 2 needs P = 1-p)
-        if ps < 1.0 - 1e-12:
-            u1x = utility_eval(1, mu_x, design)
-            u2x = utility_eval(2, mu_x, design)
-            if abs(ps - (1.0 - params.p)) < 1e-12 and abs(u1x - u2x) > 1e-9:
-                raise GameVerificationError(
-                    f"second NE indifference violated: {u1x} != {u2x}")
-            report["ne_list"].append({"mu": mu_x, "ai": False})
-            report["second_ne"] = {"x_eta": x, "beta_F": b_f_x, "beta_R": b_r_x,
-                                   "success_prob": ps}
-            report["degradation_pct"] = _degradation(b_f_x, params)
-    return report
+    second = x < 1.0 - mua
+    mu_x = design.mu_x(x)
+    b_f_x = beta_fixed_point(mu_x, design.w, params, FAKE)
+    b_r_x = beta_fixed_point(mu_x, design.w, params, REAL)
+    mult = params.response_slope(design.w, FAKE)
+    x_f = (1.0 - mua - 1.0 / mult) / (1.0 - params.alpha_f)
+    floor = np.where(x <= x_f, 1.0 / mult, params.alpha_f * (1.0 - mua))
+    ps = success_probability(mu_x, design)
+    u1x, u2x = (utility_eval(s, mu_x, design) for s in (1, 2))
+    # x_eta is a Nash equilibrium only if the game is NOT fully
+    # successful there (indifference of types 1 and 2 needs P = 1-p)
+    ne = second & (ps < 1.0 - 1e-12)
+    msg = _first_failure(x.shape, [
+        (~design.feasible, "design infeasible: {}", design.reason), *checks,
+        (abs(u1 - u2) > 1e-9 * np.maximum(1.0, abs(u1)),
+         "type-1/type-2 indifference violated: {} != {}", u1, u2),
+        (~(u1 > u0), "participation must beat idling: {} <= {}", u1, u0),
+        (second & ~(b_r_x <= delta_a + 1e-9),
+         "second-NE real-post bound violated: {} > {}", b_r_x, delta_a),
+        (second & (x > design.eta_star) & ~(b_f_x >= floor - 1e-9),
+         "second-NE fake-post floor violated: {} < {}", b_f_x, floor),
+        (ne & (abs(ps - (1.0 - params.p)) < 1e-12) & (abs(u1x - u2x) > 1e-9),
+         "second NE indifference violated: {} != {}", u1x, u2x)])
+    return msg, (b_f, b_r, theta_a_tilde, delta_a, u0, u1, u2, ne, b_f_x, b_r_x, ps)
 
 
 def simulate_tagging_game(mu, design: AiDesign, u: str, k_max: int, seed: int,
@@ -387,8 +407,9 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     x_eta <= (1-theta)(1-mua)/(1-alpha_F)); beyond that level the exact
     (branch-split) fixed point enters the degradation metric.  Large reward
     multipliers (default floor + 1000) keep x_eta governed by the mix alone.
-    ``verify=True`` additionally runs every design through
-    verify_equilibria and reports the pass fraction.  ``rows`` holds one
+    ``verify=True`` additionally checks every design as verify_equilibria
+    does and reports the pass fraction.  The samples are the lanes of one
+    array pass, each computed as the scalar routines do.  ``rows`` holds one
     (sample, feasible, ai, degradation_pct) tuple per sample, and every
     fraction is read from it.  Every draw is a valid ``GameParams`` only
     when theta <= 1 and alpha_F < theta for alpha_R up to 0.30, so a larger
@@ -403,47 +424,32 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
         bound = 1.0 - 0.30 / theta if theta > 0 else -math.inf
         raise ValueError(f"d must be <= 1 - 0.30/theta = {bound:.6g} "
                          f"at theta={theta}, got {d}")
-    rng = make_rng(seed)
-    degradations = []
-    rows = []
-    for i in range(n_samples):
-        alpha_r = rng.uniform(0.25, 0.30)
-        mua = rng.uniform(0.0, 0.2)
-        a = rng.uniform(2.0, 3.0)
-        p = rng.uniform(0.0, 0.5)
-        p = min(max(p, 1e-6), 1.0 - 1e-6)
-        alpha_f = alpha_r / (1.0 - d)
-        params = GameParams(alpha_r=alpha_r, alpha_f=alpha_f, mua=mua, p=p,
-                            theta=theta, delta=alpha_r + 0.01, resp_a=a)
-        design = design_ai_game(params, gamma_margin=gamma_margin)
-        if not design.feasible:
-            rows.append((i, 0, 0, float("nan")))
-            continue
-        if verify:
-            try:
-                verify_equilibria(design)
-            except GameVerificationError:
-                rows.append((i, 1, 0, float("nan")))
-                continue
-            ai = True
-        else:
-            ai = _identification(design)[-1] is None
-        x = design.x_eta
-        level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
-        if x <= level_theta or x >= 1.0 - mua:
-            degradation = 0.0
-        else:
-            b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
-            degradation = _degradation(b_f_x, params)
-            degradations.append(degradation)
-        rows.append((i, 1, int(ai), degradation))
+    u = make_rng(seed).random((n_samples, 4))
+    # the columns as rng.uniform(low, high) maps its draws: low + (high - low) * u
+    alpha_r, mua, a, p = (low + (high - low) * u[:, j] for j, (low, high) in
+                          enumerate(((0.25, 0.30), (0.0, 0.2), (2.0, 3.0), (0.0, 0.5))))
+    alpha_f = alpha_r / (1.0 - d)
+    params = GameParams(alpha_r=alpha_r, alpha_f=alpha_f, mua=mua,
+                        p=np.minimum(np.maximum(p, 1e-6), 1.0 - 1e-6),
+                        theta=theta, delta=alpha_r + 0.01, resp_a=a)
+    design = _design(params, gamma_margin)
+    feasible = design.feasible
+    msg = _verify(design)[0] if verify else _first_failure(n_samples, _identification(design)[-1])
+    ai = feasible & (msg == "")
+    counted = ai if verify else feasible          # the rows that carry a degradation
+    x = design.x_eta
+    level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
+    second = counted & ~((x <= level_theta) | (x >= 1.0 - mua))
+    b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
     # infeasible and unverified rows carry NaN, which fails "< 10"
+    deg = np.where(second, _degradation(b_f_x, params), np.where(counted, 0.0, np.nan))
     return {
         "samples": n_samples,
-        "feasible_fraction": sum(r[1] for r in rows) / n_samples,
-        "ai_fraction": sum(r[2] for r in rows) / n_samples,
-        "second_ne_fraction": len(degradations) / n_samples,
-        "small_degradation_fraction": sum(r[3] < 10.0 for r in rows) / n_samples,
-        "degradations": np.asarray(degradations),
-        "rows": rows,
+        "feasible_fraction": int(feasible.sum()) / n_samples,
+        "ai_fraction": int(ai.sum()) / n_samples,
+        "second_ne_fraction": int(second.sum()) / n_samples,
+        "small_degradation_fraction": int((deg < 10.0).sum()) / n_samples,
+        "degradations": deg[second],
+        "rows": list(zip(range(n_samples), feasible.astype(int).tolist(),
+                         ai.astype(int).tolist(), deg.tolist())),
     }

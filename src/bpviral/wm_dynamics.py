@@ -186,6 +186,12 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+    # eps_k starts positive and decays, eta_k is >= 0 and never grows; w, b start in w >= 1, b >= 0
+    for name, low in (("eps_scale", 0), ("eps_power", 0), ("eta_scale", 0), ("eta_power", 0),
+                      ("eta0", 0), ("w0", 1), ("b0", 0)):
+        value, op = getattr(config, name), ">" if name.startswith("eps") else ">="
+        if value < low or (op == ">" and value == low):
+            raise ValueError(f"{name} must be {op} {low}, got {value!r}")
     if not 1.0 - post.alpha_y_r / post.alpha_x_r <= config.kappa < 1.0:
         raise ValueError(f"kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got {config.kappa!r}")
     if not 0.0 <= target_beta <= 1.0:

@@ -2,12 +2,15 @@
 closed forms that no library caller needs, against which the library's
 array code and Monte-Carlo kernels are checked."""
 
+import math
+
 import numpy as np
 
 from bpviral.bp_attack import AttackLimits
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
                              death_weights, make_rng, require_counts)
-from bpviral.game import GameParams
+from bpviral.game import (FAKE, AiDesign, GameParams, GameVerificationError,
+                          gamma_floor, participant_fractions)
 from bpviral.market import TefParams, tef
 from bpviral.market_graph import Graph
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
@@ -415,3 +418,228 @@ def learn_wm_scalar(config: LearnConfig, post: PostModel, mix: UserMix,
             trace.append((k, w, b, beta_post))
     return LearnResult(w=w, b=b, trace=np.asarray(trace, dtype=float),
                        extinct=s2 == 0)
+
+
+def _slope_scalar(params: GameParams, w: float, u: str) -> float:
+    """c w alpha_R (alpha_u/alpha_R)^a with Python's ``**``."""
+    return params.resp_c * w * params.alpha_r * (params.alpha(u) / params.alpha_r) ** params.resp_a
+
+
+def beta_fixed_point_scalar(mu, w: float, params: GameParams, u: str) -> float:
+    """Closed-form tagging attractor of one mix, by branches."""
+    eta, eta_a = participant_fractions(mu, params.mua)
+    alpha_u = params.alpha(u)
+    mult = _slope_scalar(params, w, u)
+    rho_bar = alpha_u * eta + 1.0 - eta - eta_a
+    rho = 1.0 - (1.0 - eta - eta_a) * mult
+    if rho <= 0:
+        beta = rho_bar
+    elif rho_bar < 1.0 / mult:
+        beta = alpha_u * eta / rho
+    else:
+        beta = rho_bar
+    return float(beta)
+
+
+def success_probability_scalar(mu, design: AiDesign) -> float:
+    params = design.params
+    mu0, mu1, mu2 = mu
+    if mu1 + mu2 <= 0:
+        return 0.0
+    eta, eta_a = participant_fractions(mu, params.mua)
+    theta_a = params.theta * (1.0 - eta_a)
+    delta_a = params.delta * (1.0 - eta_a)
+    b_f = beta_fixed_point_scalar(mu, design.w, params, FAKE)
+    b_r = beta_fixed_point_scalar(mu, design.w, params, "R")
+    ok_f = 1.0 if b_f >= theta_a - 1e-12 else 0.0
+    ok_r = 1.0 if b_r <= delta_a + 1e-12 else 0.0
+    return params.p * ok_f + (1.0 - params.p) * ok_r
+
+
+def utility_eval_scalar(strategy: int, mu, design: AiDesign) -> float:
+    params = design.params
+    if strategy == 0:
+        return params.q_np
+    mu0, mu1, mu2 = mu
+    ps = success_probability_scalar(mu, design)
+    share = design.reward * ps / (mu1 + params.mua + design.gamma * mu2)
+    if strategy == 1:
+        return params.q_p + share
+    return params.q_p - params.c_e + design.gamma * share
+
+
+def design_ai_game_scalar(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
+    """The game design of one configuration, returning at the first
+    infeasible step."""
+    aR, aF = params.alpha_r, params.alpha_f
+    theta, delta, mua = params.theta, params.delta, params.mua
+    dra = params.delta_ratio ** params.resp_a
+    delta_a = delta * (1.0 - mua)
+
+    def eta_star_of(level):
+        return (1.0 - level) * (1.0 - mua) / (1.0 - aF)
+
+    kappa = delta * (dra * (1.0 - aF) - 1.0) - aR * dra
+    k_delta = kappa * kappa - 4.0 * delta * aR * aF * dra
+
+    def fail(reason):
+        nan = float("nan")
+        return AiDesign(theta_tilde=nan, w=nan, eta=nan, gamma=nan, reward=nan, x_eta=nan,
+                        eta_star=nan, eta_bar=nan, feasible=False, reason=reason,
+                        params=params)
+
+    es_theta = eta_star_of(theta)
+    f_denom = dra * (delta_a - aR * es_theta)
+    f_theta = (delta_a - es_theta * delta) / f_denom if f_denom != 0 else math.inf
+    if f_denom > 0 and theta > f_theta:
+        theta_tilde = theta
+    else:
+        if k_delta < 0:
+            return fail("K_delta negative")
+        theta2 = (-kappa + math.sqrt(k_delta)) / (2.0 * dra * aR)
+        base = max(theta2, 1.0 - delta * (1.0 - aF) / aR)
+        theta_tilde = min(base + (max(0.0, theta - theta2) + 1e-6), 1.0)
+
+    es = eta_star_of(theta_tilde)
+    if es <= 0.0:
+        return fail(f"eta_star <= 0 at theta_tilde={theta_tilde:g}")
+    lo = (1.0 / (1.0 - mua)) * max(1.0, 1.0 / (dra * theta_tilde))
+    hi = min(1.0 / delta_a, (delta_a - es * aR) / (delta_a * (1.0 - mua - es)))
+    if not hi > lo:
+        return fail("empty warning-scale interval")
+    cwa = lo + 0.5 * (hi - lo)
+    w = cwa / (params.resp_c * aR)
+
+    eta_bar = delta_a * ((1.0 - mua) * cwa - 1.0) / (cwa * delta_a - aR)
+    if not eta_bar < es:
+        return fail("participation interval empty")
+    eta = eta_bar + 0.5 * (es - eta_bar)
+
+    gam_lo = gamma_floor(eta, params)
+    gamma = max(gam_lo, 1.0) + gamma_margin
+    reward = params.c_e * (1.0 - eta - mua + 1.0 / (gamma - 1.0))
+    x_eta = params.p / (gamma - 1.0) + params.p * (1.0 - mua - eta) + eta
+    return AiDesign(theta_tilde=theta_tilde, w=w, eta=eta, gamma=gamma,
+                    reward=reward, x_eta=x_eta, eta_star=es, eta_bar=eta_bar,
+                    feasible=True, reason="", params=params)
+
+
+def _identification_scalar(design: AiDesign) -> tuple:
+    params = design.params
+    mu_eta = design.mu_eta()
+    b_f = beta_fixed_point_scalar(mu_eta, design.w, params, FAKE)
+    b_r = beta_fixed_point_scalar(mu_eta, design.w, params, "R")
+    theta_a_tilde = design.theta_tilde * (1.0 - params.mua)
+    delta_a = params.delta * (1.0 - params.mua)
+    missed = None
+    if not b_f >= theta_a_tilde - 1e-9:
+        missed = f"beta_F^eta >= theta_tilde(1-mua) violated: {b_f} < {theta_a_tilde}"
+    elif not b_r <= delta_a + 1e-9:
+        missed = f"beta_R^eta <= delta_a violated: {b_r} > {delta_a}"
+    return b_f, b_r, theta_a_tilde, delta_a, missed
+
+
+def _degradation_scalar(b_f_x: float, params: GameParams) -> float:
+    theta_a = params.theta * (1.0 - params.mua)
+    return (theta_a - b_f_x) * 100.0 / theta_a
+
+
+def verify_equilibria_scalar(design: AiDesign) -> dict:
+    """The guarantees of one designed game, checked in order; raises
+    ``GameVerificationError`` at the first that fails."""
+    if not design.feasible:
+        raise GameVerificationError(f"design infeasible: {design.reason}")
+    params = design.params
+    mua = params.mua
+    mu_eta = design.mu_eta()
+    b_f, b_r, theta_a_tilde, delta_a, missed = _identification_scalar(design)
+    if missed:
+        raise GameVerificationError(missed)
+    u0, u1, u2 = (utility_eval_scalar(s, mu_eta, design) for s in (0, 1, 2))
+    if abs(u1 - u2) > 1e-9 * max(1.0, abs(u1)):
+        raise GameVerificationError(f"type-1/type-2 indifference violated: {u1} != {u2}")
+    if not (u1 > u0):
+        raise GameVerificationError(f"participation must beat idling: {u1} <= {u0}")
+    report = {
+        "beta_F_eta": b_f, "beta_R_eta": b_r,
+        "theta_a_tilde": theta_a_tilde, "delta_a": delta_a,
+        "utilities_at_eta": (u0, u1, u2),
+        "ne_list": [{"mu": mu_eta, "ai": True}],
+        "second_ne": None, "degradation_pct": None,
+    }
+    x = design.x_eta
+    if x < 1.0 - mua:
+        mu_x = design.mu_x(x)
+        b_f_x = beta_fixed_point_scalar(mu_x, design.w, params, FAKE)
+        b_r_x = beta_fixed_point_scalar(mu_x, design.w, params, "R")
+        if not b_r_x <= delta_a + 1e-9:
+            raise GameVerificationError(
+                f"second-NE real-post bound violated: {b_r_x} > {delta_a}")
+        if x > design.eta_star:
+            mult = _slope_scalar(params, design.w, FAKE)
+            x_f = (1.0 - mua - 1.0 / mult) / (1.0 - params.alpha_f)
+            floor = 1.0 / mult if x <= x_f else params.alpha_f * (1.0 - mua)
+            if not b_f_x >= floor - 1e-9:
+                raise GameVerificationError(
+                    f"second-NE fake-post floor violated: {b_f_x} < {floor}")
+        ps = success_probability_scalar(mu_x, design)
+        if ps < 1.0 - 1e-12:
+            u1x = utility_eval_scalar(1, mu_x, design)
+            u2x = utility_eval_scalar(2, mu_x, design)
+            if abs(ps - (1.0 - params.p)) < 1e-12 and abs(u1x - u2x) > 1e-9:
+                raise GameVerificationError(
+                    f"second NE indifference violated: {u1x} != {u2x}")
+            report["ne_list"].append({"mu": mu_x, "ai": False})
+            report["second_ne"] = {"x_eta": x, "beta_F": b_f_x, "beta_R": b_r_x,
+                                   "success_prob": ps}
+            report["degradation_pct"] = _degradation_scalar(b_f_x, params)
+    return report
+
+
+def random_study_scalar(n_samples: int, d: float, seed: int, theta: float = 0.75,
+                        gamma_margin: float = 1000.0, verify: bool = False) -> dict:
+    """The game study one configuration at a time, four scalar uniform
+    draws each (input checks left to the library)."""
+    rng = make_rng(seed)
+    degradations = []
+    rows = []
+    for i in range(n_samples):
+        alpha_r = rng.uniform(0.25, 0.30)
+        mua = rng.uniform(0.0, 0.2)
+        a = rng.uniform(2.0, 3.0)
+        p = rng.uniform(0.0, 0.5)
+        p = min(max(p, 1e-6), 1.0 - 1e-6)
+        alpha_f = alpha_r / (1.0 - d)
+        params = GameParams(alpha_r=alpha_r, alpha_f=alpha_f, mua=mua, p=p,
+                            theta=theta, delta=alpha_r + 0.01, resp_a=a)
+        design = design_ai_game_scalar(params, gamma_margin=gamma_margin)
+        if not design.feasible:
+            rows.append((i, 0, 0, float("nan")))
+            continue
+        if verify:
+            try:
+                verify_equilibria_scalar(design)
+            except GameVerificationError:
+                rows.append((i, 1, 0, float("nan")))
+                continue
+            ai = True
+        else:
+            ai = _identification_scalar(design)[-1] is None
+        x = design.x_eta
+        level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
+        if x <= level_theta or x >= 1.0 - mua:
+            degradation = 0.0
+        else:
+            b_f_x = beta_fixed_point_scalar(design.mu_x(x), design.w, params, FAKE)
+            degradation = _degradation_scalar(b_f_x, params)
+            degradations.append(degradation)
+        rows.append((i, 1, int(ai), degradation))
+    return {
+        "samples": n_samples,
+        "feasible_fraction": sum(r[1] for r in rows) / n_samples,
+        "ai_fraction": sum(r[2] for r in rows) / n_samples,
+        "second_ne_fraction": len(degradations) / n_samples,
+        "small_degradation_fraction": sum(r[3] < 10.0 for r in rows) / n_samples,
+        "degradations": np.asarray(degradations),
+        "rows": rows,
+    }

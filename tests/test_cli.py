@@ -318,6 +318,23 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
      "kappa must be finite, got nan"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "inf"],
      "eps_power must be finite, got inf"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-scale", "-2.2"],
+     "eps_scale must be > 0, got -2.2"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "0"],
+     "eps_power must be > 0, got 0.0"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta-scale", "-1.5"],
+     "eta_scale must be >= 0, got -1.5"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta-power", "-0.8"],
+     "eta_power must be >= 0, got -0.8"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta0", "-0.01"],
+     "eta0 must be >= 0, got -0.01"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--w0", "0.5", "--b0", "-3"],
+     "w0 must be >= 1, got 0.5"),
+    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--b0", "-3"],
+     "b0 must be >= 0, got -3.0"),
+    (["game", "study", "--seed", "1", "--samples", "5", "--gamma-margin", "-1"],
+     "gamma_margin must be finite and >= 0, got -1.0"),
+    (["game", "design", "--params", "{game_nan}"], "c_e must be finite, got nan"),
     (["game", "study", "--seed", "1", "--samples", "0"], "n_samples"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--bin-width", "0"], "bin_width"),
     (["market", "fit", "--graph", "{graph}", "--seed", "1", "--seeds-per-run", "0"],
@@ -336,13 +353,19 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
         "wm learn --seed-users 0", "wm learn --target-beta nan",
         "wm learn --target-beta 1.5", "wm learn --kappa-margin 0.9",
         "wm learn --kappa-margin nan", "wm learn --eps-power inf",
+        "wm learn --eps-scale -2.2", "wm learn --eps-power 0", "wm learn --eta-scale -1.5",
+        "wm learn --eta-power -0.8", "wm learn --eta0 -0.01", "wm learn --w0 0.5 --b0 -3",
+        "wm learn --b0 -3", "game study --gamma-margin -1", "game design c_e NaN",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0",
         "market propagate --seeds 0,x", "market propagate --seeds ''"])
 def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")
-    rc = main([a.format(wm=wm_params_file, graph=graph) for a in argv])
+    game_nan = tmp_path / "game_nan.json"
+    game_nan.write_text('{"alpha_r": 0.27, "alpha_f": 0.3, "mua": 0.1, "p": 0.3, '
+                        '"theta": 0.75, "delta": 0.28, "c_e": NaN}')
+    rc = main([a.format(wm=wm_params_file, graph=graph, game_nan=game_nan) for a in argv])
     assert rc == 1
     assert name in capsys.readouterr().err
 

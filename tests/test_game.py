@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from bpviral.game import (FAKE, REAL, AiDesign, GameParams,
                           participant_fractions, random_study, response,
                           simulate_tagging_game, success_probability,
                           tagging_rhs, utility_eval, verify_equilibria)
-from oracles import picard_chain, warning_mfg
+from oracles import (design_ai_game_scalar, picard_chain, random_study_scalar,
+                     verify_equilibria_scalar, warning_mfg)
 
 
 def base_params(**kw):
@@ -301,3 +304,136 @@ def test_no_participation_at_theta_one_is_infeasible():
     assert not design.feasible and design.reason == "eta_star <= 0 at theta_tilde=1"
     near = random_study(150, 0.1, 11, theta=0.99, verify=True)
     assert near["feasible_fraction"] == 1.0 and near["ai_fraction"] == 1.0
+
+
+def _study_bytes(res):
+    return ([res[k].hex() for k in ("feasible_fraction", "ai_fraction", "second_ne_fraction",
+                                    "small_degradation_fraction")],
+            res["degradations"].tobytes(), repr(res["rows"]),
+            {tuple(type(c) for c in row) for row in res["rows"]})
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_random_study_matches_scalar(verify):
+    # the array pass against the per-sample loop, as bytes: every fraction,
+    # the degradations and each row with its Python int/float cells
+    for d in (0.02, 0.08, 0.28, 0.6):
+        for theta in (0.75, 0.99, 1.0):
+            for margin in (1000.0, 1.0, 0.0):
+                for n, seed in ((200, 40), (1, 41)):
+                    args = (n, d, seed, theta, margin, verify)
+                    got = _study_bytes(random_study(*args))
+                    assert got == _study_bytes(random_study_scalar(*args)), args
+                    assert got[-1] == {(int, int, int, float)}
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+# both theta_tilde branches, and one configuration for each infeasible reason;
+# the last four sit where the interval bounds meet in rounding
+_DESIGN_CASES = [
+    dict(alpha_r=0.27, alpha_f=0.30, mua=0.1, theta=0.75, delta=0.28, resp_a=2.5),
+    dict(alpha_r=0.461, alpha_f=0.972, mua=0.28, theta=0.976, delta=0.95, resp_a=2.15),
+    dict(alpha_r=0.06, alpha_f=0.109, mua=0.89, theta=0.297, delta=0.092, resp_a=0.06),
+    dict(alpha_r=0.27, alpha_f=0.30, mua=0.1, theta=1.0, delta=0.28, resp_a=2.5),
+    dict(alpha_r=0.891, alpha_f=0.987, mua=0.6, theta=1.0, delta=0.995, resp_a=1.56),
+    dict(alpha_r=0.9999999999427137, alpha_f=0.9999999999427552, mua=0.9999999992319641,
+         theta=0.9999999999434801, delta=0.9999999999431407, resp_a=0.0010169822800796125),
+    dict(alpha_r=0.1417300800537944, alpha_f=0.14173206054042364, mua=0.3099609034908739,
+         theta=0.14173206099490995, delta=0.14173008005457025, resp_a=0.3178572483050533),
+    dict(alpha_r=0.18092977276805738, alpha_f=0.5902349756573377, mua=0.0,
+         theta=0.9999999999999422, delta=0.18092977301265725, resp_a=0.017872958167122876),
+    dict(alpha_r=0.5776701012768817, alpha_f=0.8237669346443749, mua=0.9965925376830514,
+         theta=0.9999999999998976, delta=0.5776701028696084, resp_a=7.620538629613042),
+]
+
+
+def test_design_matches_scalar():
+    seen = set()
+    for case in _DESIGN_CASES:
+        for extra in ({}, {"p": 0.05, "c_e": 2.0, "resp_c": 1.7, "q_p": 1.5, "q_np": 1.5}):
+            params = GameParams(**{"p": 0.3, **case, **extra})
+            for margin in (0.0, 1.0, 1000.0):
+                got = {k: _hex(v) for k, v in design_ai_game(params, margin).to_dict().items()}
+                ref = design_ai_game_scalar(params, margin)
+                assert got == {k: _hex(v) for k, v in ref.to_dict().items()}, (case, margin)
+                branch = "kept" if ref.theta_tilde == params.theta else "raised"
+                seen.add(branch if ref.feasible else ref.reason.split(" at ")[0])
+    assert seen == {"kept", "raised", "K_delta negative", "eta_star <= 0",
+                    "empty warning-scale interval", "participation interval empty"}
+
+
+def _indifferent(design, **changes):
+    """The design with ``changes`` and the reward that keeps types 1 and 2
+    indifferent at the designed mix."""
+    d = dataclasses.replace(design, **changes)
+    mu = d.mu_eta()
+    share = d.params.c_e / (d.gamma - 1.0)
+    return dataclasses.replace(d, reward=share * (mu[1] + d.params.mua + d.gamma * mu[2])
+                               / success_probability(mu, d))
+
+
+def test_verify_matches_scalar():
+    base = design_ai_game(base_params())
+    designs = {
+        "pass": base,
+        "design infeasible": design_ai_game(base_params(theta=1.0)),
+        "beta_F^eta >= theta_tilde(1-mua) violated": dataclasses.replace(
+            base, eta=0.322376652236676, gamma=1.3980911546890495),
+        "beta_R^eta <= delta_a violated": dataclasses.replace(
+            base, eta=0.11699572938348739, gamma=4.600931387838313),
+        "type-1/type-2 indifference violated": dataclasses.replace(base, reward=2.0),
+        "participation must beat idling": _indifferent(base, gamma=0.5),
+        "second-NE real-post bound violated": dataclasses.replace(base, x_eta=0.227),
+        "second-NE fake-post floor violated": _indifferent(base, w=1.0, theta_tilde=0.0,
+                                                           eta_star=0.0),
+        "second NE indifference violated": dataclasses.replace(base, x_eta=0.458),
+    }
+    for margin in (1.0, 1000.0):
+        designs[f"pass at margin {margin}"] = design_ai_game(base_params(p=0.05), margin)
+    # and a grid around the design, kept indifferent at its mix: second mixes
+    # x_eta, warning scales and eta_star (floor check on or off)
+    grid = {(x, w, e): _indifferent(base, x_eta=x, w=w, eta_star=e, theta_tilde=0.0)
+            for x in np.linspace(0.0, 0.9, 31).tolist() for w in (1.0, 3.5, base.w)
+            for e in (0.0, base.eta_star)}
+    outcomes = {}
+    for name, design in [*designs.items(), *grid.items()]:
+        pair = []
+        for verify in (verify_equilibria, verify_equilibria_scalar):
+            try:
+                pair.append(repr(verify(design)))
+            except GameVerificationError as exc:
+                pair.append(f"error: {exc}")
+        assert pair[0] == pair[1], name
+        outcomes[name] = pair[0]
+    for name in designs:
+        assert outcomes[name].startswith(f"error: {name}:" if "pass" not in name else "{"), name
+    # a second equilibrium, with its degradation, is reported as well
+    assert verify_equilibria(base)["second_ne"] is not None
+
+
+@pytest.mark.parametrize("margin", [-5.0, -1e-300, np.nan, np.inf])
+def test_gamma_margin_must_be_finite_and_nonnegative(margin):
+    # gamma is the floor plus the margin, so a negative margin puts it below
+    # the floor, and NaN gives a "feasible" design with a NaN reward
+    with pytest.raises(ValueError, match=f"^gamma_margin must be finite and >= 0, got {margin}$"):
+        design_ai_game(base_params(), gamma_margin=margin)
+    with pytest.raises(ValueError, match="gamma_margin"):
+        random_study(5, 0.1, seed=1, gamma_margin=margin)
+
+
+def test_zero_gamma_margin_is_the_floor():
+    p = base_params()
+    d = design_ai_game(p, gamma_margin=0.0)
+    assert d.feasible and d.gamma == gamma_floor(d.eta, p) > 1.0
+    assert random_study(50, 0.1, seed=1, gamma_margin=0, verify=True)["ai_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q_p", np.nan), ("q_np", np.nan), ("c_e", np.nan), ("c_e", np.inf), ("resp_a", np.nan),
+    ("resp_a", np.inf), ("resp_b", np.nan), ("resp_c", np.nan), ("q_p", np.inf)])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        base_params(**{field: value})

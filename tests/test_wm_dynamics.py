@@ -120,7 +120,11 @@ class TestLearn:
         ({"w0": float("inf")}, 0.05, "w0 must be finite"),
         ({}, float("nan"), "target_beta must be in"),
         ({}, -0.01, "target_beta must be in"),
-    ], ids=["kappa nan", "kappa 1", "w0 inf", "target nan", "target below 0"])
+        ({"eps_scale": -2.2}, 0.05, "eps_scale must be > 0, got -2.2"),
+        ({"w0": 0.5, "b0": -3.0}, 0.05, "w0 must be >= 1, got 0.5"),
+        ({"eta_power": -0.1}, 0.05, "eta_power must be >= 0, got -0.1"),
+    ], ids=["kappa nan", "kappa 1", "w0 inf", "target nan", "target below 0",
+            "eps_scale negative", "w0 below 1", "eta_power negative"])
     def test_bad_floats_rejected(self, naive_post, naive_mix, fields, target, match):
         cfg = LearnConfig(**{"budget": 10, "kappa": 0.5, **fields})
         with pytest.raises(ValueError, match=match):
