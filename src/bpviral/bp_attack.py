@@ -59,11 +59,6 @@ class AttackLimits:
         ])
 
 
-def h_limits(limits: AttackLimits):
-    """Lift map h(beta) of the attack model (indicators taken at the point)."""
-    return make_h(limits.limit_mean_matrix)
-
-
 def interior_repeller(limits: AttackLimits) -> float:
     """Unique zero of the quadratic field in (0,1); only exists in regime E."""
     e_yx, mt, mi = limits.e_yx, limits.m_tilde, limits.m_inf
@@ -104,7 +99,7 @@ def classify_regime_and_limits(limits: AttackLimits):
             Equilibrium(beta=1.0, kind=ATTRACTOR, basin=(0.0, 1.0)),
         ]
     report = EquilibriumReport(equilibria=eqs)
-    return in_e, lift_limits(report, h_limits(limits))
+    return in_e, lift_limits(report, make_h(limits.limit_mean_matrix))
 
 
 def attack_model(limits: AttackLimits) -> MeanModel:

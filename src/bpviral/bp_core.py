@@ -94,12 +94,6 @@ class DeathModel:
         if self.rate is not None and not callable(self.rate):
             raise TypeError(f"rate must be callable or None, got {self.rate!r}")
 
-    def rate_checked(self, ptype, kind, state):
-        lam = 1.0 if self.rate is None else float(self.rate(ptype, kind, state))
-        if not lam >= 1e-12:
-            raise ValueError(f"death rate {lam} below floor for ({ptype},{kind})")
-        return lam
-
 
 def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
     """Weight count * rate of each (type, kind) the next death can take.
@@ -115,7 +109,10 @@ def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
                                 ("y", state.cy, deaths.kinds_y)):
         if count:
             for d in kinds:
-                weights[(ptype, d)] = count * deaths.rate_checked(ptype, d, state)
+                lam = 1.0 if deaths.rate is None else float(deaths.rate(ptype, d, state))
+                if not lam >= 1e-12:
+                    raise ValueError(f"death rate {lam} below floor for ({ptype},{d})")
+                weights[(ptype, d)] = count * lam
     return weights
 
 
@@ -309,9 +306,7 @@ def fit_growth_rate(s: np.ndarray, tau: np.ndarray) -> float:
 
 def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
                          low_mean: float | None = None):
-    """Ratio sequence plus the single-path dichotomy summary.
-
-    Returns (ratios array, dict) where the dict reports extinction, the
+    """Single-path dichotomy summary: a dict that reports extinction, the
     fitted exponential growth rate of the sum current population against
     wall-clock time, whether the path kept growing (S at the cap at least
     its mid-path value) and, given the mean lower offspring bound
@@ -319,7 +314,6 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    ups = traj.ratios()
     s = (traj.cx + traj.cy).astype(float)
     mid = s[len(s) // 2] if len(s) > 1 else s[0]
     info = {
@@ -329,7 +323,7 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
     }
     if low_mean is not None:
         info["rate_threshold"] = lam * (low_mean - 1.0)
-    return ups, info
+    return info
 
 
 def dichotomy_study(offspring_mean: float, s0: int, replications: int,

@@ -113,13 +113,25 @@ def resolve(args, config_section, spec):
 REQUIRED = object()
 
 
+def _record(cls, blob, where):
+    """``cls(**blob)`` for a value read from ``where``: a non-object and an
+    unknown, missing or mistyped key fail naming ``where`` and the key."""
+    try:
+        return cls(**blob)
+    except TypeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _load_config(args):
     path = getattr(args, "config", None)
     if not path:
         return {}
     with open(path) as fh:
         data = json.load(fh)
-    return data.get("params", data)
+    section = data.get("params", data) if isinstance(data, dict) else data
+    if not isinstance(section, dict):
+        raise ParamError(f"config {path} must hold a JSON object of parameters, got {section!r}")
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +181,15 @@ def _rep_path(out, rep, total):
 
 def cmd_bp_ratios(p):
     data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
+    if data.size == 0:
+        raise ValueError(f"in: {p['in']} has no rows below its header")
     traj = bp_core.Trajectory(
         epoch=data["epoch"].astype(np.int64), tau=data["tau"],
         cx=data["cx"].astype(np.int64), cy=data["cy"].astype(np.int64),
         ax=data["ax"].astype(np.int64), ay=data["ay"].astype(np.int64),
         extinct=bool(data["cx"][-1] + data["cy"][-1] == 0),
     )
-    ups, info = bp_core.ratios_and_dichotomy(traj, lam=p["lam"],
-                                             low_mean=p["offspring-low-mean"])
+    info = bp_core.ratios_and_dichotomy(traj, lam=p["lam"], low_mean=p["offspring-low-mean"])
     _emit_json(info, p["out"])
 
 
@@ -195,11 +208,9 @@ def cmd_attack_analyze(p):
 
 def _post_mix_from(params_file):
     with open(params_file) as fh:
-        blob = json.load(fh)
-    post = wm.PostModel(**blob["post"])
-    mix = wm.UserMix(**blob["mix"])
-    delta = float(blob["delta"])
-    return post, mix, delta
+        blob = _record(dict, json.load(fh), params_file)    # any JSON object
+    return (_record(wm.PostModel, blob["post"], f"{params_file} post"),
+            _record(wm.UserMix, blob["mix"], f"{params_file} mix"), float(blob["delta"]))
 
 
 def cmd_wm_design(p):
@@ -309,8 +320,7 @@ def cmd_market_fit(p):
 
 def _game_params(path):
     with open(path) as fh:
-        blob = json.load(fh)
-    return game.GameParams(**blob)
+        return _record(game.GameParams, json.load(fh), path)
 
 
 def cmd_game_design(p):
@@ -319,9 +329,7 @@ def cmd_game_design(p):
 
 
 def cmd_game_verify(p):
-    report = game.verify_equilibria(game.design_ai_game(_game_params(p["params"])))
-    report["ne_list"] = [{"mu": list(d["mu"]), "ai": d["ai"]} for d in report["ne_list"]]
-    _emit_json(report, p["out"])
+    _emit_json(game.verify_equilibria(game.design_ai_game(_game_params(p["params"]))), p["out"])
 
 
 def cmd_game_simulate(p):

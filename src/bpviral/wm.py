@@ -35,11 +35,6 @@ class UserMix:
         if not (min(vals) >= 0 and abs(sum(vals) - 1.0) <= 1e-9):
             raise ValueError(f"user proportions must be nonnegative and sum to 1: {vals}")
 
-    def require_crowd_signal(self):
-        if self.mu2 <= 0:
-            raise ValueError("crowd signal requires mu2 > 0")
-        return self
-
     def without_adversaries(self) -> "UserMix":
         """Same wi/ws shares, adversaries folded into the non-participants."""
         return UserMix(mu0=self.mu0 + self.mua, mu1=self.mu1, mu2=self.mu2, mua=0.0)
@@ -160,28 +155,26 @@ def eo_warning(beta, w: float, b: float, gamma: float):
     return w * beta * (beta > 0.0) / (denom + (denom == 0.0)) + gamma
 
 
-def warning_value(kind: str, beta, design: MechanismDesign,
-                  post: PostModel, mix: UserMix):
+def warning_value(beta, design: MechanismDesign, post: PostModel, mix: UserMix):
     """Warning level shown at fake-tag fraction beta (a float or an array)
-    under a mechanism."""
+    under the design's mechanism."""
     base = eo_warning(beta, design.w, design.b, post.gamma)
-    if kind in (EO, EH2, LEARNED):
+    if design.kind in (EO, EH2, LEARNED):
         return base
     boost = (beta * mix.mua * post.eta_a
              / (mix.mu2 * post.eta_f
                 * (beta * post.alpha_x_f + (1.0 - beta) * post.alpha_y_f)))
-    if kind == EA:
+    if design.kind == EA:
         return base + boost
-    if kind == EH:
+    if design.kind == EH:
         return design.zeta * (base + boost)
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    raise ValueError(f"unknown mechanism kind {design.kind!r}")
 
 
-def gbeta_wm(beta, kind: str, design: MechanismDesign,
-             post: PostModel, mix: UserMix, u: str):
+def gbeta_wm(beta, design: MechanismDesign, post: PostModel, mix: UserMix, u: str):
     """Drift of the tag-proportion ODE for a u-post under the mechanism, at
     a float or an array of betas."""
-    omega = warning_value(kind, beta, design, post, mix)
+    omega = warning_value(beta, design, post, mix)
     ax, ay = post.alpha_x(u), post.alpha_y(u)
     eta_u, mf = post.eta(u), post.m_f
     mu1, mu2, mua = mix.mu1, mix.mu2, mix.mua
@@ -194,22 +187,22 @@ def gbeta_wm(beta, kind: str, design: MechanismDesign,
     return core * mf * eta_u - beta * mua * mf * post.eta_a
 
 
-def _warning_kinks(kind, design, post, mix, u) -> list:
+def _warning_kinks(design, post, mix, u) -> list:
     """Abscissas where min(omega*alpha, 1) switches; omega is increasing in
     beta for every mechanism here, so each threshold has at most one root."""
     kinks = [0.0, 1.0]
     for alpha in (post.alpha_x(u), post.alpha_y(u)):
-        f = lambda b: warning_value(kind, b, design, post, mix) * alpha - 1.0
+        f = lambda b: warning_value(b, design, post, mix) * alpha - 1.0
         f_lo = f(1e-12)
         if f_lo < 0 < f(1.0):
             kinks.append(bisect_root(f, 0.0, 1.0, f_lo, tol=0.0))
     return sorted(set(kinks))
 
 
-def gbeta_field(kind, design, post, mix, u) -> ScalarField:
-    g = lambda b: gbeta_wm(b, kind, design, post, mix, u)
+def gbeta_field(design, post, mix, u) -> ScalarField:
+    g = lambda b: gbeta_wm(b, design, post, mix, u)
     g.vectorized = True
-    return ScalarField(g=g, kinks=_warning_kinks(kind, design, post, mix, u))
+    return ScalarField(g=g, kinks=_warning_kinks(design, post, mix, u))
 
 
 def beta_bounds(post: PostModel, mix: UserMix, u: str) -> tuple:
@@ -222,14 +215,15 @@ def beta_bounds(post: PostModel, mix: UserMix, u: str) -> tuple:
     return lower, upper
 
 
-def limit_proportions(kind, design: MechanismDesign, post: PostModel,
+def limit_proportions(design: MechanismDesign, post: PostModel,
                       mix: UserMix) -> MechanismDesign:
     """Solve the limit proportions for both actualities and fill in the
     design's predicted limits, bounds, QoS and i-QoS."""
-    mix.require_crowd_signal()
+    if mix.mu2 <= 0:
+        raise ValueError("crowd signal requires mu2 > 0")
     roots, bounds = {}, {}
     for u in (FAKE, REAL):
-        rep = classify_scalar(gbeta_field(kind, design, post, mix, u), grid_points=4000)
+        rep = classify_scalar(gbeta_field(design, post, mix, u), grid_points=4000)
         rs = sorted(e.beta for e in rep.equilibria)
         if not rs:
             raise RuntimeError(f"no limit proportion found for {u}-post (internal error)")
@@ -269,10 +263,10 @@ def _pinned_design(kind, w, b_pinned, post, mix, delta, iqos) -> MechanismDesign
     at b = 0 already meets the target, else ``b_pinned(target)``."""
     target = _target(delta, post, mix, iqos)
     probe = MechanismDesign(kind=kind, w=w, b=0.0, delta_target=target, iqos_mode=iqos)
-    rep = classify_scalar(gbeta_field(kind, probe, post, mix, REAL), grid_points=4000)
+    rep = classify_scalar(gbeta_field(probe, post, mix, REAL), grid_points=4000)
     b = b_pinned(target) if min(e.beta for e in rep.equilibria) > target else 0.0
     design = MechanismDesign(kind=kind, w=w, b=b, delta_target=target, iqos_mode=iqos)
-    limit_proportions(kind, design, post, mix)
+    limit_proportions(design, post, mix)
     design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
     return design
 
@@ -313,7 +307,7 @@ def design_eh(post: PostModel, mix: UserMix, delta: float,
     largest factor that keeps the real post under the target."""
     target = _target(delta, post, mix, iqos)
     ea, _ = design_ea(post, mix, delta, iqos=iqos)
-    omega_a_delta = warning_value(EA, target, ea, post, mix)
+    omega_a_delta = warning_value(target, ea, post, mix)
     d = target
     eta_r = post.eta_r
     num = (d * (mix.mu2 * eta_r + mix.mu1 * (1.0 - post.alpha_x_r * post.rho) * eta_r
@@ -325,11 +319,11 @@ def design_eh(post: PostModel, mix: UserMix, delta: float,
     if zeta_bar < 1.0 / (post.alpha_y_r * omega_a_delta) or (beta_low_f == 0.0 and ea.b == 0.0):
         zeta = zeta_bar
     else:
-        omega_a_low = warning_value(EA, beta_low_f, ea, post, mix)
+        omega_a_low = warning_value(beta_low_f, ea, post, mix)
         zeta = 1.0 / (omega_a_low * post.alpha_y_f)
     design = MechanismDesign(kind=EH, w=ea.w, b=ea.b, zeta=zeta,
                              delta_target=target, iqos_mode=iqos)
-    limit_proportions(EH, design, post, mix)
+    limit_proportions(design, post, mix)
     design.constraint_ok = (design.predicted_limits[REAL][-1] <= target + 1e-7
                             and zeta > 1.0)
     design.extras = {"zeta_bar": zeta_bar, "ea_qos": ea.qos, "ea_iqos": ea.iqos}
@@ -364,5 +358,5 @@ def learned_design(w: float, b: float, post: PostModel, mix: UserMix,
     target = _target(delta, post, mix, iqos)
     design = MechanismDesign(kind=LEARNED, w=w, b=b, delta_target=target,
                              iqos_mode=iqos)
-    limit_proportions(LEARNED, design, post, mix)
+    limit_proportions(design, post, mix)
     return design

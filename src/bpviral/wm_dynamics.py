@@ -112,10 +112,12 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     One event is one read of the reader process ``_reads``, the same one
     ``learn_wm`` runs: warning-seekers see the live warning of the
     mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
-    have been made.
+    have been made.  ``kind`` must be ``design.kind``.
     """
     if kind not in (EO, EA, EH, EH2, LEARNED):
         raise ValueError(f"kind must be one of eo, ea, eh, eh2, learned; got {kind!r}")
+    if kind != design.kind:
+        raise ValueError(f"kind {kind!r} does not match the design's kind {design.kind!r}")
     if actuality not in (FAKE, REAL):
         raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {actuality!r}")
     if min(init_fake, init_real) < 0 or init_fake + init_real < 1:
@@ -126,7 +128,7 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     bufs = (_Buf(rng), _Buf(rng), _Buf(rng),
             _Buf(rng, post.m_f * post.eta(actuality)), _Buf(rng, post.m_f * post.eta_a))
     reads = _reads(rng, post, mix, actuality,
-                   lambda beta, fake_copy: warning_value(kind, beta, design, post, mix),
+                   lambda beta, fake_copy: warning_value(beta, design, post, mix),
                    bufs, init_fake, init_real, init_fake, init_real)
     rec = []
     for n, (cx, cy, ax, ay, _) in zip(range(1, max_events + 1), reads):

@@ -366,7 +366,7 @@ def simulate_tagging_scalar(kind: str, design: MechanismDesign, post: PostModel,
     bufs = (_Buf(rng), _Buf(rng), _Buf(rng),
             _Buf(rng, post.m_f * post.eta(actuality)), _Buf(rng, post.m_f * post.eta_a))
     reads = reads_scalar(rng, post, mix, actuality,
-                         lambda beta, fake_copy: warning_value(kind, beta, design, post, mix),
+                         lambda beta, fake_copy: warning_value(beta, design, post, mix),
                          bufs, init_fake, init_real, init_fake, init_real)
     rec = []
     for n, (cx, cy, ax, ay, _) in zip(range(1, max_events + 1), reads):

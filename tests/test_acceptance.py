@@ -285,7 +285,7 @@ def test_criterion_9_oracle_and_property_suites():
 
         def eo_root(w_, b_, u):
             d = MechanismDesign(kind=EO, w=w_, b=b_)
-            rep = classify_scalar(gbeta_field(EO, d, post, mix, u),
+            rep = classify_scalar(gbeta_field(d, post, mix, u),
                                   grid_points=2000)
             assert len(rep.equilibria) == 1
             return rep.equilibria[0].beta

@@ -233,7 +233,7 @@ def test_simulate_errors_match_scalar(model, builtin, deaths, init, match):
 def test_non_callable_rate_rejected():
     with pytest.raises(TypeError, match="rate"):
         DeathModel(rate=2.0)
-    assert DeathModel().rate_checked("x", 0, PopulationState(1, 0, 1, 0)) == 1.0
+    assert death_weights(PopulationState(1, 0, 1, 0), DeathModel()) == {("x", 0): 1.0}
 
 
 class TestRatios:
@@ -290,7 +290,7 @@ def test_single_path_dichotomy_summary():
     model = bp_core.single_type_ramp_model()
     traj = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
                     max_events=4000, seed=1)
-    ups, info = ratios_and_dichotomy(traj, lam=1.0, low_mean=1.2)
+    info = ratios_and_dichotomy(traj, lam=1.0, low_mean=1.2)
     assert info["grew"]
     if not info["extinct"]:
         assert info["growth_rate"] > 0

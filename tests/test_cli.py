@@ -11,26 +11,28 @@ from bpviral.cli import _COMMANDS, main, write_csv
 from oracles import write_csv_per_value
 
 
+WM_BLOB = {
+    "post": {"m_f": 30, "eta_f": 0.52, "eta_r": 0.4, "eta_a": 0.55,
+             "gamma": 0.1, "rho": 0.9, "alpha_x_f": 0.3, "alpha_y_f": 0.225,
+             "alpha_x_r": 0.12, "alpha_y_r": 0.09},
+    "mix": {"mu0": 0.25, "mu1": 0.15, "mu2": 0.5, "mua": 0.1},
+    "delta": 0.05,
+}
+GAME_BLOB = {"alpha_r": 0.27, "alpha_f": 0.30, "mua": 0.1, "p": 0.3,
+             "theta": 0.75, "delta": 0.28, "resp_a": 2.5}
+
+
 @pytest.fixture
 def wm_params_file(tmp_path):
-    blob = {
-        "post": {"m_f": 30, "eta_f": 0.52, "eta_r": 0.4, "eta_a": 0.55,
-                 "gamma": 0.1, "rho": 0.9, "alpha_x_f": 0.3, "alpha_y_f": 0.225,
-                 "alpha_x_r": 0.12, "alpha_y_r": 0.09},
-        "mix": {"mu0": 0.25, "mu1": 0.15, "mu2": 0.5, "mua": 0.1},
-        "delta": 0.05,
-    }
     path = tmp_path / "wm.json"
-    path.write_text(json.dumps(blob))
+    path.write_text(json.dumps(WM_BLOB))
     return str(path)
 
 
 @pytest.fixture
 def game_params_file(tmp_path):
-    blob = {"alpha_r": 0.27, "alpha_f": 0.30, "mua": 0.1, "p": 0.3,
-            "theta": 0.75, "delta": 0.28, "resp_a": 2.5}
     path = tmp_path / "game.json"
-    path.write_text(json.dumps(blob))
+    path.write_text(json.dumps(GAME_BLOB))
     return str(path)
 
 
@@ -163,6 +165,31 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     rc = main(["bp", "simulate", "--config", str(cfg)])
     assert rc == 2
     assert "not-a-key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text, rc, names", [
+    (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, bogus=1)), 1, ["'bogus'"]),
+    (["game", "verify", "--params"], json.dumps({"alpha_r": 0.27}), 1, ["'alpha_f'"]),
+    (["bp", "simulate", "--config"], "[1, 2]", 2, ["JSON object"]),
+    (["bp", "simulate", "--config"], '{"params": 3}', 2, ["JSON object"]),
+    (["wm", "design", "--params"],
+     json.dumps(dict(WM_BLOB, post=dict(WM_BLOB["post"], bogus=1))), 1, ["post", "'bogus'"]),
+    (["wm", "simulate", "--seed", "1", "--params"],
+     json.dumps(dict(WM_BLOB, mix=dict(WM_BLOB["mix"], mu3=0))), 1, ["mix", "'mu3'"]),
+    (["wm", "learn", "--seed", "1", "--params"], "[3]", 1, ["mapping"]),
+    (["bp", "ratios", "--in"], "epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta\n",
+     1, ["in: ", "no rows"]),
+], ids=["game params unknown key", "game params missing key", "config list",
+        "config params not an object", "wm post unknown key", "wm mix unknown key",
+        "wm params list", "bp ratios header only"])
+def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
+    path = tmp_path / "input.file"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for name in [str(path), *names]:
+        assert name in err
 
 
 def test_flags_override_config(tmp_path):

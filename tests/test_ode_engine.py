@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpviral.bp_attack import AttackLimits, h_limits
+from bpviral.bp_attack import AttackLimits
 from bpviral.bp_core import (DeathModel, PopulationState, simulate,
                              single_type_ramp_model)
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE, DegenerateFieldError,
@@ -78,7 +78,7 @@ class TestMarkedScan:
     def test_wm_fields(self, kind, b, u):
         d = MechanismDesign(kind=kind, w=NAIVE_POST.w_h2, b=b, zeta=1.3)
         marked, plain = _scan_both_ways(
-            gbeta_field(kind, d, NAIVE_POST, naive_mix(0.1), u), grid_points=4000)
+            gbeta_field(d, NAIVE_POST, naive_mix(0.1), u), grid_points=4000)
         assert marked.equilibria
         assert _report_bits(marked) == _report_bits(plain)
 
@@ -238,7 +238,7 @@ class TestLift:
     def test_attack_boundary_points(self):
         lim = AttackLimits(3, 1, 3, 1)
         rep = classify_scalar(build_gbeta(lim))
-        rep = lift_limits(rep, h_limits(lim))
+        rep = lift_limits(rep, make_h(lim.limit_mean_matrix))
         by_beta = {round(p.beta, 6): p for p in rep.lifted if not math.isnan(p.beta)}
         assert by_beta[1.0].h == pytest.approx((2.0, 2.0, 3.0, 3.0))
         assert by_beta[0.0].h == pytest.approx((2.0, 0.0, 3.0, 0.0))
@@ -253,7 +253,7 @@ class TestLift:
                   AttackLimits(2.5, 0.7, 1.9, 0.4)):
             rhs = make_autonomous_rhs(e.limit_mean_matrix)
             rep = classify_scalar(build_gbeta(e))
-            rep = lift_limits(rep, h_limits(e))
+            rep = lift_limits(rep, make_h(e.limit_mean_matrix))
             for p in rep.lifted:
                 if math.isnan(p.beta) or p.beta in (0.0, 1.0):
                     continue
@@ -261,7 +261,7 @@ class TestLift:
 
     def test_report_json_schema(self):
         lim = AttackLimits(3, 1, 3, 1)
-        rep = lift_limits(classify_scalar(build_gbeta(lim)), h_limits(lim))
+        rep = lift_limits(classify_scalar(build_gbeta(lim)), make_h(lim.limit_mean_matrix))
         blob = rep.to_dict()
         assert set(blob) == {"equilibria", "lifted"}
         for e in blob["equilibria"]:
@@ -391,7 +391,7 @@ def test_array_rhs_rows_match_lift_map():
     # rows at beta = 0 and 1 (the attack matrix's indicators), an interior
     # beta and psi_c <= 0, against h(beta) 1_{psi_c>0} - upsilon per point
     lim = AttackLimits(2.5, 0.7, 1.9, 0.4)
-    g, h = make_autonomous_rhs(lim.limit_mean_matrix), h_limits(lim)
+    g, h = make_autonomous_rhs(lim.limit_mean_matrix), make_h(lim.limit_mean_matrix)
     Y = np.array([[1.0, 0.0, 1.5, 0.2], [1.0, 1.0, 1.5, 1.2], [0.8, 0.3, 1.1, 0.5],
                   [0.0, 0.0, 1.2, 0.6], [-0.1, 0.2, 0.4, 0.3]])
     ref = np.array([h(y[1] / y[0]) - y if y[0] > 0 else -y for y in Y])

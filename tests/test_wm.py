@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,9 +45,9 @@ class TestWarningValue:
         d = MechanismDesign(kind=EO, w=1.0, b=1.0)
         mix = UserMix(0.0, 0.0, 1.0, 0.0)
         post = smart_post
-        assert warning_value(EO, 0.0, d, post, mix) == pytest.approx(post.gamma)
-        assert warning_value(EO, 1.0, d, post, mix) == pytest.approx(1.0 + post.gamma)
-        assert warning_value(EO, 0.5, d, post, mix) == pytest.approx(0.6)
+        assert warning_value(0.0, d, post, mix) == pytest.approx(post.gamma)
+        assert warning_value(1.0, d, post, mix) == pytest.approx(1.0 + post.gamma)
+        assert warning_value(0.5, d, post, mix) == pytest.approx(0.6)
 
     def test_zero_beta_zero_b_limit(self):
         assert eo_warning(0.0, 2.0, 0.0, 0.1) == pytest.approx(0.1)
@@ -55,23 +56,23 @@ class TestWarningValue:
         mix = UserMix(0.35, 0.15, 0.5, 0.0)
         d = MechanismDesign(kind=EA, w=2.0, b=0.4)
         for b in np.linspace(0, 1, 7):
-            assert warning_value(EA, b, d, naive_post, mix) == pytest.approx(
-                warning_value(EO, b, d, naive_post, mix))
+            assert warning_value(b, d, naive_post, mix) == pytest.approx(
+                warning_value(b, replace(d, kind=EO), naive_post, mix))
 
     def test_ea_dominates_eo(self, naive_post):
         rng = make_rng(3)
         mix = UserMix(0.25, 0.15, 0.5, 0.1)
         d = MechanismDesign(kind=EA, w=2.0, b=0.4)
         for b in rng.uniform(0.001, 1, 50):
-            assert (warning_value(EA, b, d, naive_post, mix)
-                    > warning_value(EO, b, d, naive_post, mix))
+            assert (warning_value(b, d, naive_post, mix)
+                    > warning_value(b, replace(d, kind=EO), naive_post, mix))
 
     def test_eh_scales_ea(self, naive_post):
         mix = UserMix(0.25, 0.15, 0.5, 0.1)
         d = MechanismDesign(kind=EH, w=2.0, b=0.4, zeta=1.3)
         for b in (0.2, 0.6):
-            assert warning_value(EH, b, d, naive_post, mix) == pytest.approx(
-                1.3 * warning_value(EA, b, d, naive_post, mix))
+            assert warning_value(b, d, naive_post, mix) == pytest.approx(
+                1.3 * warning_value(b, replace(d, kind=EA), naive_post, mix))
 
 
 def test_warning_and_field_take_arrays(naive_post, naive_mix):
@@ -82,8 +83,8 @@ def test_warning_and_field_take_arrays(naive_post, naive_mix):
     for kind in (EO, EA, EH, EH2, LEARNED):
         for b in (0.0, 0.4):
             d = MechanismDesign(kind=kind, w=naive_post.w_h2, b=b, zeta=1.3)
-            calls = [lambda x: warning_value(kind, x, d, naive_post, mix)]
-            calls += [lambda x, u=u: gbeta_wm(x, kind, d, naive_post, mix, u)
+            calls = [lambda x: warning_value(x, d, naive_post, mix)]
+            calls += [lambda x, u=u: gbeta_wm(x, d, naive_post, mix, u)
                       for u in (FAKE, REAL)]
             for f in calls:
                 per_point = np.array([f(x) for x in betas.tolist()])
@@ -114,16 +115,16 @@ class TestGbetaField:
         mix = UserMix(0.25, 0.15, 0.5, 0.1)
         d = MechanismDesign(kind=EO, w=1.0, b=0.3)
         for u in (FAKE, REAL):
-            assert gbeta_wm(0.0, EO, d, naive_post, mix, u) > 0
+            assert gbeta_wm(0.0, d, naive_post, mix, u) > 0
 
     def test_saturation_kinks_registered(self, naive_post):
         mix = UserMix(0.25, 0.15, 0.5, 0.1)
         d = MechanismDesign(kind=EH2, w=naive_post.w_h2, b=0.5)
-        field = gbeta_field(EH2, d, naive_post, mix, FAKE)
+        field = gbeta_field(d, naive_post, mix, FAKE)
         interior = [k for k in field.kinks if 0 < k < 1]
         assert interior, "expected min{} switch points inside (0,1)"
         for k in interior:
-            om = warning_value(EH2, k, d, naive_post, mix)
+            om = warning_value(k, d, naive_post, mix)
             assert min(abs(om * naive_post.alpha_x_f - 1.0),
                        abs(om * naive_post.alpha_y_f - 1.0)) < 1e-9
 
@@ -134,7 +135,7 @@ class TestGbetaField:
             d = MechanismDesign(kind=EO, w=min(rng.uniform(0.2, 1.0) * post.w_bar,
                                                post.w_bar),
                                 b=rng.uniform(0, 2))
-            rep = classify_scalar(gbeta_field(EO, d, post, mix, FAKE),
+            rep = classify_scalar(gbeta_field(d, post, mix, FAKE),
                                   grid_points=2000)
             assert len(rep.equilibria) == 1
 
@@ -225,7 +226,7 @@ class TestOptimizeEo:
             for u in (FAKE, REAL):
                 def root(w_, b_):
                     d = MechanismDesign(kind=EO, w=w_, b=b_)
-                    rep = classify_scalar(gbeta_field(EO, d, post, mix, u),
+                    rep = classify_scalar(gbeta_field(d, post, mix, u),
                                           grid_points=2000)
                     return rep.equilibria[0].beta
                 assert root(dw, b) > root(w, b)
@@ -236,7 +237,7 @@ class TestOptimizeEo:
         for _ in range(15):
             post, mix = random_post(rng), random_mix(rng)
             d = MechanismDesign(kind=EO, w=0.8 * post.w_bar, b=0.2)
-            limit_proportions(EO, d, post, mix)
+            limit_proportions(d, post, mix)
             for u in (FAKE, REAL):
                 lo, hi = beta_bounds(post, mix, u)
                 for r in d.predicted_limits[u]:
@@ -344,7 +345,7 @@ def test_crowd_signal_required_for_designs(naive_post):
     mix = UserMix(mu0=0.9, mu1=0.1, mu2=0.0, mua=0.0)
     d = MechanismDesign(kind=EO, w=1.0, b=0.1)
     with pytest.raises(ValueError, match="crowd signal"):
-        limit_proportions(EO, d, naive_post, mix)
+        limit_proportions(d, naive_post, mix)
 
 
 def test_delta_a_value(naive_post, naive_mix):

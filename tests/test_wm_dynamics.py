@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bpviral import wm_dynamics
 from bpviral.bp_core import make_rng
 from bpviral.wm import (EA, EH, EH2, EO, FAKE, REAL, UserMix, design_eh, design_eh2,
                         design_for_kind, learned_design, optimize_eo)
@@ -91,10 +92,14 @@ class TestSimulateTagging:
 
     @pytest.mark.parametrize("mix", [UserMix(0.5, 0.5, 0.0, 0.0), UserMix(0.25, 0.15, 0.5, 0.1)],
                              ids=["no warning-seekers", "warning-seekers"])
-    def test_unknown_kind_rejected_before_reading(self, naive_post, mix):
+    def test_unknown_kind_rejected_before_reading(self, naive_post, mix, monkeypatch):
         d = optimize_eo(naive_post, UserMix(0.25, 0.15, 0.5, 0.1), 0.05)
+        monkeypatch.setattr(wm_dynamics, "make_rng", lambda seed: pytest.fail("drew"))
         with pytest.raises(ValueError, match="kind must be one of .*; got 'eo2'"):
             simulate_tagging("eo2", d, naive_post, mix, FAKE, 1, 1, max_events=1000, seed=1)
+        # a valid kind that is not the design's
+        with pytest.raises(ValueError, match="kind 'ea' does not match the design's kind 'eo'"):
+            simulate_tagging(EA, d, naive_post, mix, FAKE, 1, 1, max_events=1000, seed=1)
 
     def test_negative_initial_count_rejected(self, naive_post, naive_mix):
         d = optimize_eo(naive_post, naive_mix(0.1), 0.05)
