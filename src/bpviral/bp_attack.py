@@ -29,8 +29,9 @@ class AttackLimits:
     e_yx: float
 
     def __post_init__(self):
-        if min(self.e_xx, self.e_xy, self.e_yy, self.e_yx) < 0:
-            raise ValueError("limit means must be nonnegative")
+        for name in ("e_xx", "e_xy", "e_yy", "e_yx"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.e_xy <= 0:
             raise ValueError("attack must be prominent at the limit: e_xy > 0")
 

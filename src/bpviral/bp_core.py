@@ -38,9 +38,9 @@ def replication_seed(seed: int, rep: int) -> int:
 
 def require_counts(**counts: int) -> None:
     """Reject event, record and population counts below one, naming the
-    parameter."""
+    parameter; NaN fails too."""
     for name, value in counts.items():
-        if value < 1:
+        if not value >= 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 

@@ -96,7 +96,7 @@ def resolve(args, config_section, spec):
     cfg = dict(config_section or {})
     unknown = set(cfg) - set(spec)
     if unknown:
-        raise ParamError(f"unknown config keys: {sorted(unknown)}")
+        raise ParamError(f"config {args.config}: unknown keys: {sorted(unknown)}")
     for name, (typ, default) in spec.items():
         flag_val = getattr(args, name.replace("-", "_"), None)
         if flag_val is not None:
@@ -122,12 +122,20 @@ def _record(cls, blob, where):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``; invalid JSON fails naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _load_config(args):
     path = getattr(args, "config", None)
     if not path:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     section = data.get("params", data) if isinstance(data, dict) else data
     if not isinstance(section, dict):
         raise ParamError(f"config {path} must hold a JSON object of parameters, got {section!r}")
@@ -180,6 +188,8 @@ def _rep_path(out, rep, total):
 
 
 def cmd_bp_ratios(p):
+    if not Path(p["in"]).read_text().strip():
+        raise ValueError(f"in: {p['in']} is empty")
     data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
     if data.size == 0:
         raise ValueError(f"in: {p['in']} has no rows below its header")
@@ -207,10 +217,16 @@ def cmd_attack_analyze(p):
 # wm
 
 def _post_mix_from(params_file):
-    with open(params_file) as fh:
-        blob = _record(dict, json.load(fh), params_file)    # any JSON object
+    blob = _record(dict, _read_json(params_file), params_file)    # any JSON object
+    missing = [key for key in ("post", "mix", "delta") if key not in blob]
+    if missing:
+        raise ValueError(f"{params_file}: missing keys {missing}")
+    try:
+        delta = float(blob["delta"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{params_file} delta: not a number: {blob['delta']!r}") from None
     return (_record(wm.PostModel, blob["post"], f"{params_file} post"),
-            _record(wm.UserMix, blob["mix"], f"{params_file} mix"), float(blob["delta"]))
+            _record(wm.UserMix, blob["mix"], f"{params_file} mix"), delta)
 
 
 def cmd_wm_design(p):
@@ -319,8 +335,7 @@ def cmd_market_fit(p):
 # game
 
 def _game_params(path):
-    with open(path) as fh:
-        return _record(game.GameParams, json.load(fh), path)
+    return _record(game.GameParams, _read_json(path), path)
 
 
 def cmd_game_design(p):

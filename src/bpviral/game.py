@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
@@ -40,22 +41,21 @@ class GameParams:
     resp_c: float = 1.0       # response scale
 
     def __post_init__(self):
-        for name in ("q_p", "q_np", "c_e", "resp_a", "resp_b", "resp_c"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        ar, af, theta, delta = self.alpha_r, self.alpha_f, self.theta, self.delta
-        if not np.all((0 < ar) & (ar < af) & (af < 1)):
-            raise ValueError("need 0 < alpha_R < alpha_F < 1")
-        if not np.all((0 <= self.mua) & (self.mua < 1) & (0 < self.p) & (self.p < 1)):
-            raise ValueError("mua in [0,1), p in (0,1)")
-        if not np.all((self.q_p >= self.q_np) & (self.c_e > 0)):
-            raise ValueError("need Q_p >= Q_np and C_e > 0")
-        if not np.all((self.resp_a > 0) & (self.resp_b > 0) & (self.resp_c > 0)):
-            raise ValueError("response exponents/scale must be positive")
-        if not np.all(theta <= 1):
-            raise ValueError(f"theta must be <= 1, got {theta}")
-        if not np.all((theta > af) & (ar < delta) & (delta < theta)):
-            raise ValueError("need theta > alpha_F and delta in (alpha_R, theta)")
+        """All checks in one pass; the first that fails, in order, raises."""
+        ar, af, theta, delta, mua, p = (self.alpha_r, self.alpha_f, self.theta, self.delta,
+                                        self.mua, self.p)
+        checks = [*((abs(getattr(self, n)) < math.inf, n + " must be finite, got {0.%s}" % n)
+                    for n in ("q_p", "q_np", "c_e", "resp_a", "resp_b", "resp_c")),
+                  ((0 < ar) & (ar < af) & (af < 1), "need 0 < alpha_R < alpha_F < 1"),
+                  ((0 <= mua) & (mua < 1) & (0 < p) & (p < 1), "mua in [0,1), p in (0,1)"),
+                  ((self.q_p >= self.q_np) & (self.c_e > 0), "need Q_p >= Q_np and C_e > 0"),
+                  ((self.resp_a > 0) & (self.resp_b > 0) & (self.resp_c > 0),
+                   "response exponents/scale must be positive"),
+                  (theta <= 1, "theta must be <= 1, got {0.theta}"),
+                  ((theta > af) & (ar < delta) & (delta < theta),
+                   "need theta > alpha_F and delta in (alpha_R, theta)")]
+        if not np.all(reduce(and_, (ok for ok, _ in checks))):
+            raise ValueError(next(text for ok, text in checks if not np.all(ok)).format(self))
 
     @property
     def delta_ratio(self) -> float:
@@ -80,13 +80,6 @@ class GameParams:
         """c w alpha_R (alpha_u/alpha_R)^a: the composed response of a
         warning-using tagger is min{slope * beta, 1} for a u-post."""
         return self.resp_c * w * self.alpha_r * self.ratio_pow(u)
-
-
-def response(alpha: float, omega: float, params: GameParams) -> float:
-    """Polynomial response min{c alpha^a omega^b, 1} of a warning-using tagger."""
-    if not (0 < alpha < 1) or omega < 0:
-        raise ValueError("alpha in (0,1), omega >= 0")
-    return min(params.resp_c * alpha ** params.resp_a * omega ** params.resp_b, 1.0)
 
 
 def participant_fractions(mu, mua):
@@ -245,34 +238,20 @@ def _design(params: GameParams, gamma_margin: float) -> AiDesign:
                     params=params, feasible=ok, reason=reason)
 
 
-def success_probability(mu, design: AiDesign) -> float:
-    """P(success | mix) using the almost-sure tagging limits; the all-idle
-    mix has success probability zero by convention."""
+def payoffs(mu, design: AiDesign, b_f, b_r) -> tuple:
+    """(P(success), u_1, u_2) at the mix ``mu`` from its almost-sure tagging
+    limits (beta_F, beta_R), which the caller has solved; idling pays
+    ``params.q_np``, and the all-idle mix has success probability zero by
+    convention."""
     params = design.params
     mu0, mu1, mu2 = mu
-    if np.all(mu1 + mu2 <= 0):
-        return 0.0
-    eta, eta_a = participant_fractions(mu, params.mua)
-    theta_a = params.theta * (1.0 - eta_a)
-    delta_a = params.delta * (1.0 - eta_a)
-    b_f = beta_fixed_point(mu, design.w, params, FAKE)
-    b_r = beta_fixed_point(mu, design.w, params, REAL)
-    return params.p * (b_f >= theta_a - 1e-12) + (1.0 - params.p) * (b_r <= delta_a + 1e-12)
-
-
-def utility_eval(strategy: int, mu, design: AiDesign) -> float:
-    """Utility of one user given the population mix (mean-field limit)."""
-    params = design.params
-    if strategy == 0:
-        return params.q_np
-    mu0, mu1, mu2 = mu
-    ps = success_probability(mu, design)
+    ps = 0.0
+    if not np.all(mu1 + mu2 <= 0):
+        eta_a = participant_fractions(mu, params.mua)[1]
+        ps = (params.p * (b_f >= params.theta * (1.0 - eta_a) - 1e-12)
+              + (1.0 - params.p) * (b_r <= params.delta * (1.0 - eta_a) + 1e-12))
     share = design.reward * ps / (mu1 + params.mua + design.gamma * mu2)
-    if strategy == 1:
-        return params.q_p + share
-    if strategy == 2:
-        return params.q_p - params.c_e + design.gamma * share
-    raise ValueError("strategy in {0,1,2}")
+    return ps, params.q_p + share, params.q_p - params.c_e + design.gamma * share
 
 
 def _identification(design: AiDesign) -> tuple:
@@ -330,7 +309,8 @@ def _verify(design: AiDesign) -> tuple:
     params = design.params
     mua = params.mua
     b_f, b_r, theta_a_tilde, delta_a, checks = _identification(design)
-    u0, u1, u2 = (utility_eval(s, design.mu_eta(), design) for s in (0, 1, 2))
+    u0 = params.q_np
+    _, u1, u2 = payoffs(design.mu_eta(), design, b_f, b_r)
     x = design.x_eta
     second = x < 1.0 - mua
     mu_x = design.mu_x(x)
@@ -339,8 +319,7 @@ def _verify(design: AiDesign) -> tuple:
     mult = params.response_slope(design.w, FAKE)
     x_f = (1.0 - mua - 1.0 / mult) / (1.0 - params.alpha_f)
     floor = np.where(x <= x_f, 1.0 / mult, params.alpha_f * (1.0 - mua))
-    ps = success_probability(mu_x, design)
-    u1x, u2x = (utility_eval(s, mu_x, design) for s in (1, 2))
+    ps, u1x, u2x = payoffs(mu_x, design, b_f_x, b_r_x)
     # x_eta is a Nash equilibrium only if the game is NOT fully
     # successful there (indifference of types 1 and 2 needs P = 1-p)
     ne = second & (ps < 1.0 - 1e-12)
@@ -434,13 +413,17 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
                         theta=theta, delta=alpha_r + 0.01, resp_a=a)
     design = _design(params, gamma_margin)
     feasible = design.feasible
-    msg = _verify(design)[0] if verify else _first_failure(n_samples, _identification(design)[-1])
+    x = design.x_eta
+    if verify:
+        msg, cols = _verify(design)
+        b_f_x = cols[8]                               # beta_F at mu_x, solved by _verify
+    else:
+        msg = _first_failure(n_samples, _identification(design)[-1])
+        b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
     ai = feasible & (msg == "")
     counted = ai if verify else feasible          # the rows that carry a degradation
-    x = design.x_eta
     level_theta = (1.0 - theta) * (1.0 - mua) / (1.0 - alpha_f)
     second = counted & ~((x <= level_theta) | (x >= 1.0 - mua))
-    b_f_x = beta_fixed_point(design.mu_x(x), design.w, params, FAKE)
     # infeasible and unverified rows carry NaN, which fails "< 10"
     deg = np.where(second, _degradation(b_f_x, params), np.where(counted, 0.0, np.nan))
     return {

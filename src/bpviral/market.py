@@ -29,10 +29,11 @@ class TefParams:
     rho: float = 1.0      # attractiveness multiplier
 
     def __post_init__(self):
-        if not (self.kappa1 > self.kappa2 > 0):
+        for name in ("m_bar", "kappa1", "kappa2", "a_break"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not self.kappa1 > self.kappa2:
             raise ValueError("need kappa1 > kappa2 > 0")
-        if self.a_break <= 0 or self.m_bar <= 0:
-            raise ValueError("m_bar and a_break must be positive")
         if not (0 < self.rho <= 1):
             raise ValueError("rho in (0, 1]")
         if self.rho * self.m_bar <= 1:
@@ -88,9 +89,7 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     draws a geometric friend count with mean m_bar and forwards each friend
     with the TeF-matching probability.
     """
-    if a0 < 1:
-        raise ValueError("need at least one seed copy")
-    require_counts(max_events=max_events, record_every=record_every)
+    require_counts(a0=a0, max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     a = c = int(a0)
     rec, rec_tau = [], []
@@ -189,6 +188,7 @@ def closed_form(params: TefParams, a0: float) -> ClosedFormShares:
     """Build the closed-form trajectories from a0 seed copies, all unread
     (c(0) = a(0) = a0); locates the phase switch and the extinction time by
     a bracketed root solve on c(t)."""
+    require_counts(a0=a0)
     phase1, phase2, tau_s = _phase_constants(params, a0)
     cf = ClosedFormShares(params=params, a0=a0,
                           w_phase1=phase1, w_phase2=phase2, tau_s=tau_s,

@@ -111,6 +111,8 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
     unread copies remain.  Every draw comes from ``rng``."""
     if not seeds:
         raise ValueError("need at least one seed")
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
     seed_ids = [graph.internal_id(s) if by_label else int(s) for s in seeds]
     if len(set(seed_ids)) != len(seed_ids):
         raise ValueError("seeds must be distinct")
@@ -211,6 +213,8 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     by-eye fit), reported at rho = 1.
     """
     require_counts(runs=runs, bin_width=bin_width)
+    if not 0 < rho <= 1:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
     rng = make_rng(seed)
     bins, forwards = [], []
     for _ in range(runs):

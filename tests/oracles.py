@@ -262,6 +262,13 @@ def warning_mfg(beta: float, w: float, params: GameParams) -> float:
             * beta ** (1.0 / params.resp_b))
 
 
+def response(alpha: float, omega: float, params: GameParams) -> float:
+    """Polynomial response min{c alpha^a omega^b, 1} of a warning-using tagger."""
+    if not (0 < alpha < 1) or omega < 0:
+        raise ValueError("alpha in (0,1), omega >= 0")
+    return min(params.resp_c * alpha ** params.resp_a * omega ** params.resp_b, 1.0)
+
+
 def build_graph_pairs(us, vs) -> Graph:
     """Graph build deduplicating the (src, dst) pairs as rows of a 2-D
     array (``np.unique(axis=0)``); neighbour lists are strided views."""

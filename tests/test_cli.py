@@ -179,9 +179,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (["wm", "learn", "--seed", "1", "--params"], "[3]", 1, ["mapping"]),
     (["bp", "ratios", "--in"], "epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta\n",
      1, ["in: ", "no rows"]),
+    (["bp", "ratios", "--in"], "", 1, ["in: ", "is empty"]),
+    (["game", "verify", "--params"], '{"alpha_r": 0.27,', 1, ["not valid JSON"]),
+    (["bp", "simulate", "--config"], "{'seed': 1}", 1, ["not valid JSON"]),
+    (["bp", "simulate", "--config"], json.dumps({"params": {"not-a-key": 1}}), 2,
+     ["'not-a-key'"]),
+    (["wm", "design", "--params"], json.dumps(dict(WM_BLOB, delta="x")), 1,
+     ["delta", "'x'"]),
+    (["wm", "design", "--params"],
+     json.dumps({k: v for k, v in WM_BLOB.items() if k != "delta"}), 1, ["'delta'"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
-        "wm params list", "bp ratios header only"])
+        "wm params list", "bp ratios header only", "bp ratios empty file",
+        "game params invalid JSON", "config invalid JSON", "config unknown key",
+        "wm delta not a number", "wm delta missing"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -395,6 +406,44 @@ def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     rc = main([a.format(wm=wm_params_file, graph=graph, game_nan=game_nan) for a in argv])
     assert rc == 1
     assert name in capsys.readouterr().err
+
+
+_MARKET_FLAGS = ["--seed", "1", "--graph", "{graph}"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["market", "metrics", "--m-bar", "nan"], "m_bar must be finite and > 0, got nan"),
+    (["market", "metrics", "--m-bar", "inf"], "m_bar must be finite and > 0, got inf"),
+    (["market", "simulate", "--a-break", "nan", "--seed", "1"],
+     "a_break must be finite and > 0, got nan"),
+    (["market", "closed-form", "--a-break", "inf"], "a_break must be finite and > 0, got inf"),
+    (["attack", "analyze", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "nan"],
+     "e_yx must be finite and >= 0, got nan"),
+    (["attack", "simulate", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "nan",
+      "--seed", "1"], "e_yx must be finite and >= 0, got nan"),
+    (["attack", "analyze", "--e-xx", "inf", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"],
+     "e_xx must be finite and >= 0, got inf"),
+    (["market", "closed-form", "--a0", "-5"], "a0 must be >= 1, got -5"),
+    (["market", "metrics", "--a0", "0"], "a0 must be >= 1, got 0"),
+    (["market", "fit", *_MARKET_FLAGS, "--rho", "0"], "rho must be in (0, 1], got 0.0"),
+    (["market", "fit", *_MARKET_FLAGS, "--rho", "nan"], "rho must be in (0, 1], got nan"),
+    (["market", "propagate", *_MARKET_FLAGS, "--rho", "-1"], "rho must be in [0, 1], got -1.0"),
+    (["market", "propagate", *_MARKET_FLAGS, "--rho", "inf"], "rho must be in [0, 1], got inf"),
+], ids=["market metrics --m-bar nan", "market metrics --m-bar inf",
+        "market simulate --a-break nan", "market closed-form --a-break inf",
+        "attack analyze --e-yx nan", "attack simulate --e-yx nan",
+        "attack analyze --e-xx inf", "market closed-form --a0 -5", "market metrics --a0 0",
+        "market fit --rho 0", "market fit --rho nan", "market propagate --rho -1",
+        "market propagate --rho inf"])
+def test_bad_model_parameter_names_it(argv, name, tmp_path, capsys, monkeypatch):
+    # the fit draws its first seeds after the check, so no cascade runs
+    monkeypatch.setattr("bpviral.market_graph.make_rng", None)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    assert main([a.format(graph=graph) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert name in err
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bpviral.bp_core import dichotomy_study, make_rng
+from bpviral import game
 from bpviral.game import (FAKE, REAL, AiDesign, GameParams,
                           GameVerificationError, beta_fixed_point,
                           design_ai_game, fp_residual, gamma_floor,
-                          participant_fractions, random_study, response,
-                          simulate_tagging_game, success_probability,
-                          tagging_rhs, utility_eval, verify_equilibria)
+                          participant_fractions, payoffs, random_study,
+                          simulate_tagging_game, tagging_rhs, verify_equilibria)
 from oracles import (design_ai_game_scalar, picard_chain, random_study_scalar,
-                     verify_equilibria_scalar, warning_mfg)
+                     response, verify_equilibria_scalar, warning_mfg)
 
 
 def base_params(**kw):
@@ -177,23 +177,29 @@ class TestDesign:
             verify_equilibria(bad)
 
 
+def _limits(mu, d):
+    """(beta_F, beta_R) at the mix ``mu`` under the design ``d``."""
+    return tuple(beta_fixed_point(mu, d.w, d.params, u) for u in (FAKE, REAL))
+
+
 class TestUtilities:
     def test_no_success_no_reward(self):
         p = base_params()
         d = design_ai_game(p)
         mu = (1 - p.mua, 0.0, 0.0)     # nobody participates: P = 0 by convention
-        assert success_probability(mu, d) == 0.0
-        assert utility_eval(0, mu, d) == p.q_np
+        ps, u1, u2 = payoffs(mu, d, *_limits(mu, d))
+        assert ps == 0.0
+        assert (u1, u2) == (p.q_p, p.q_p - p.c_e)
+        assert verify_equilibria(d)["utilities_at_eta"][0] == p.q_np     # idling
 
     def test_reward_share_structure(self):
         p = base_params()
         d = design_ai_game(p)
         mu = d.mu_eta()
-        ps = success_probability(mu, d)
+        ps, u1, u2 = payoffs(mu, d, *_limits(mu, d))
         share = d.reward * ps / (mu[1] + p.mua + d.gamma * mu[2])
-        assert utility_eval(1, mu, d) == pytest.approx(p.q_p + share)
-        assert utility_eval(2, mu, d) == pytest.approx(
-            p.q_p - p.c_e + d.gamma * share)
+        assert u1 == pytest.approx(p.q_p + share)
+        assert u2 == pytest.approx(p.q_p - p.c_e + d.gamma * share)
 
     def test_indifference_at_design(self):
         rng = make_rng(7)
@@ -203,8 +209,8 @@ class TestUtilities:
             if not d.feasible:
                 continue
             mu = d.mu_eta()
-            assert utility_eval(1, mu, d) == pytest.approx(
-                utility_eval(2, mu, d), abs=1e-10)
+            _, u1, u2 = payoffs(mu, d, *_limits(mu, d))
+            assert u1 == pytest.approx(u2, abs=1e-10)
 
 
 class TestSimulation:
@@ -372,7 +378,7 @@ def _indifferent(design, **changes):
     mu = d.mu_eta()
     share = d.params.c_e / (d.gamma - 1.0)
     return dataclasses.replace(d, reward=share * (mu[1] + d.params.mua + d.gamma * mu[2])
-                               / success_probability(mu, d))
+                               / payoffs(mu, d, *_limits(mu, d))[0])
 
 
 def test_verify_matches_scalar():
@@ -412,6 +418,25 @@ def test_verify_matches_scalar():
         assert outcomes[name].startswith(f"error: {name}:" if "pass" not in name else "{"), name
     # a second equilibrium, with its degradation, is reported as well
     assert verify_equilibria(base)["second_ne"] is not None
+
+
+def test_each_limit_solved_once(monkeypatch):
+    # a verification needs beta_F and beta_R at two mixes, the designed one
+    # and the second equilibrium's; the study without verification needs
+    # both at the designed mix and beta_F at the second
+    calls = []
+    solve = game.beta_fixed_point
+    monkeypatch.setattr(game, "beta_fixed_point",
+                        lambda *args: calls.append(args[3]) or solve(*args))
+    design = design_ai_game(base_params())
+    assert calls == []
+    assert verify_equilibria(design)["second_ne"] is not None
+    counts = [len(calls)]
+    for verify in (True, False):
+        calls.clear()
+        random_study(50, 0.10, 3, verify=verify)
+        counts.append(len(calls))
+    assert counts == [4, 4, 3]
 
 
 @pytest.mark.parametrize("margin", [-5.0, -1e-300, np.nan, np.inf])
