@@ -310,10 +310,12 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
     fitted exponential growth rate of the sum current population against
     wall-clock time, whether the path kept growing (S at the cap at least
     its mid-path value) and, given the mean lower offspring bound
-    ``low_mean``, the growth-rate threshold lam * (low_mean - 1).
+    ``low_mean``, the growth-rate threshold lam * (low_mean - 1), lam > 0.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
     s = (traj.cx + traj.cy).astype(float)
     mid = s[len(s) // 2] if len(s) > 1 else s[0]
     info = {

@@ -115,7 +115,11 @@ REQUIRED = object()
 
 def _record(cls, blob, where):
     """``cls(**blob)`` for a value read from ``where``: a non-object and an
-    unknown, missing or mistyped key fail naming ``where`` and the key."""
+    unknown, missing or non-number key fail naming ``where`` and the key."""
+    if cls is not dict and isinstance(blob, dict):
+        for key, value in blob.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where} {key}: not a number: {value!r}")
     try:
         return cls(**blob)
     except TypeError as exc:
@@ -193,12 +197,12 @@ def cmd_bp_ratios(p):
     data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
     if data.size == 0:
         raise ValueError(f"in: {p['in']} has no rows below its header")
-    traj = bp_core.Trajectory(
-        epoch=data["epoch"].astype(np.int64), tau=data["tau"],
-        cx=data["cx"].astype(np.int64), cy=data["cy"].astype(np.int64),
-        ax=data["ax"].astype(np.int64), ay=data["ay"].astype(np.int64),
-        extinct=bool(data["cx"][-1] + data["cy"][-1] == 0),
-    )
+    missing = [c for c in ("epoch", "tau", "cx", "cy", "ax", "ay") if c not in data.dtype.names]
+    if missing:
+        raise ValueError(f"in: {p['in']} lacks column(s) {missing}")
+    traj = bp_core.Trajectory(epoch=data["epoch"].astype(np.int64), tau=data["tau"],
+                              **{c: data[c].astype(np.int64) for c in ("cx", "cy", "ax", "ay")},
+                              extinct=bool(data["cx"][-1] + data["cy"][-1] == 0))
     info = bp_core.ratios_and_dichotomy(traj, lam=p["lam"], low_mean=p["offspring-low-mean"])
     _emit_json(info, p["out"])
 

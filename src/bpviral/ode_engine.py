@@ -243,6 +243,7 @@ class OdeTrajectory:
     values: np.ndarray        # shape (len(times), dim)
     sweeps_used: int = 0
     final_increment: float = math.inf   # max |Y_new - Y| of the last sweep
+    cycle_from: int | None = None       # sweep that found an exact 2-cycle
 
     @property
     def converged(self) -> bool:
@@ -268,14 +269,16 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
 
     Starting from the constant function y0, applies `sweeps` Picard
     iterations; the integral is evaluated with the trapezoid rule on a
-    uniform mesh (default 5000 points per unit time).  Stops early only if
-    two consecutive sweeps agree to machine precision; ``final_increment``
-    and ``converged`` say whether they did.
+    uniform mesh (default 5000 points per unit time).  Stops early once the
+    increment falls below 1e-15 (``converged``), or once a sweep's iterate
+    equals the one two sweeps back bit for bit (``cycle_from``): the rest of
+    the loop would alternate these two, so it returns the one with the
+    parity of ``sweeps``, ``sweeps_used = sweeps`` and the same increment.
 
-    The rhs is called once per sweep as ``rhs(Y, ts)``, with Y the
-    (mesh+1, dim) iterate and ts the mesh times, and returns the drifts, one
-    row per mesh point: shape (mesh+1, dim), or (mesh+1,) when dim is 1
-    (``scipy.integrate.solve_ivp`` takes such an rhs with points as
+    The rhs, a pure function, is called once per sweep as ``rhs(Y, ts)``,
+    with Y the (mesh+1, dim) iterate and ts the mesh times, and returns the
+    drifts, one row per mesh point: shape (mesh+1, dim), or (mesh+1,) when
+    dim is 1 (``scipy.integrate.solve_ivp`` takes such an rhs with points as
     columns).  Drifts of any other size raise a ``ValueError`` naming both
     shapes; a non-finite drift raises one naming the first mesh time where
     it occurs.
@@ -287,9 +290,8 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         mesh = max(200, int(math.ceil(5000 * T)))
     ts = np.linspace(0.0, T, mesh + 1)
     dt = ts[1] - ts[0] if mesh > 0 else 0.0
-    Y = np.tile(y0, (mesh + 1, 1))
-    used = 0
-    delta = math.inf
+    Y = back = np.tile(y0, (mesh + 1, 1))     # back: the iterate two sweeps back
+    used, cycle_from, delta = 0, None, math.inf
     for sweep in range(sweeps):
         F = np.asarray(rhs(Y, ts), dtype=float)
         if F.size != Y.size:
@@ -304,11 +306,17 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         Ynew[0] = y0
         Ynew[1:] = y0 + np.cumsum(incr, axis=0)
         delta = float(np.max(np.abs(Ynew - Y))) if mesh > 0 else 0.0
-        Y = Ynew
         used = sweep + 1
         if delta < 1e-15:
+            Y = Ynew
             break
-    return OdeTrajectory(times=ts, values=Y, sweeps_used=used, final_increment=delta)
+        if np.array_equal(Ynew, back):
+            cycle_from, used = used, sweeps
+            Y = Y if (sweeps - cycle_from) % 2 else Ynew
+            break
+        back, Y = Y, Ynew
+    return OdeTrajectory(times=ts, values=Y, sweeps_used=used, final_increment=delta,
+                         cycle_from=cycle_from)
 
 
 # -- epoch/time bookkeeping for the 1/n step-size scheme ---------------------

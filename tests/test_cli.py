@@ -188,11 +188,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      ["delta", "'x'"]),
     (["wm", "design", "--params"],
      json.dumps({k: v for k, v in WM_BLOB.items() if k != "delta"}), 1, ["'delta'"]),
+    (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, q_p="x")), 1,
+     ["q_p: not a number: 'x'"]),
+    (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, alpha_r="0.27")), 1,
+     ["alpha_r: not a number: '0.27'"]),
+    (["bp", "ratios", "--in"], "epoch,tau,cx\n1,0.5,2\n", 1,
+     ["in: ", "lacks column(s) ['cy', 'ax', 'ay']"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
         "game params invalid JSON", "config invalid JSON", "config unknown key",
-        "wm delta not a number", "wm delta missing"])
+        "wm delta not a number", "wm delta missing", "game params q_p not a number",
+        "game params alpha_r a string", "bp ratios missing columns"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -255,6 +262,18 @@ def test_bp_ratios_reads_trajectory(tmp_path, capsys):
     assert rc == 0
     info = json.loads(capsys.readouterr().out)
     assert "extinct" in info and "growth_rate" in info
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1", "0"])
+def test_bp_ratios_lam_must_be_positive(lam, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    main(["bp", "simulate", "--seed", "3", "--max-events", "500", "--out", str(out)])
+    rc = main(["bp", "ratios", "--in", str(out), "--lam", lam, "--offspring-low-mean", "1.5",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"lam must be finite and > 0, got {float(lam)}" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_attack_analyze_payload(capsys):

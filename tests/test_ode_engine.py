@@ -17,7 +17,7 @@ from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE, DegenerateFieldErro
 from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, NAIVE_POST, REAL,
                         MechanismDesign, gbeta_field, naive_mix)
 from oracles import (build_gbeta, harmonic_times, nonauto_rhs, per_row,
-                     picard_chain)
+                     picard_chain, picard_solve_full)
 
 
 class TestClassifyScalar:
@@ -370,6 +370,50 @@ class TestPicard:
             assert fast.values.tobytes() == slow.values.tobytes()
             assert fast.sweeps_used == slow.sweeps_used
             assert fast.final_increment == slow.final_increment
+
+    @staticmethod
+    def _assert_full_loop_bytes(rhs, y0, T, sweeps, mesh):
+        fast = picard_solve(rhs, y0, T=T, sweeps=sweeps, mesh=mesh)
+        full = picard_solve_full(rhs, y0, T=T, sweeps=sweeps, mesh=mesh)
+        assert fast.values.tobytes() == full.values.tobytes()
+        assert fast.sweeps_used == full.sweeps_used
+        assert fast.final_increment.hex() == full.final_increment.hex()
+        return fast
+
+    def test_picard_cycle_matches_scalar(self):
+        # criterion 6's three starts, at caps around the sweep where n0 = 5
+        # and n0 = 50 fall into an exact 2-cycle and around the cap of 60,
+        # then the Picard cases above: the 2-cycle stop returns the full
+        # loop's bytes
+        model = single_type_ramp_model()
+        g = make_autonomous_rhs(model.limit_mean_matrix)
+        ups = simulate(model, DeathModel(), PopulationState(2, 0, 2, 0),
+                       max_events=11_000, seed=1).ratios()
+        found = {5: 30, 50: 29, 500: None}
+        for n0 in (5, 50, 500):
+            for sweeps in (29, 30, 31, 59, 60, 61):
+                traj = self._assert_full_loop_bytes(g, ups[n0 - 1], 3.0, sweeps, 3000)
+                if sweeps >= 30:
+                    assert traj.cycle_from == found[n0]
+        decay = lambda y, t: -y
+        cases = [(decay, 1.0, 3.0, 40, 3000), (decay, 1.0, 2.0, 3, 100),
+                 (lambda y, t: np.ones_like(y), 0.0, 2.0, 5, 500),
+                 (lambda y, t: np.ones_like(y), 0.0, 4.0, 60, 800),
+                 (lambda y, t: 2.0 * (y[..., 0] > 0) - y[..., 0], 0.5, 3.0, 80, 6000)]
+        cases += [(decay, 1.0, 2.0, sweeps, 400) for sweeps in range(1, 8)]
+        for case in cases:
+            assert self._assert_full_loop_bytes(*case).cycle_from is None
+
+    def test_picard_cycle_parity_matches_scalar(self):
+        # y = 0 has slope 1 and any other iterate slope 0, so sweep 2 gives
+        # back the start: the cap's parity picks the member returned,
+        # including a cap equal to the sweep that finds the cycle
+        rhs = lambda Y, ts: np.full_like(Y, 0.0 if Y.any() else 1.0)
+        assert self._assert_full_loop_bytes(rhs, 0.0, 2.0, 1, 50).cycle_from is None
+        for sweeps in (2, 3, 4, 7, 60):
+            traj = self._assert_full_loop_bytes(rhs, 0.0, 2.0, sweeps, 50)
+            assert traj.cycle_from == 2 and traj.sweeps_used == sweeps
+            assert traj.values[-1, 0] == (0.0 if sweeps % 2 == 0 else traj.final_increment)
 
 
 class TestHarmonicClock:
