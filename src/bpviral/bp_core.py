@@ -316,6 +316,8 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
         raise ValueError("empty trajectory")
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be finite and > 0, got {lam}")
+    if low_mean is not None and not math.isfinite(low_mean):
+        raise ValueError(f"low_mean must be finite, got {low_mean}")
     s = (traj.cx + traj.cy).astype(float)
     mid = s[len(s) // 2] if len(s) > 1 else s[0]
     info = {

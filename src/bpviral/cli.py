@@ -63,19 +63,11 @@ def _write_sidecar(out, command, params):
 
 
 def _emit_json(obj, out):
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    raise TypeError(f"not JSON serialisable: {type(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +81,8 @@ def resolve(args, config_section, spec):
     """Merge defaults, config file values and explicit flags (flags win).
 
     ``spec`` maps parameter name -> (type, default); a default of
-    ``REQUIRED`` makes the parameter mandatory.  Unknown config keys are
-    rejected.
+    ``REQUIRED`` makes the parameter mandatory.  Unknown config keys and
+    values of another JSON type (``null`` but for a ``None`` default) fail.
     """
     out = {}
     cfg = dict(config_section or {})
@@ -102,7 +94,8 @@ def resolve(args, config_section, spec):
         if flag_val is not None:
             out[name] = flag_val
         elif name in cfg:
-            out[name] = typ(cfg[name]) if cfg[name] is not None else None
+            out[name] = None if cfg[name] is None and default is None else \
+                _typed(cfg[name], typ, f"config {args.config} {name}", ParamError)
         elif default is REQUIRED:
             raise ParamError(f"missing required parameter: {name}")
         else:
@@ -112,14 +105,21 @@ def resolve(args, config_section, spec):
 
 REQUIRED = object()
 
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value, typ, where, error=ValueError):
+    """``typ(value)`` if JSON ``value`` has ``typ``'s type (an int passes as a float)."""
+    if type(value) not in ((int, float) if typ is float else (typ,)):
+        raise error(f"{where}: not {_JSON_TYPES[typ]}: {value!r}")
+    return typ(value)
+
 
 def _record(cls, blob, where):
     """``cls(**blob)`` for a value read from ``where``: a non-object and an
     unknown, missing or non-number key fail naming ``where`` and the key."""
-    if cls is not dict and isinstance(blob, dict):
-        for key, value in blob.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} {key}: not a number: {value!r}")
+    for key, value in blob.items() if isinstance(blob, dict) else ():
+        _typed(value, float, f"{where} {key}")
     try:
         return cls(**blob)
     except TypeError as exc:
@@ -135,15 +135,17 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
-def _load_config(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    data = _read_json(path)
-    section = data.get("params", data) if isinstance(data, dict) else data
-    if not isinstance(section, dict):
-        raise ParamError(f"config {path} must hold a JSON object of parameters, got {section!r}")
-    return section
+def _load_config(path, command):
+    """The JSON object in ``path``, or the one under its non-string ``params``;
+    a file with a ``command`` key is a sidecar and must be one of ``command``."""
+    data = _read_json(path) if path else {}
+    if isinstance(data, dict) and data.get("command", command) != command:
+        raise ParamError(f"config {path} is a sidecar of {data['command']!r}, not {command!r}")
+    if isinstance(data, dict) and not isinstance(data.get("params", ""), str):
+        data = data["params"]
+    if not isinstance(data, dict):
+        raise ParamError(f"config {path} must hold a JSON object of parameters, got {data!r}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +210,10 @@ def cmd_bp_ratios(p):
 
 
 def cmd_attack_analyze(p):
-    limits = _attack_limits(p)
-    in_e, report = bp_attack.classify_regime_and_limits(limits)
-    payload = {"in_regime_e": in_e}
-    payload.update(report.to_dict())
+    in_e, report = bp_attack.classify_regime_and_limits(_attack_limits(p))
+    payload = {"in_regime_e": in_e, **report.to_dict()}
     if in_e:
-        payload["beta_r"] = bp_attack.interior_repeller(limits)
+        payload["beta_r"] = report.equilibria[1].beta
     _emit_json(payload, p["out"])
 
 
@@ -221,16 +221,15 @@ def cmd_attack_analyze(p):
 # wm
 
 def _post_mix_from(params_file):
-    blob = _record(dict, _read_json(params_file), params_file)    # any JSON object
+    blob = _read_json(params_file)
+    if not isinstance(blob, dict):
+        raise ValueError(f"{params_file}: must hold a JSON mapping, not {type(blob).__name__}")
     missing = [key for key in ("post", "mix", "delta") if key not in blob]
     if missing:
         raise ValueError(f"{params_file}: missing keys {missing}")
-    try:
-        delta = float(blob["delta"])
-    except (TypeError, ValueError):
-        raise ValueError(f"{params_file} delta: not a number: {blob['delta']!r}") from None
     return (_record(wm.PostModel, blob["post"], f"{params_file} post"),
-            _record(wm.UserMix, blob["mix"], f"{params_file} mix"), delta)
+            _record(wm.UserMix, blob["mix"], f"{params_file} mix"),
+            _typed(blob["delta"], float, f"{params_file} delta"))
 
 
 def cmd_wm_design(p):
@@ -304,13 +303,14 @@ def cmd_market_propagate(p):
     rng = bp_core.make_rng(p["seed"])
     if p["seeds"] is not None:
         try:
-            seeds = [int(s) for s in p["seeds"].split(",")]
+            ids = [g.internal_id(int(s)) for s in p["seeds"].split(",")]
         except ValueError:
             raise ValueError(f"seeds must be comma-separated node ids, got {p['seeds']!r}") from None
-        log = market_graph.propagate_on_graph(g, seeds, p["rho"], rng)
+        except KeyError as exc:
+            raise ValueError(f"seeds: {exc.args[0]}") from None
     else:
         ids = market_graph.draw_seeds(g, p["n-seeds"], rng, name="n_seeds")
-        log = market_graph.propagate_on_graph(g, ids, p["rho"], rng, by_label=False)
+    log = market_graph.propagate_on_graph(g, ids, p["rho"], rng, by_label=False)
     if p["out"]:
         cols = (log.epoch, log.reader, log.forwards, log.a, log.c)
         write_csv(p["out"], "epoch,reader,forwards,a,c",
@@ -487,12 +487,13 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, spec = _COMMANDS[(args.module, args.subcommand)]
+    command = f"{args.module} {args.subcommand}"
     try:
-        p = resolve(args, _load_config(args), spec)
+        p = resolve(args, _load_config(args.config, command), spec)
         if "seed" in spec and p["seed"] is None:
             p["seed"] = secrets.randbits(32)
         handler(p)
-        _write_sidecar(p["out"], f"{args.module} {args.subcommand}", p)
+        _write_sidecar(p["out"], command, p)
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,8 +48,15 @@ ALL_SUBCOMMANDS = [
 
 
 @pytest.mark.parametrize("cmd", ALL_SUBCOMMANDS, ids=lambda c: " ".join(c))
-def test_help_exits_zero(cmd):
-    proc = subprocess.run([sys.executable, "-m", "bpviral.cli", *cmd, "--help"],
+def test_help_exits_zero(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_module_entry_help_exits_zero():
+    proc = subprocess.run([sys.executable, "-m", "bpviral.cli", "bp", "simulate", "--help"],
                           capture_output=True)
     assert proc.returncode == 0
     assert b"usage" in proc.stdout.lower()
@@ -210,6 +217,66 @@ def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("argv, text, rc, key", [
+    (["bp", "simulate", "--config"], '{"max-events": 2.7}', 2, "max-events: not an integer: 2.7"),
+    (["bp", "simulate", "--config"], '{"record-every": true}', 2,
+     "record-every: not an integer: True"),
+    (["bp", "simulate", "--config"], '{"seed": "5"}', 2, "seed: not an integer: '5'"),
+    (["bp", "simulate", "--config"], '{"max-events": null}', 2,
+     "max-events: not an integer: None"),
+    (["market", "metrics", "--config"], '{"rho": null}', 2, "rho: not a number: None"),
+    (["market", "propagate", "--config"], '{"graph": null}', 2, "graph: not a string: None"),
+    (["market", "propagate", "--config"], '{"graph": "g.txt", "seeds": 5}', 2,
+     "seeds: not a string: 5"),
+    (["bp", "ratios", "--config"], '{"in": null}', 2, "in: not a string: None"),
+    (["wm", "design", "--params", "{wm}", "--config"], '{"iqos": "false"}', 2,
+     "iqos: not true or false: 'false'"),
+    (["wm", "design", "--params"], json.dumps(dict(WM_BLOB, delta="0.05")), 1,
+     "delta: not a number: '0.05'"),
+    (["wm", "design", "--params"], json.dumps(dict(WM_BLOB, delta=True)), 1,
+     "delta: not a number: True"),
+], ids=["config max-events float", "config record-every bool", "config seed string",
+        "config max-events null", "config rho null", "config graph null",
+        "config seeds int", "config in null", "config iqos string",
+        "wm delta string", "wm delta bool"])
+def test_json_value_of_another_type_names_it(argv, text, rc, key, wm_params_file, tmp_path,
+                                             capsys):
+    """A value read from a JSON file is taken only with its parameter's JSON
+    type: no coercion, and null only where the parameter is optional."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = tmp_path / "a.out"
+    assert main([*(a.format(wm=wm_params_file) for a in argv), str(path),
+                 "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{path} {key}" in err
+    assert not out.exists()
+
+
+def test_config_params_string_is_the_params_file(wm_params_file, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": wm_params_file, "kind": "eh"}))
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["wm", "design", "--kind", "eh", "--params", wm_params_file,
+                 "--out", str(out1)]) == 0
+    assert main(["wm", "design", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    sidecars = [json.loads(Path(str(o) + ".config.json").read_text()) for o in (out1, out2)]
+    assert sidecars[0]["params"] == dict(sidecars[1]["params"], out=str(out1))
+
+
+def test_sidecar_replays_only_into_its_command(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["bp", "simulate", "--seed", "3", "--max-events", "50", "--out", str(out)]) == 0
+    rc = main(["attack", "simulate", "--config", str(out) + ".config.json",
+               "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'bp simulate'" in err and "'attack simulate'" in err and "Traceback" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"params": {"seed": 1, "max-events": 100}}))
@@ -276,6 +343,18 @@ def test_bp_ratios_lam_must_be_positive(lam, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("low_mean", ["nan", "inf"])
+def test_bp_ratios_low_mean_must_be_finite(low_mean, tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    main(["bp", "simulate", "--seed", "3", "--max-events", "500", "--out", str(out)])
+    rc = main(["bp", "ratios", "--in", str(out), "--offspring-low-mean", low_mean,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"low_mean must be finite, got {float(low_mean)}" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_attack_analyze_payload(capsys):
     rc = main(["attack", "analyze", "--e-xx", "3", "--e-xy", "1",
                "--e-yy", "3", "--e-yx", "1"])
@@ -336,6 +415,14 @@ def test_market_propagate_graph_errors(tmp_path, capsys):
                "--seed", "1"])
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_market_propagate_unknown_seed_names_seeds(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    rc = main(["market", "propagate", "--graph", str(graph), "--seeds", "0,7", "--seed", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seeds: unknown node id 7\n"
 
 
 def test_market_propagate_label_outside_int64(tmp_path, capsys):
