@@ -44,6 +44,13 @@ def require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def require_finite(**values: float) -> None:
+    """Reject NaN and +-inf model parameters, naming the parameter."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def replicate(run, seed: int, replications: int, jobs: int = 1) -> list:
     """``[run(replication_seed(seed, r)) for r in range(replications)]``: the
     one place that applies the stream rule.  ``jobs`` > 1 maps the seeds over
@@ -138,6 +145,7 @@ class MeanModel:
 def constant_matrix_model(m: np.ndarray) -> MeanModel:
     """Population-independent two-type model with mean matrix m."""
     m = np.asarray(m, dtype=float)
+    require_finite(**dict(zip(("m_xx", "m_xy", "m_yx", "m_yy"), m.ravel().tolist())))
     (mxx, mxy), (myx, myy) = ([max(v, 0.0) for v in row] for row in m.tolist())
 
     def sampler(ptype, kind, state, rng):
@@ -151,6 +159,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
                            floor: float = 1.2, a_break: float = 400.0) -> MeanModel:
     """Single-type model whose mean offspring decays linearly in the total
     population until a breakpoint, then stays at a super-critical floor."""
+    require_finite(m0=m0, slope=slope, floor=floor, a_break=a_break)
     def mxx(ax):
         return m0 - slope * ax if ax <= a_break else floor
 

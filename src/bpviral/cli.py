@@ -136,12 +136,16 @@ def _read_json(path):
 
 
 def _load_config(path, command):
-    """The JSON object in ``path``, or the one under its non-string ``params``;
-    a file with a ``command`` key is a sidecar and must be one of ``command``."""
+    """The JSON object in ``path``, or the one under its non-string ``params``,
+    beside which only ``command`` may stand; a file with a ``command`` key is
+    a sidecar and must be one of ``command``."""
     data = _read_json(path) if path else {}
     if isinstance(data, dict) and data.get("command", command) != command:
         raise ParamError(f"config {path} is a sidecar of {data['command']!r}, not {command!r}")
     if isinstance(data, dict) and not isinstance(data.get("params", ""), str):
+        extra = sorted(set(data) - {"command", "params"})
+        if extra:
+            raise ParamError(f"config {path} holds keys beside its 'params' object: {extra}")
         data = data["params"]
     if not isinstance(data, dict):
         raise ParamError(f"config {path} must hold a JSON object of parameters, got {data!r}")

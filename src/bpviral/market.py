@@ -11,7 +11,7 @@ eta(t) ~ exp(t - gamma_E), and give the peak, life span and max reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -118,26 +118,26 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
                       a=a_rec, c=c_rec, extinct=c == 0)
 
 
+def _phase(m: float, kappa: float, rho: float, a_start: float, t_start: float) -> tuple:
+    """Constants (w1, w2, w3) of a(t) = w1 - w2 exp(-w3 e^t) from a(t_start) = a_start."""
+    w1 = m / kappa
+    w3 = kappa * rho * math.exp(-EULER_GAMMA)
+    return w1, (w1 - a_start) * math.exp(w3 * math.exp(t_start)), w3
+
+
 def _phase_constants(params: TefParams, a0: float):
-    """Constants (w1, w2, w3) of a(t) = w1 - w2 exp(-w3 e^t) per phase."""
-    rho = params.rho
+    """Both phases' constants and the switch time tau_s (None and inf: one phase)."""
     if a0 >= params.a_break:
         # started past the breakpoint: only the tail slope is ever active
-        w1 = params.m_tilde / params.kappa2
-        w3 = params.kappa2 * rho * math.exp(-EULER_GAMMA)
-        return (w1, (w1 - a0) * math.exp(w3), w3), None, math.inf
-    w1_1 = params.m_bar / params.kappa1
-    w3_1 = params.kappa1 * rho * math.exp(-EULER_GAMMA)
-    w2_1 = (w1_1 - a0) * math.exp(w3_1)
-    phase1 = (w1_1, w2_1, w3_1)
-    if w1_1 <= params.a_break:
+        return _phase(params.m_tilde, params.kappa2, params.rho, a0, 0.0), None, math.inf
+    phase1 = _phase(params.m_bar, params.kappa1, params.rho, a0, 0.0)
+    w1, w2, w3 = phase1
+    if w1 <= params.a_break:
         return phase1, None, math.inf
     # phase switch where a(tau_s) = a_break
-    tau_s = math.log(math.log(w2_1 / (w1_1 - params.a_break)) / w3_1)
-    w1_2 = params.m_tilde / params.kappa2
-    w3_2 = params.kappa2 * rho * math.exp(-EULER_GAMMA)
-    w2_2 = (w1_2 - params.a_break) * math.exp(w3_2 * math.exp(tau_s))
-    return phase1, (w1_2, w2_2, w3_2), tau_s
+    tau_s = math.log(math.log(w2 / (w1 - params.a_break)) / w3)
+    phase2 = _phase(params.m_tilde, params.kappa2, params.rho, params.a_break, tau_s)
+    return phase1, phase2, tau_s
 
 
 @dataclass
@@ -146,17 +146,15 @@ class ClosedFormShares:
     params: TefParams
     a0: float               # initial total shares; current shares start equal
     w_phase1: tuple
-    w_phase2: tuple | None
-    tau_s: float
-    tau_e: float = field(default=math.nan)
-    n_s: float = field(default=math.nan)
-    n_e: float = field(default=math.nan)
+    w_phase2: tuple | None  # None when there is no second phase
+    tau_s: float            # phase-switch time; tau_s = n_s = inf with one phase
+    tau_e: float
+    n_s: float              # phase-switch epoch
+    n_e: float
 
     def _w(self, x: float, switch: float) -> tuple:
         """Phase-2 constants past the switch (time tau_s or epoch n_s)."""
-        if self.w_phase2 is not None and x > switch:
-            return self.w_phase2
-        return self.w_phase1
+        return self.w_phase2 if x > switch else self.w_phase1
 
     def a(self, t: float) -> float:
         t_eff = min(t, self.tau_e)
@@ -166,7 +164,7 @@ class ClosedFormShares:
     def c(self, t: float) -> float:
         if t >= self.tau_e:
             return 0.0
-        if self.w_phase2 is not None and t > self.tau_s:
+        if t > self.tau_s:
             phi = self.tau_s
             c_phi, a_phi = self.c(phi), self.a(phi)
         else:
@@ -190,15 +188,11 @@ def closed_form(params: TefParams, a0: float) -> ClosedFormShares:
     a bracketed root solve on c(t)."""
     require_counts(a0=a0)
     phase1, phase2, tau_s = _phase_constants(params, a0)
-    cf = ClosedFormShares(params=params, a0=a0,
-                          w_phase1=phase1, w_phase2=phase2, tau_s=tau_s,
-                          tau_e=math.inf, n_e=math.inf,
-                          n_s=math.inf)
-    if phase2 is not None:
-        cf.n_s = math.exp(tau_s - EULER_GAMMA)
+    cf = ClosedFormShares(params=params, a0=a0, w_phase1=phase1, w_phase2=phase2,
+                          tau_s=tau_s, tau_e=math.inf,
+                          n_s=math.exp(tau_s - EULER_GAMMA), n_e=math.inf)
     # extinction: first zero of c beyond the current-shares peak
-    lo = tau_s if phase2 is not None else 0.0
-    lo = max(lo, 0.0)
+    lo = max(tau_s, 0.0) if phase2 is not None else 0.0
     hi = lo + 5.0
     while cf.c(hi) > 0 and hi < lo + 400.0:
         hi += 5.0
@@ -217,12 +211,11 @@ def _solve_life_span(cf: ClosedFormShares) -> float:
         w1, w2, w3 = w
         return w1 - w2 * math.exp(-n * w3 * math.e ** EULER_GAMMA) - n
 
-    for w, lo, hi in ((cf.w_phase2, max(cf.n_s, 1e-9), None),
+    for w, lo, hi in ((cf.w_phase2, max(cf.n_s, 1e-9), math.inf),
                       (cf.w_phase1, 1e-9, cf.n_s)):
         if w is None:
             continue
-        w1 = w[0]
-        hi = min(hi, w1) if hi is not None else w1
+        hi = min(hi, w[0])
         if hi <= lo or resid(lo, w) < 0 or resid(hi, w) > 0:
             continue
         return bisect_root(lambda n: resid(n, w), lo, hi, resid(lo, w), tol=1e-8)

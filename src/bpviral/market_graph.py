@@ -151,12 +151,16 @@ def draw_seeds(graph: Graph, count: int, rng, name: str = "seeds_per_run") -> li
 @dataclass
 class TefFit:
     params: TefParams | None
-    degenerate: bool
     m_bar_hat: float
     a_centers: np.ndarray
     m_hat: np.ndarray
     weights: np.ndarray
     sse: float = math.inf
+
+    @property
+    def degenerate(self) -> bool:
+        """No breakpoint gave kappa1 > kappa2 > 0: m_bar_hat is the weighted mean."""
+        return self.params is None
 
 
 def fit_two_slope(a_vals, m_vals, weights=None, rho: float = 1.0) -> TefFit:
@@ -165,19 +169,15 @@ def fit_two_slope(a_vals, m_vals, weights=None, rho: float = 1.0) -> TefFit:
     The model m(a) = c0 + c1 a + c2 max(a - a_break, 0) is fit for every
     candidate breakpoint (the observed abscissas); the best fit satisfying
     kappa1 > kappa2 > 0 wins.  Estimates are reported at rho = 1, i.e.
-    divided by the supplied rho.
+    divided by the supplied rho.  Fewer than four points are not fit.
     """
     a_vals = np.asarray(a_vals, dtype=float)
     m_vals = np.asarray(m_vals, dtype=float)
     w = np.ones_like(a_vals) if weights is None else np.asarray(weights, dtype=float)
-    best = TefFit(params=None, degenerate=True, m_bar_hat=float("nan"),
-                  a_centers=a_vals, m_hat=m_vals, weights=w)
-    if len(a_vals) < 4:
-        if len(a_vals):
-            best.m_bar_hat = float(np.average(m_vals, weights=w)) / rho
-        return best
+    best = TefFit(params=None, m_bar_hat=float("nan"), a_centers=a_vals, m_hat=m_vals,
+                  weights=w)
     sw = np.sqrt(w)
-    candidates = np.unique(a_vals)[1:-1]
+    candidates = np.unique(a_vals)[1:-1] if len(a_vals) >= 4 else []
     for brk in candidates:
         X = np.column_stack([np.ones_like(a_vals), a_vals,
                              np.maximum(a_vals - brk, 0.0)])
@@ -192,11 +192,10 @@ def fit_two_slope(a_vals, m_vals, weights=None, rho: float = 1.0) -> TefFit:
             best = TefFit(
                 params=TefParams(m_bar=c0 / rho, kappa1=k1 / rho,
                                  kappa2=k2 / rho, a_break=float(brk), rho=1.0),
-                degenerate=False,
                 m_bar_hat=c0 / rho,
                 a_centers=a_vals, m_hat=m_vals, weights=w, sse=sse,
             )
-    if best.params is None:
+    if best.degenerate and len(a_vals):
         best.m_bar_hat = float(np.average(m_vals, weights=w)) / rho
     return best
 

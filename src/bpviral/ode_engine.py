@@ -393,8 +393,8 @@ def finite_time_gap(sa_traj, ode: OdeTrajectory, n_start: int, T: float) -> floa
     n_total = sa.shape[0]
     if n_start < 1 or n_start > n_total:
         raise ValueError("n_start outside trajectory")
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    if not 0 <= T < math.inf:
+        raise ValueError(f"T must be finite and >= 0, got {T}")
     t_start = harmonic_number(n_start)
     k_end = epochs_before(t_start + T)
     if k_end > n_total:

@@ -218,7 +218,8 @@ def beta_bounds(post: PostModel, mix: UserMix, u: str) -> tuple:
 def limit_proportions(design: MechanismDesign, post: PostModel,
                       mix: UserMix) -> MechanismDesign:
     """Solve the limit proportions for both actualities and fill in the
-    design's predicted limits, bounds, QoS and i-QoS."""
+    design's predicted limits, bounds, QoS, i-QoS and whether its largest
+    real-post limit meets its target (never, with a NaN target)."""
     if mix.mu2 <= 0:
         raise ValueError("crowd signal requires mu2 > 0")
     roots, bounds = {}, {}
@@ -233,6 +234,7 @@ def limit_proportions(design: MechanismDesign, post: PostModel,
     design.bounds = bounds
     design.qos = roots[FAKE][0]
     design.iqos = design.qos * iqos_scale(post, mix)
+    design.constraint_ok = roots[REAL][-1] <= design.delta_target + 1e-7
     return design
 
 
@@ -266,9 +268,7 @@ def _pinned_design(kind, w, b_pinned, post, mix, delta, iqos) -> MechanismDesign
     rep = classify_scalar(gbeta_field(probe, post, mix, REAL), grid_points=4000)
     b = b_pinned(target) if min(e.beta for e in rep.equilibria) > target else 0.0
     design = MechanismDesign(kind=kind, w=w, b=b, delta_target=target, iqos_mode=iqos)
-    limit_proportions(design, post, mix)
-    design.constraint_ok = design.predicted_limits[REAL][-1] <= target + 1e-7
-    return design
+    return limit_proportions(design, post, mix)
 
 
 def optimize_eo(post: PostModel, mix: UserMix, delta: float,
@@ -324,8 +324,7 @@ def design_eh(post: PostModel, mix: UserMix, delta: float,
     design = MechanismDesign(kind=EH, w=ea.w, b=ea.b, zeta=zeta,
                              delta_target=target, iqos_mode=iqos)
     limit_proportions(design, post, mix)
-    design.constraint_ok = (design.predicted_limits[REAL][-1] <= target + 1e-7
-                            and zeta > 1.0)
+    design.constraint_ok = design.constraint_ok and zeta > 1.0
     design.extras = {"zeta_bar": zeta_bar, "ea_qos": ea.qos, "ea_iqos": ea.iqos}
     return design
 

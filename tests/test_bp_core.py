@@ -216,11 +216,7 @@ def test_simulate_matches_scalar():
      PopulationState(2, 0, 2, 0), "below floor"),
     (scripted_model(-1, 0), False, DeathModel(), PopulationState(2, 0, 2, 0), "own-type"),
     (scripted_model(1, -5), False, DeathModel(), PopulationState(3, 2, 3, 2), "cross term"),
-    (bp_core.constant_matrix_model([[np.nan, 0.0], [0.0, 1.0]]), True, DeathModel(),
-     PopulationState(1, 1, 1, 1), "NaN"),
-    (bp_core.single_type_ramp_model(np.nan), True, DeathModel(),
-     PopulationState(2, 0, 2, 0), "NaN"),
-], ids=["rate-below-floor", "negative-own", "negative-cross", "nan-constant", "nan-ramp"])
+], ids=["rate-below-floor", "negative-own", "negative-cross"])
 def test_simulate_errors_match_scalar(model, builtin, deaths, init, match):
     errors = []
     for run, m in ((simulate, model), (simulate_scalar, _reference(model) if builtin else model)):
@@ -228,6 +224,20 @@ def test_simulate_errors_match_scalar(model, builtin, deaths, init, match):
             run(m, deaths, init, max_events=50, seed=3)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bp_core.constant_matrix_model([[np.nan, 0.0], [0.0, 1.0]]),
+     "m_xx must be finite, got nan"),
+    (lambda: bp_core.constant_matrix_model([[1.0, 0.0], [-np.inf, 1.0]]),
+     "m_yx must be finite, got -inf"),
+    (lambda: bp_core.single_type_ramp_model(np.nan), "m0 must be finite, got nan"),
+    (lambda: bp_core.single_type_ramp_model(a_break=np.inf), "a_break must be finite, got inf"),
+], ids=["nan-constant", "inf-constant", "nan-ramp", "inf-ramp"])
+def test_model_builders_reject_nonfinite(build, message):
+    """A built-in model takes only finite means, so no NaN reaches a draw."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_non_callable_rate_rejected():

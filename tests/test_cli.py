@@ -201,12 +201,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      ["alpha_r: not a number: '0.27'"]),
     (["bp", "ratios", "--in"], "epoch,tau,cx\n1,0.5,2\n", 1,
      ["in: ", "lacks column(s) ['cy', 'ax', 'ay']"]),
+    (["bp", "simulate", "--config"], json.dumps({"params": {"max-events": 100}, "seed": 5}),
+     2, ["beside its 'params' object: ['seed']"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
         "game params invalid JSON", "config invalid JSON", "config unknown key",
         "wm delta not a number", "wm delta missing", "game params q_p not a number",
-        "game params alpha_r a string", "bp ratios missing columns"])
+        "game params alpha_r a string", "bp ratios missing columns",
+        "config key beside params"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -535,12 +538,22 @@ _MARKET_FLAGS = ["--seed", "1", "--graph", "{graph}"]
     (["market", "fit", *_MARKET_FLAGS, "--rho", "nan"], "rho must be in (0, 1], got nan"),
     (["market", "propagate", *_MARKET_FLAGS, "--rho", "-1"], "rho must be in [0, 1], got -1.0"),
     (["market", "propagate", *_MARKET_FLAGS, "--rho", "inf"], "rho must be in [0, 1], got inf"),
+    (["bp", "simulate", "--m0", "nan", "--seed", "1"], "m0 must be finite, got nan"),
+    (["bp", "simulate", "--slope", "inf", "--seed", "1"], "slope must be finite, got inf"),
+    (["bp", "simulate", "--floor=-inf", "--seed", "1"], "floor must be finite, got -inf"),
+    (["bp", "simulate", "--a-break", "nan", "--seed", "1"], "a_break must be finite, got nan"),
+    (["bp", "simulate", "--model", "constant", "--m-xx", "inf", "--seed", "1"],
+     "m_xx must be finite, got inf"),
+    (["bp", "simulate", "--model", "constant", "--m-yx", "nan", "--seed", "1"],
+     "m_yx must be finite, got nan"),
 ], ids=["market metrics --m-bar nan", "market metrics --m-bar inf",
         "market simulate --a-break nan", "market closed-form --a-break inf",
         "attack analyze --e-yx nan", "attack simulate --e-yx nan",
         "attack analyze --e-xx inf", "market closed-form --a0 -5", "market metrics --a0 0",
         "market fit --rho 0", "market fit --rho nan", "market propagate --rho -1",
-        "market propagate --rho inf"])
+        "market propagate --rho inf", "bp simulate --m0 nan", "bp simulate --slope inf",
+        "bp simulate --floor -inf", "bp simulate --a-break nan",
+        "bp simulate --m-xx inf", "bp simulate --m-yx nan"])
 def test_bad_model_parameter_names_it(argv, name, tmp_path, capsys, monkeypatch):
     # the fit draws its first seeds after the check, so no cascade runs
     monkeypatch.setattr("bpviral.market_graph.make_rng", None)

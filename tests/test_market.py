@@ -195,6 +195,36 @@ def test_root_solves_pinned():
     assert extinction_prob_pgf(lambda s: math.exp(1.5 * (s - 1.0))) == 0.41718835613457483
 
 
+def test_closed_form_pinned(sha256):
+    """Frozen closed forms, as float.hex: switch and extinction times, both
+    phases' constants, a and c on a time grid, their epoch forms on an
+    epoch grid and every metric.  Two-phase SNAP paths, one path whose
+    phase-1 saturation lies below the break and one start past the break."""
+    snap = {rho: TefParams(rho=rho, **SNAP_FIT) for rho in (0.4, 0.6)}
+    cases = {f"snap-{rho}-{a0}": (p, a0) for rho, p in snap.items() for a0 in (1, 2, 500)}
+    cases["one-phase"] = (TefParams(rho=0.6, **dict(SNAP_FIT, a_break=45_000.0)), 20)
+    cases["past-break"] = (snap[0.6], 40_000)
+    digests = {}
+    for name, (p, a0) in cases.items():
+        cf = closed_form(p, a0)
+        ts = [cf.tau_e * k / 16 for k in range(20)]
+        ns = [cf.n_e * k / 16 for k in range(20)]
+        vals = [cf.tau_s, cf.tau_e, cf.n_s, cf.n_e, *cf.w_phase1, *(cf.w_phase2 or ()),
+                *map(cf.a, ts), *map(cf.c, ts), *map(cf.a_epoch, ns),
+                *map(cf.c_epoch, ns), *metrics(p, a0).values()]
+        digests[name] = sha256(" ".join(map(float.hex, vals)).encode())
+    assert digests == {
+        "snap-0.4-1": "22e5c90f480b9086ee611fc218b1f935e125be3c4a6e898e89dbd85a15e10f52",
+        "snap-0.4-2": "0ce007cc353e82d58f314136be4912c37c2cbdc9980db122e919edecd7667cfd",
+        "snap-0.4-500": "adfa0c422b1dc274959808c9164b89390f21c562825711d46eaa49a38afcc628",
+        "snap-0.6-1": "2702449aa322606c439671b7f5fb037868f03fb10741130ce20f0d96fd4489f4",
+        "snap-0.6-2": "a80d82dc3eb80e17c5d627043b1bd936bf18bbab1649dd964c2573bb64dd80e1",
+        "snap-0.6-500": "19c4f95cf63a3a0c0ddb6ea57c54a81beb98b1cfa906bff735e7b6772b026eb1",
+        "one-phase": "3bcf70c9a354f66cce200fd1fe25492d43a330386c3038ea90e2fea666459aa7",
+        "past-break": "fc73d8a3920378f1954e56eca0be968f90daa3d7799a301d9bae63addaf96628",
+    }
+
+
 class TestGraph:
     def test_parse_triangle(self, tmp_path):
         f = tmp_path / "g.txt"

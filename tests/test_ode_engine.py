@@ -491,6 +491,12 @@ class TestFiniteTimeGap:
         with pytest.raises(ValueError, match="too short"):
             finite_time_gap(np.zeros((20, 1)), ode, n_start=10, T=3.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_nonfinite_window_names_T(self, T):
+        ode = OdeTrajectory(times=np.linspace(0, 3, 10), values=np.zeros((10, 1)))
+        with pytest.raises(ValueError, match=f"T must be finite and >= 0, got {T}"):
+            finite_time_gap(np.zeros((20, 1)), ode, n_start=10, T=T)
+
 
 class TestHoverClassify:
     def test_constant_at_target_converges(self):

@@ -100,6 +100,19 @@ def _leaves(obj):
     return [obj]
 
 
+@pytest.mark.parametrize("w, b, ok", [(1.0, 0.0, False), (3.0, 0.0, False), (8.0, 1.0, True)])
+def test_learned_design_checks_its_constraint(naive_post, naive_mix, w, b, ok):
+    """A learned (w, b) meets the real-post target only when its largest
+    real-post limit does (0.080, 0.206 and 0.040 against 0.0413)."""
+    d = learned_design(w, b, naive_post, naive_mix(0.1), 0.05)
+    assert (d.predicted_limits[REAL][-1] <= d.delta_target + 1e-7) is d.constraint_ok is ok
+
+
+def test_design_without_target_fails_its_check(naive_post, naive_mix):
+    d = limit_proportions(MechanismDesign(kind=EO, w=1.0, b=0.1), naive_post, naive_mix(0.1))
+    assert d.constraint_ok is False
+
+
 def test_design_dicts_hold_python_scalars(naive_post, naive_mix):
     mix = naive_mix(0.1)
     designs = [design_for_kind(k, naive_post, mix, 0.05) for k in (EO, EA, EH, EH2)]
