@@ -76,8 +76,9 @@ class PopulationState(NamedTuple):
         return self.cx + self.cy == 0
 
     def validate(self):
-        if min(self.cx, self.cy) < 0 or self.ax < self.cx or self.ay < self.cy:
-            raise ValueError(f"invalid population state {self}")
+        for name, bound in (("cx", 0), ("cy", 0), ("ax", self.cx), ("ay", self.cy)):
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
         return self
 
 

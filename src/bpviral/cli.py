@@ -314,7 +314,7 @@ def cmd_market_propagate(p):
             raise ValueError(f"seeds: {exc.args[0]}") from None
     else:
         ids = market_graph.draw_seeds(g, p["n-seeds"], rng, name="n_seeds")
-    log = market_graph.propagate_on_graph(g, ids, p["rho"], rng, by_label=False)
+    log = market_graph.propagate_on_graph(g, ids, p["rho"], rng)
     if p["out"]:
         cols = (log.epoch, log.reader, log.forwards, log.a, log.c)
         write_csv(p["out"], "epoch,reader,forwards,a,c",
@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, game.GameVerificationError) as exc:
+    except (ValueError, OSError, game.GameVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -211,8 +211,11 @@ def _solve_life_span(cf: ClosedFormShares) -> float:
         w1, w2, w3 = w
         return w1 - w2 * math.exp(-n * w3 * math.e ** EULER_GAMMA) - n
 
+    # near n = 0 the epoch form lies ~rho m_bar e^-gamma below a0: then start
+    # phase 1 at time 0, n = e^-gamma, where a_epoch = a0
+    lo1 = 1e-9 if resid(1e-9, cf.w_phase1) >= 0 else math.exp(-EULER_GAMMA)
     for w, lo, hi in ((cf.w_phase2, max(cf.n_s, 1e-9), math.inf),
-                      (cf.w_phase1, 1e-9, cf.n_s)):
+                      (cf.w_phase1, lo1, cf.n_s)):
         if w is None:
             continue
         hi = min(hi, w[0])

@@ -103,19 +103,19 @@ class CascadeLog:
     reach: int
 
 
-def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator,
-                       by_label: bool = True) -> CascadeLog:
-    """Run one cascade: a uniformly random holder of an unread copy wakes
-    up, forwards to each neighbour independently with probability rho, and
-    recipients who already hold the post are dropped.  Terminates when no
-    unread copies remain.  Every draw comes from ``rng``."""
-    if not seeds:
-        raise ValueError("need at least one seed")
+def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator) -> CascadeLog:
+    """Run one cascade from ``seeds``, distinct internal ids in [0, n_nodes):
+    a uniformly random holder of an unread copy wakes up, forwards to each
+    neighbour independently with probability rho, and recipients who
+    already hold the post are dropped.  Terminates when no unread copies
+    remain.  Every draw comes from ``rng``."""
+    seed_ids = [int(s) for s in seeds]
+    if not seed_ids or len(set(seed_ids)) != len(seed_ids) \
+            or not 0 <= min(seed_ids) <= max(seed_ids) < graph.n_nodes:
+        raise ValueError(f"seeds must be one or more distinct node ids in "
+                         f"[0, {graph.n_nodes}), got {seed_ids}")
     if not 0 <= rho <= 1:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    seed_ids = [graph.internal_id(s) if by_label else int(s) for s in seeds]
-    if len(set(seed_ids)) != len(seed_ids):
-        raise ValueError("seeds must be distinct")
     holding = np.zeros(graph.n_nodes, dtype=bool)
     unread = list(seed_ids)
     holding[seed_ids] = True
@@ -217,8 +217,7 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     rng = make_rng(seed)
     bins, forwards = [], []
     for _ in range(runs):
-        log = propagate_on_graph(graph, draw_seeds(graph, seeds_per_run, rng), rho,
-                                 rng, by_label=False)
+        log = propagate_on_graph(graph, draw_seeds(graph, seeds_per_run, rng), rho, rng)
         if viral_threshold is None or log.reach >= viral_threshold:
             bins.append((log.a - log.forwards) // bin_width)   # by shares before the read
             forwards.append(log.forwards)

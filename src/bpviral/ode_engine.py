@@ -417,22 +417,18 @@ UNDECIDED = "undecided"
 def hover_classify(betas, targets) -> str:
     """Finite-sample verdict on the tail behaviour of a scalar trajectory.
 
-    ``targets`` is either a set of target values (treated as attractors) or
-    a mapping value -> 'attractor'|'saddle'.  Over the trailing half of the
-    sequence: converged if every point stays within delta = 0.01 of one
-    single target; hovering if the tail both enters the delta-neighbourhood
-    and exits the delta1 = 0.05 neighbourhood of the target set at least
-    twice each; undecided otherwise.  Heuristic only: the asymptotic notion
-    has no finite-sample test.
+    ``targets`` maps each target value to 'attractor' or 'saddle'.  Over the
+    trailing half of the sequence: converged if every point stays within
+    delta = 0.01 of one single target; hovering if the tail both enters the
+    delta-neighbourhood and exits the delta1 = 0.05 neighbourhood of the
+    target set at least twice each; undecided otherwise.  Heuristic only:
+    the asymptotic notion has no finite-sample test.
     """
     delta, delta1 = 0.01, 0.05
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("empty sequence")
-    if isinstance(targets, dict):
-        kinds = {float(k): v for k, v in targets.items()}
-    else:
-        kinds = {float(k): ATTRACTOR for k in targets}
+    kinds = {float(k): v for k, v in targets.items()}
     pts = np.array(sorted(kinds))
     tail = betas[betas.size // 2:]
 

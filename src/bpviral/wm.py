@@ -97,7 +97,7 @@ class MechanismDesign:
     bounds: dict = field(default_factory=dict)             # u -> (lower, upper)
     qos: float = float("nan")
     iqos: float = float("nan")
-    constraint_ok: bool = True
+    constraint_ok: bool = False      # set by limit_proportions
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):

@@ -186,8 +186,7 @@ def test_criterion_7b_market_graph_comparison():
         while len(peaks) < 5 and runs < 40:
             runs += 1
             seeds = rng.choice(graph.n_nodes, size=2, replace=False)
-            log = propagate_on_graph(graph, [int(s) for s in seeds], rho, rng,
-                                     by_label=False)
+            log = propagate_on_graph(graph, [int(s) for s in seeds], rho, rng)
             if log.reach < 10_000:     # only viral sample paths enter
                 continue
             peaks.append(int(log.c.max()))

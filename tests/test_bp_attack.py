@@ -169,7 +169,7 @@ class TestFastPathEquivalence:
         assert extinct is True
 
     def test_invalid_initial_state_rejected(self):
-        with pytest.raises(ValueError, match="cx=-1"):
+        with pytest.raises(ValueError, match="cx must be >= 0, got -1"):
             simulate_attack_betas(AttackLimits(3, 1, 3, 1), PopulationState(-1, 3, 0, 3),
                                   10, seed=1, record_every=5)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,57 @@ def test_sidecar_roundtrip(cmd, tmp_path, wm_params_file, game_params_file, caps
     out2 = tmp_path / "b.out"
     assert main([*cmd, "--config", str(sidecar), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# the flag sweep's sizes, given after SMALL_ARGS (argparse keeps a flag's last value)
+_SWEEP_SIZES = {"market simulate": ["--max-events", "300"],
+                "wm simulate": ["--max-events", "300"],
+                "game simulate": ["--k-max", "300"], "game study": ["--samples", "50"]}
+# the library parameter an error names instead of the flag that sets it
+_FLAG_PARAMS = {"offspring-low-mean": "low_mean", "kappa-margin": "kappa",
+                "cx0": "cx", "cy0": "cy", "samples": "n_samples"}
+_NONFINITE_TOKEN = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@pytest.mark.parametrize("cmd", ALL_SUBCOMMANDS, ids=lambda c: " ".join(c))
+def test_every_numeric_flag_at_bad_values(cmd, tmp_path, wm_params_file, game_params_file,
+                                          capsys):
+    """Every int and float flag at nan, inf, -1 and 0, in-process: a case
+    exits 0 with no non-finite token in stdout or the artifact, or fails
+    with an ``error:`` line naming the flag or the parameter it sets.
+    argparse refuses nan and inf for an int flag with exit 2; nothing else
+    raises out of ``main``."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text("".join(f"{i} {(i * 7 + 1) % 120}\n{i} {(i + 1) % 120}\n"
+                             for i in range(120)))
+    bp_csv = tmp_path / "bp.csv"
+    assert main(["bp", "simulate", "--seed", "3", "--max-events", "200",
+                 "--out", str(bp_csv)]) == 0
+    files = {"wm": wm_params_file, "game": game_params_file, "graph": str(graph),
+             "bp_csv": str(bp_csv)}
+    name = " ".join(cmd)
+    base = [*cmd, *(a.format(**files) for a in SMALL_ARGS[name]), *_SWEEP_SIZES.get(name, [])]
+    flags = [(flag, typ) for flag, (typ, _) in _COMMANDS[tuple(cmd)][1].items()
+             if typ in (int, float)]
+    assert flags or name in ("wm optimize", "wm design", "game design", "game verify")
+    for flag, typ in flags:
+        names = {flag, flag.replace("-", "_"), _FLAG_PARAMS.get(flag, flag)}
+        for value in ("nan", "inf", "-1", "0"):
+            case = f"{name} --{flag} {value}"
+            out = tmp_path / f"{flag}{value}.out"
+            try:
+                rc = main([*base, f"--{flag}={value}", "--out", str(out)])
+            except SystemExit as exc:
+                assert typ is int and value in ("nan", "inf") and exc.code == 2, case
+                rc = exc.code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, case
+            if rc == 0:
+                assert not _NONFINITE_TOKEN.search(captured.out + out.read_text()), case
+            else:
+                line = next((ln for ln in captured.err.splitlines() if "error: " in ln), "")
+                assert any(re.search(rf"(?<!\w){re.escape(n)}\b", line) for n in names), \
+                    (case, captured.err)
 
 
 _FIRST_RUN = ["--seed", "3", "--max-events", "50", "--record-every", "1"]
@@ -267,6 +319,18 @@ def test_config_params_string_is_the_params_file(wm_params_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     sidecars = [json.loads(Path(str(o) + ".config.json").read_text()) for o in (out1, out2)]
     assert sidecars[0]["params"] == dict(sidecars[1]["params"], out=str(out1))
+
+
+def test_key_error_in_a_handler_is_not_an_input_error(monkeypatch):
+    """A KeyError in a handler is a bug, so it shows its traceback; the one
+    KeyError of a bad input, an unknown ``--seeds`` label, is named seeds."""
+    def broken(p):
+        raise KeyError("x")
+
+    monkeypatch.setitem(_COMMANDS, ("market", "metrics"),
+                        (broken, _COMMANDS[("market", "metrics")][1]))
+    with pytest.raises(KeyError):
+        main(["market", "metrics"])
 
 
 def test_sidecar_replays_only_into_its_command(tmp_path, capsys):
@@ -518,6 +582,7 @@ def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
 
 
 _MARKET_FLAGS = ["--seed", "1", "--graph", "{graph}"]
+ATTACK_LIMITS = ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -546,6 +611,9 @@ _MARKET_FLAGS = ["--seed", "1", "--graph", "{graph}"]
      "m_xx must be finite, got inf"),
     (["bp", "simulate", "--model", "constant", "--m-yx", "nan", "--seed", "1"],
      "m_yx must be finite, got nan"),
+    (["bp", "simulate", "--cx0", "-1", "--seed", "1"], "error: cx must be >= 0, got -1"),
+    (["attack", "simulate", *ATTACK_LIMITS, "--cy0", "-1", "--seed", "1"],
+     "error: cy must be >= 0, got -1"),
 ], ids=["market metrics --m-bar nan", "market metrics --m-bar inf",
         "market simulate --a-break nan", "market closed-form --a-break inf",
         "attack analyze --e-yx nan", "attack simulate --e-yx nan",
@@ -553,7 +621,8 @@ _MARKET_FLAGS = ["--seed", "1", "--graph", "{graph}"]
         "market fit --rho 0", "market fit --rho nan", "market propagate --rho -1",
         "market propagate --rho inf", "bp simulate --m0 nan", "bp simulate --slope inf",
         "bp simulate --floor -inf", "bp simulate --a-break nan",
-        "bp simulate --m-xx inf", "bp simulate --m-yx nan"])
+        "bp simulate --m-xx inf", "bp simulate --m-yx nan", "bp simulate --cx0 -1",
+        "attack simulate --cy0 -1"])
 def test_bad_model_parameter_names_it(argv, name, tmp_path, capsys, monkeypatch):
     # the fit draws its first seeds after the check, so no cascade runs
     monkeypatch.setattr("bpviral.market_graph.make_rng", None)
@@ -586,9 +655,6 @@ def test_replications_are_not_other_seeds(tmp_path):
     main([*base, "--seed", "7", "--out", str(tmp_path / "seven.csv")])
     assert (tmp_path / "a_rep000.csv").read_bytes() == (tmp_path / "six.csv").read_bytes()
     assert (tmp_path / "a_rep001.csv").read_bytes() != (tmp_path / "seven.csv").read_bytes()
-
-
-ATTACK_LIMITS = ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]
 
 
 def test_parallel_replications_match_serial(tmp_path):

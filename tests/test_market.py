@@ -95,6 +95,17 @@ class TestClosedForm:
         resid = w1 - w2 * math.exp(-cf.n_e * w3 * math.e ** EULER_GAMMA) - cf.n_e
         assert abs(resid) < 1e-6
 
+    @pytest.mark.parametrize("a_break", [35_000.0, 45_000.0])
+    @pytest.mark.parametrize("rho", [0.4, 0.6, 1.0])
+    def test_life_span_solves_from_a_small_start(self, a_break, rho):
+        """At a_break 45,000 the phase-1 saturation lies below the break, so
+        a small a0 has only the phase-1 bracket; its life span still lands
+        within one epoch below e^(tau_e - gamma)."""
+        p = TefParams(rho=rho, **dict(SNAP_FIT, a_break=a_break))
+        for a0 in (1, 2, 5, 8, 20):
+            cf = closed_form(p, a0)
+            assert 0 < math.exp(cf.tau_e - EULER_GAMMA) - cf.n_e < 1, a0
+
 
 class TestMetrics:
     @pytest.mark.parametrize("rho", [0.4, 0.6])
@@ -327,8 +338,19 @@ class TestPropagate:
 
     def test_unknown_seed_rejected(self):
         g = build_graph([0, 1], [1, 2])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"seeds must be .* in \[0, 3\), got \[99\]"):
             propagate_on_graph(g, [99], rho=0.5, rng=make_rng(1))
+
+    @pytest.mark.parametrize("seeds", [[-1], [4], [3, 3], [], [-1, 3]],
+                             ids=["negative", "n_nodes", "repeated", "none", "negative and 3"])
+    def test_seeds_are_distinct_ids_in_range(self, seeds):
+        """Seeds are internal ids, checked where they enter: a negative id
+        would index from the end and an id past the last node would raise
+        numpy's IndexError."""
+        g = build_graph([0, 1, 2, 3], [1, 2, 3, 0])
+        with pytest.raises(ValueError, match=r"^seeds must be one or more distinct node ids "
+                                             r"in \[0, 4\), got "):
+            propagate_on_graph(g, seeds, rho=1.0, rng=make_rng(1))
 
     def test_duplicate_seeds_rejected(self):
         g = build_graph([0, 1], [1, 2])

@@ -500,7 +500,7 @@ class TestFiniteTimeGap:
 
 class TestHoverClassify:
     def test_constant_at_target_converges(self):
-        assert hover_classify([0.5] * 100, {0.5}) == "converged_attractor"
+        assert hover_classify([0.5] * 100, {0.5: ATTRACTOR}) == "converged_attractor"
 
     def test_saddle_target_label(self):
         seq = 0.5 - np.exp(-np.linspace(0, 10, 200))
@@ -508,14 +508,14 @@ class TestHoverClassify:
 
     def test_alternating_sequence_hovers(self):
         seq = [0.5 + (0.1 if i % 2 else 0.0) for i in range(100)]
-        assert hover_classify(seq, {0.5}) == "hovering"
+        assert hover_classify(seq, {0.5: ATTRACTOR}) == "hovering"
 
     def test_far_sequence_undecided(self):
-        assert hover_classify(np.linspace(0.2, 0.3, 50), {0.9}) == "undecided"
+        assert hover_classify(np.linspace(0.2, 0.3, 50), {0.9: ATTRACTOR}) == "undecided"
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            hover_classify([], {0.5})
+            hover_classify([], {0.5: ATTRACTOR})
 
 
 def _hover_two_flag(betas, targets):
@@ -523,10 +523,7 @@ def _hover_two_flag(betas, targets):
     machine it replaced, with its first-target convergence scan."""
     delta, delta1 = 0.01, 0.05
     betas = np.asarray(betas, dtype=float)
-    if isinstance(targets, dict):
-        kinds = {float(k): v for k, v in targets.items()}
-    else:
-        kinds = {float(k): ATTRACTOR for k in targets}
+    kinds = {float(k): v for k, v in targets.items()}
     pts = np.array(sorted(kinds))
     tail = betas[betas.size // 2:]
     dists = np.abs(tail[:, None] - pts[None, :])
@@ -558,17 +555,14 @@ _HOVER_OFFSETS = st.one_of(st.sampled_from([0.0, 0.01, -0.01, 0.05, -0.05, 0.2])
 
 @settings(max_examples=400, deadline=None)
 @given(targets=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3, unique=True),
-       labelled=st.booleans(), data=st.data())
-def test_hover_classify_matches_two_flag_loop(targets, labelled, data):
+       data=st.data())
+def test_hover_classify_matches_two_flag_loop(targets, data):
     step = st.tuples(st.integers(0, len(targets) - 1), _HOVER_OFFSETS)
     # long lists make hovering common; short ones cover tails of one or two points
     steps = data.draw(st.one_of(st.lists(step, min_size=1, max_size=7),
                                 st.lists(step, min_size=8, max_size=60)))
     betas = [targets[i] + off for i, off in steps]
-    if labelled:
-        targets = {t: data.draw(st.sampled_from([ATTRACTOR, SADDLE])) for t in targets}
-    else:
-        targets = set(targets)
+    targets = {t: data.draw(st.sampled_from([ATTRACTOR, SADDLE])) for t in targets}
     assert hover_classify(betas, targets) == _hover_two_flag(betas, targets)
 
 

@@ -109,7 +109,9 @@ def test_learned_design_checks_its_constraint(naive_post, naive_mix, w, b, ok):
 
 
 def test_design_without_target_fails_its_check(naive_post, naive_mix):
-    d = limit_proportions(MechanismDesign(kind=EO, w=1.0, b=0.1), naive_post, naive_mix(0.1))
+    d = MechanismDesign(kind=EO, w=1.0, b=0.1)
+    assert d.to_dict()["constraint_ok"] is False      # no limit solved yet
+    d = limit_proportions(d, naive_post, naive_mix(0.1))
     assert d.constraint_ok is False
 
 
