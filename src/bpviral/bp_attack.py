@@ -16,7 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .bp_core import MeanModel, PopulationState, make_rng, replicate, require_counts
+from .bp_core import (MeanModel, PopulationState, make_rng, replicate, require,
+                      require_counts)
 from .ode_engine import (ATTRACTOR, HOVERING, REPELLER, SADDLE, Equilibrium,
                          EquilibriumReport, hover_classify, lift_limits, make_h)
 
@@ -30,10 +31,9 @@ class AttackLimits:
 
     def __post_init__(self):
         for name in ("e_xx", "e_xy", "e_yy", "e_yx"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.e_xy <= 0:
-            raise ValueError("attack must be prominent at the limit: e_xy > 0")
+            require(0 <= getattr(self, name) < math.inf, name, getattr(self, name),
+                    "finite and >= 0")
+        require(self.e_xy > 0, "e_xy", self.e_xy, "> 0 (attack prominent at the limit)")
 
     @property
     def m_tilde(self) -> float:

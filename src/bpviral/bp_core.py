@@ -22,8 +22,7 @@ import numpy as np
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator keyed with the whole seed, 0 <= seed < 2**128;
     ``replicate`` runs replication r of seed s on ``make_rng(replication_seed(s, r))``."""
-    if not 0 <= int(seed) < 2**128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    require(0 <= int(seed) < 2**128, "seed", seed, "in [0, 2**128)")
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
@@ -31,24 +30,28 @@ def replication_seed(seed: int, rep: int) -> int:
     """The one stream rule: replication ``rep`` of ``seed`` is the Philox key
     with words (seed, rep), so replication 0 is the plain seed."""
     for name, v in (("seed", seed), ("rep", rep)):
-        if not 0 <= int(v) < 2**64:
-            raise ValueError(f"{name} must be in [0, 2**64), got {v}")
+        require(0 <= int(v) < 2**64, name, v, "in [0, 2**64)")
     return int(seed) + (int(rep) << 64)
+
+
+def require(ok, name, value, rule, error=ValueError):
+    """The one parameter check: unless ``ok``, raise ``error("<name> must be
+    <rule>, got <value>")``.  NaN fails every comparison; pass a string's repr."""
+    if not ok:
+        raise error(f"{name} must be {rule}, got {value}")
 
 
 def require_counts(**counts: int) -> None:
     """Reject event, record and population counts below one, naming the
     parameter; NaN fails too."""
     for name, value in counts.items():
-        if not value >= 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        require(value >= 1, name, value, ">= 1")
 
 
 def require_finite(**values: float) -> None:
     """Reject NaN and +-inf model parameters, naming the parameter."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        require(math.isfinite(value), name, value, "finite")
 
 
 def replicate(run, seed: int, replications: int, jobs: int = 1) -> list:
@@ -77,8 +80,7 @@ class PopulationState(NamedTuple):
 
     def validate(self):
         for name, bound in (("cx", 0), ("cy", 0), ("ax", self.cx), ("ay", self.cy)):
-            if getattr(self, name) < bound:
-                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
+            require(getattr(self, name) >= bound, name, getattr(self, name), f">= {bound}")
         return self
 
 
@@ -97,10 +99,9 @@ class DeathModel:
 
     def __post_init__(self):
         for name in ("kinds_x", "kinds_y"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must name at least one death kind")
-        if self.rate is not None and not callable(self.rate):
-            raise TypeError(f"rate must be callable or None, got {self.rate!r}")
+            require(getattr(self, name), name, getattr(self, name), "one or more death kinds")
+        require(self.rate is None or callable(self.rate), "rate", repr(self.rate),
+                "callable or None", TypeError)
 
 
 def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
@@ -324,10 +325,8 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lam must be finite and > 0, got {lam}")
-    if low_mean is not None and not math.isfinite(low_mean):
-        raise ValueError(f"low_mean must be finite, got {low_mean}")
+    require(0 < lam < math.inf, "lam", lam, "finite and > 0")
+    require(low_mean is None or math.isfinite(low_mean), "low_mean", low_mean, "finite")
     s = (traj.cx + traj.cy).astype(float)
     mid = s[len(s) // 2] if len(s) > 1 else s[0]
     info = {

@@ -56,14 +56,14 @@ def _emit_csv(out, header, rows):
         write_csv(out, header, rows)
 
 
-def _write_sidecar(out, command, params):
-    if out is not None:
-        with open(str(out) + ".config.json", "w") as fh:
-            json.dump({"command": command, "params": params}, fh, indent=2, sort_keys=True)
+def _dumps(obj, indent=None):
+    """Strict JSON with sorted keys: a NaN or an infinity is written as ``null``."""
+    return json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None),
+                      indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _emit_json(obj, out):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _dumps(obj, indent=2)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -81,8 +81,9 @@ def resolve(args, config_section, spec):
     """Merge defaults, config file values and explicit flags (flags win).
 
     ``spec`` maps parameter name -> (type, default); a default of
-    ``REQUIRED`` makes the parameter mandatory.  Unknown config keys and
-    values of another JSON type (``null`` but for a ``None`` default) fail.
+    ``REQUIRED`` makes the parameter mandatory.  Unknown config keys, values
+    of another JSON type (``null`` but for a ``None`` default) and a NaN or
+    infinite float fail, so every sidecar is strict JSON that replays.
     """
     out = {}
     cfg = dict(config_section or {})
@@ -100,6 +101,8 @@ def resolve(args, config_section, spec):
             raise ParamError(f"missing required parameter: {name}")
         else:
             out[name] = default
+        if typ is float and out[name] is not None:
+            bp_core.require(math.isfinite(out[name]), name, out[name], "finite", ParamError)
     return out
 
 
@@ -256,7 +259,7 @@ def cmd_wm_learn(p):
     if p["out"]:
         write_csv(p["out"], "k,w,b,beta",
                   [(int(k), w_, b_, beta) for k, w_, b_, beta in res.trace])
-    print(json.dumps({"w": res.w, "b": res.b, "extinct": res.extinct}))
+    print(_dumps({"w": res.w, "b": res.b, "extinct": res.extinct}))
 
 
 def cmd_wm_simulate(p):
@@ -309,7 +312,7 @@ def cmd_market_propagate(p):
         try:
             ids = [g.internal_id(int(s)) for s in p["seeds"].split(",")]
         except ValueError:
-            raise ValueError(f"seeds must be comma-separated node ids, got {p['seeds']!r}") from None
+            bp_core.require(False, "seeds", repr(p["seeds"]), "comma-separated node ids")
         except KeyError as exc:
             raise ValueError(f"seeds: {exc.args[0]}") from None
     else:
@@ -319,7 +322,7 @@ def cmd_market_propagate(p):
         cols = (log.epoch, log.reader, log.forwards, log.a, log.c)
         write_csv(p["out"], "epoch,reader,forwards,a,c",
                   zip(*(col.tolist() for col in cols)))
-    print(json.dumps({"reach": log.reach, "events": int(log.epoch[-1])}))
+    print(_dumps({"reach": log.reach, "events": int(log.epoch[-1])}))
 
 
 def cmd_market_fit(p):
@@ -362,9 +365,9 @@ def cmd_game_simulate(p):
                                            record_every=p["record-every"])
     if p["out"]:
         write_csv(p["out"], "k,beta", zip(ks.tolist(), betas))
-    print(json.dumps({"terminal_beta": float(betas[-1]),
-                      "predicted": game.beta_fixed_point(
-                          design.mu_eta(), design.w, design.params, p["actuality"])}))
+    print(_dumps({"terminal_beta": float(betas[-1]),
+                  "predicted": game.beta_fixed_point(
+                      design.mu_eta(), design.w, design.params, p["actuality"])}))
 
 
 def cmd_game_study(p):
@@ -372,7 +375,7 @@ def cmd_game_study(p):
                             gamma_margin=p["gamma-margin"], verify=False)
     if p["out"]:
         write_csv(p["out"], "sample,feasible,ai,degradation_pct", res["rows"])
-    print(json.dumps({
+    print(_dumps({
         "feasible_fraction": res["feasible_fraction"],
         "second_ne_fraction": res["second_ne_fraction"],
         "small_degradation_fraction": res["small_degradation_fraction"]}))
@@ -497,7 +500,9 @@ def main(argv=None) -> int:
         if "seed" in spec and p["seed"] is None:
             p["seed"] = secrets.randbits(32)
         handler(p)
-        _write_sidecar(p["out"], command, p)
+        if p["out"] is not None:
+            Path(p["out"] + ".config.json").write_text(
+                _dumps({"command": command, "params": p}, indent=2))
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

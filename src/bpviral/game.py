@@ -16,7 +16,7 @@ from operator import and_
 
 import numpy as np
 
-from .bp_core import make_rng, require_counts
+from .bp_core import make_rng, require, require_counts
 
 FAKE, REAL = "F", "R"
 
@@ -196,8 +196,7 @@ def design_ai_game(params: GameParams, gamma_margin: float = 1.0) -> AiDesign:
 def _design(params: GameParams, gamma_margin: float) -> AiDesign:
     """``design_ai_game`` on each lane of array params: a lane that fails
     a step has NaN values and the reason of the first step it fails."""
-    if not (math.isfinite(gamma_margin) and gamma_margin >= 0):
-        raise ValueError(f"gamma_margin must be finite and >= 0, got {gamma_margin}")
+    require(0 <= gamma_margin < math.inf, "gamma_margin", gamma_margin, "finite and >= 0")
     aR, aF = params.alpha_r, params.alpha_f
     theta, delta, mua = params.theta, params.delta, params.mua
     dra = params.ratio_pow(FAKE)                     # (Delta_R)^a
@@ -343,8 +342,7 @@ def simulate_tagging_game(mu, design: AiDesign, u: str, k_max: int, seed: int,
     or adversary) tags, and the running fake-tag fraction updates as the
     empirical mean.  Returns the recorded epochs (every ``record_every``-th
     and the last) and the beta at each."""
-    if u not in (FAKE, REAL):
-        raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {u!r}")
+    require(u in (FAKE, REAL), "actuality", repr(u), f"{FAKE!r} or {REAL!r}")
     require_counts(k_max=k_max, record_every=record_every)
     params = design.params
     eta, eta_a = participant_fractions(mu, params.mua)
@@ -395,14 +393,10 @@ def random_study(n_samples: int, d: float, seed: int, theta: float = 0.75,
     theta or d is rejected.
     """
     require_counts(n_samples=n_samples)
-    if not 0.0 < d < 1.0:
-        raise ValueError(f"d must be in (0, 1), got {d}")
-    if not theta <= 1:
-        raise ValueError(f"theta must be <= 1, got {theta}")
-    if not 0.30 <= theta * (1.0 - d):
-        bound = 1.0 - 0.30 / theta if theta > 0 else -math.inf
-        raise ValueError(f"d must be <= 1 - 0.30/theta = {bound:.6g} "
-                         f"at theta={theta}, got {d}")
+    require(0.0 < d < 1.0, "d", d, "in (0, 1)")
+    require(0 < theta <= 1, "theta", theta, "in (0, 1]")
+    require(0.30 <= theta * (1.0 - d), "d", d,
+            f"<= 1 - 0.30/theta = {1.0 - 0.30 / theta:.6g} at theta={theta}")
     u = make_rng(seed).random((n_samples, 4))
     # the columns as rng.uniform(low, high) maps its draws: low + (high - low) * u
     alpha_r, mua, a, p = (low + (high - low) * u[:, j] for j, (low, high) in

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bp_core import make_rng, require_counts
+from .bp_core import make_rng, require, require_counts
 from .ode_engine import EULER_GAMMA, bisect_root
 
 
@@ -30,14 +30,12 @@ class TefParams:
 
     def __post_init__(self):
         for name in ("m_bar", "kappa1", "kappa2", "a_break"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not self.kappa1 > self.kappa2:
-            raise ValueError("need kappa1 > kappa2 > 0")
-        if not (0 < self.rho <= 1):
-            raise ValueError("rho in (0, 1]")
-        if self.rho * self.m_bar <= 1:
-            raise ValueError("initial super-criticality requires rho*m_bar > 1")
+            require(0 < getattr(self, name) < math.inf, name, getattr(self, name),
+                    "finite and > 0")
+        require(self.kappa1 > self.kappa2, "kappa1", self.kappa1, f"> kappa2 = {self.kappa2}")
+        require(0 < self.rho <= 1, "rho", self.rho, "in (0, 1]")
+        require(self.rho * self.m_bar > 1, "rho*m_bar", self.rho * self.m_bar,
+                "> 1 (initial super-criticality)")
 
     @cached_property
     def m_tilde(self) -> float:
@@ -56,8 +54,8 @@ SNAP_FIT = dict(m_bar=21.321042, kappa1=532e-6, kappa2=83e-6, a_break=35000.0)
 
 def tef(a: float, params: TefParams) -> float:
     """Expected effective forwards at total shares a (clamped at zero)."""
-    if a < 0:
-        raise ValueError("total shares must be nonnegative")
+    if a < 0:    # no call unless it fails: the market kernels run tef once per event
+        require(False, "total shares a", a, ">= 0")
     if a <= params.a_break:
         val = params.rho * (params.m_bar - params.kappa1 * a)
     else:
@@ -90,6 +88,8 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
     with the TeF-matching probability.
     """
     require_counts(a0=a0, max_events=max_events, record_every=record_every)
+    require(offspring in ("poisson", "binomial"), "offspring", repr(offspring),
+            "'poisson' or 'binomial'")
     rng = make_rng(seed)
     a = c = int(a0)
     rec, rec_tau = [], []
@@ -100,12 +100,10 @@ def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
         mean = tef(a, params)
         if offspring == "poisson":
             g = int(rng.poisson(mean))
-        elif offspring == "binomial":
+        else:
             friends = int(rng.geometric(p_geo)) - 1
             p_fwd = min(mean / params.m_bar, 1.0)
             g = int(rng.binomial(friends, p_fwd)) if friends > 0 else 0
-        else:
-            raise ValueError(f"unknown offspring mode {offspring!r}")
         a += g
         c += g - 1
         if n % record_every == 0 or c == 0 or n == max_events:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_core import make_rng, require_counts
+from .bp_core import make_rng, require, require_counts
 from .market import TefParams
 
 
@@ -110,12 +110,10 @@ def propagate_on_graph(graph: Graph, seeds, rho: float, rng: np.random.Generator
     already hold the post are dropped.  Terminates when no unread copies
     remain.  Every draw comes from ``rng``."""
     seed_ids = [int(s) for s in seeds]
-    if not seed_ids or len(set(seed_ids)) != len(seed_ids) \
-            or not 0 <= min(seed_ids) <= max(seed_ids) < graph.n_nodes:
-        raise ValueError(f"seeds must be one or more distinct node ids in "
-                         f"[0, {graph.n_nodes}), got {seed_ids}")
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    require(seed_ids and len(set(seed_ids)) == len(seed_ids)
+            and 0 <= min(seed_ids) <= max(seed_ids) < graph.n_nodes, "seeds", seed_ids,
+            f"one or more distinct node ids in [0, {graph.n_nodes})")
+    require(0 <= rho <= 1, "rho", rho, "in [0, 1]")
     holding = np.zeros(graph.n_nodes, dtype=bool)
     unread = list(seed_ids)
     holding[seed_ids] = True
@@ -143,8 +141,7 @@ def draw_seeds(graph: Graph, count: int, rng, name: str = "seeds_per_run") -> li
     """``count`` distinct uniformly drawn internal ids to seed a cascade; a
     count below one or above the graph's node count fails naming ``name``."""
     require_counts(**{name: count})
-    if count > graph.n_nodes:
-        raise ValueError(f"{name} must be <= {graph.n_nodes} (the graph's nodes), got {count}")
+    require(count <= graph.n_nodes, name, count, f"<= {graph.n_nodes} (the graph's nodes)")
     return rng.choice(graph.n_nodes, size=count, replace=False).tolist()
 
 
@@ -212,8 +209,7 @@ def estimate_tef(graph: Graph, rho: float, bin_width: int, runs: int,
     by-eye fit), reported at rho = 1.
     """
     require_counts(runs=runs, bin_width=bin_width)
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    require(0 < rho <= 1, "rho", rho, "in (0, 1]")
     rng = make_rng(seed)
     bins, forwards = [], []
     for _ in range(runs):

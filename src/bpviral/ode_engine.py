@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
+from .bp_core import require, require_counts
+
 EULER_GAMMA = float(np.euler_gamma)
 
 ATTRACTOR = "attractor"
@@ -113,8 +115,7 @@ def classify_scalar(field_: ScalarField, grid_points: int = 10_000,
     The scan calls a ``vectorized`` g once on the whole grid, any other g once
     per point; bisection and the side probes call g on one float.
     """
-    if grid_points < 100:
-        raise ValueError("grid_points must be >= 100")
+    require(grid_points >= 100, "grid_points", grid_points, ">= 100")
     g = field_.g
     xs = np.linspace(0.0, 1.0, grid_points)
     if field_.kinks:
@@ -283,8 +284,7 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     shapes; a non-finite drift raises one naming the first mesh time where
     it occurs.
     """
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    require_counts(sweeps=sweeps)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if mesh is None:
         mesh = max(200, int(math.ceil(5000 * T)))
@@ -391,10 +391,8 @@ def finite_time_gap(sa_traj, ode: OdeTrajectory, n_start: int, T: float) -> floa
     """
     sa = np.asarray(sa_traj, dtype=float)
     n_total = sa.shape[0]
-    if n_start < 1 or n_start > n_total:
-        raise ValueError("n_start outside trajectory")
-    if not 0 <= T < math.inf:
-        raise ValueError(f"T must be finite and >= 0, got {T}")
+    require(1 <= n_start <= n_total, "n_start", n_start, f"in [1, {n_total}] (the trajectory)")
+    require(0 <= T < math.inf, "T", T, "finite and >= 0")
     t_start = harmonic_number(n_start)
     k_end = epochs_before(t_start + T)
     if k_end > n_total:

@@ -10,10 +10,12 @@ real post stays under a target while fake-post identification is maximised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bp_core import require
 from .ode_engine import ScalarField, bisect_root, classify_scalar
 
 FAKE, REAL = "F", "R"
@@ -32,8 +34,8 @@ class UserMix:
 
     def __post_init__(self):
         vals = (self.mu0, self.mu1, self.mu2, self.mua)
-        if not (min(vals) >= 0 and abs(sum(vals) - 1.0) <= 1e-9):
-            raise ValueError(f"user proportions must be nonnegative and sum to 1: {vals}")
+        require(min(vals) >= 0 and abs(sum(vals) - 1.0) <= 1e-9, "user proportions", vals,
+                "nonnegative and sum to 1")
 
     def without_adversaries(self) -> "UserMix":
         """Same wi/ws shares, adversaries folded into the non-participants."""
@@ -56,14 +58,22 @@ class PostModel:
     share_bonus_k: float = 0.0       # transient k/Z^2 boost of the share prob.
 
     def __post_init__(self):
-        if not (self.alpha_x_f > self.alpha_y_f > 0 and self.alpha_x_r > self.alpha_y_r > 0):
-            raise ValueError("need alpha_x > alpha_y > 0 for each actuality")
-        if not (self.alpha_x_f > self.alpha_x_r and self.alpha_y_f > self.alpha_y_r):
-            raise ValueError("fake-post sensitivities must dominate real-post ones")
-        if not (self.eta_a > self.eta_f > self.eta_r > 0):
-            raise ValueError("need eta_a > eta_F > eta_R > 0")
-        if not (0 < self.rho < 1) or self.gamma <= 0:
-            raise ValueError("need rho in (0,1) and gamma > 0")
+        ea, ef, axf, axr = self.eta_a, self.eta_f, self.alpha_x_f, self.alpha_x_r
+        for name, ok, rule in (
+                ("m_f", 0 < self.m_f < math.inf, "finite and > 0"),
+                ("eta_a", 0 < ea <= 1, "in (0, 1]"),
+                ("eta_f", 0 < ef < ea, f"in (0, eta_a = {ea})"),
+                ("eta_r", 0 < self.eta_r < ef, f"in (0, eta_f = {ef})"),
+                ("alpha_x_f", 0 < axf <= 1, "in (0, 1]"),
+                ("alpha_y_f", 0 < self.alpha_y_f < axf, f"in (0, alpha_x_f = {axf})"),
+                # fake-post sensitivities dominate the real-post ones
+                ("alpha_x_r", 0 < axr < axf, f"in (0, alpha_x_f = {axf})"),
+                ("alpha_y_r", 0 < self.alpha_y_r < min(axr, self.alpha_y_f),
+                 f"in (0, min(alpha_x_r, alpha_y_f) = {min(axr, self.alpha_y_f)})"),
+                ("rho", 0 < self.rho < 1, "in (0, 1)"),
+                ("gamma", 0 < self.gamma < math.inf, "finite and > 0"),
+                ("share_bonus_k", 0 <= self.share_bonus_k < math.inf, "finite and >= 0")):
+            require(ok, name, getattr(self, name), rule)
 
     def alpha_x(self, u: str) -> float:
         return self.alpha_x_f if u == FAKE else self.alpha_x_r
@@ -220,8 +230,7 @@ def limit_proportions(design: MechanismDesign, post: PostModel,
     """Solve the limit proportions for both actualities and fill in the
     design's predicted limits, bounds, QoS, i-QoS and whether its largest
     real-post limit meets its target (never, with a NaN target)."""
-    if mix.mu2 <= 0:
-        raise ValueError("crowd signal requires mu2 > 0")
+    require(mix.mu2 > 0, "mu2", mix.mu2, "> 0 (the crowd signal)")
     roots, bounds = {}, {}
     for u in (FAKE, REAL):
         rep = classify_scalar(gbeta_field(design, post, mix, u), grid_points=4000)
@@ -255,8 +264,7 @@ def _b_formula(w: float, target: float, post: PostModel, mix: UserMix) -> float:
 
 def _target(delta: float, post: PostModel, mix: UserMix, iqos: bool) -> float:
     """Real-post target of a design: delta, or its non-adversarial rescale."""
-    if not 0 < delta < 1:
-        raise ValueError("delta in (0,1)")
+    require(0 < delta < 1, "delta", delta, "in (0, 1)")
     return delta_a_value(delta, post, mix) if iqos else delta
 
 
@@ -340,15 +348,10 @@ def design_eh2(post: PostModel, mix: UserMix, delta: float,
 
 def design_for_kind(kind: str, post: PostModel, mix: UserMix, delta: float,
                     iqos: bool = True) -> MechanismDesign:
-    if kind == EO:
-        return optimize_eo(post, mix, delta, iqos)
-    if kind == EA:
-        return design_ea(post, mix, delta, iqos)[0]
-    if kind == EH:
-        return design_eh(post, mix, delta, iqos)
-    if kind == EH2:
-        return design_eh2(post, mix, delta, iqos)
-    raise ValueError(f"unknown mechanism kind {kind!r}")
+    designs = {EO: optimize_eo, EA: lambda *args: design_ea(*args)[0], EH: design_eh,
+               EH2: design_eh2}
+    require(kind in designs, "kind", repr(kind), "one of eo, ea, eh, eh2")
+    return designs[kind](post, mix, delta, iqos)
 
 
 def learned_design(w: float, b: float, post: PostModel, mix: UserMix,

@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bp_core import make_rng, require_counts
+from .bp_core import make_rng, require, require_counts
 from .wm import (EA, EH, EH2, EO, FAKE, LEARNED, REAL, MechanismDesign, PostModel,
                  UserMix, eo_warning, warning_value)
 
@@ -114,15 +114,13 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
     mechanism, and ``post.share_bonus_k`` boosts sharing while few copies
     have been made.  ``kind`` must be ``design.kind``.
     """
-    if kind not in (EO, EA, EH, EH2, LEARNED):
-        raise ValueError(f"kind must be one of eo, ea, eh, eh2, learned; got {kind!r}")
-    if kind != design.kind:
-        raise ValueError(f"kind {kind!r} does not match the design's kind {design.kind!r}")
-    if actuality not in (FAKE, REAL):
-        raise ValueError(f"actuality must be {FAKE!r} or {REAL!r}, got {actuality!r}")
-    if min(init_fake, init_real) < 0 or init_fake + init_real < 1:
-        raise ValueError("need nonnegative initial copies, at least one in all; got "
-                         f"init_fake={init_fake}, init_real={init_real}")
+    require(kind in (EO, EA, EH, EH2, LEARNED), "kind", repr(kind),
+            "one of eo, ea, eh, eh2, learned")
+    require(kind == design.kind, "kind", repr(kind), f"the design's kind {design.kind!r}")
+    require(actuality in (FAKE, REAL), "actuality", repr(actuality), f"{FAKE!r} or {REAL!r}")
+    for name, value in (("init_fake", init_fake), ("init_real", init_real)):
+        require(value >= 0, name, value, ">= 0")
+    require(init_fake + init_real >= 1, "init_fake + init_real", init_fake + init_real, ">= 1")
     require_counts(max_events=max_events, record_every=record_every)
     rng = make_rng(seed)
     bufs = (_Buf(rng), _Buf(rng), _Buf(rng),
@@ -186,18 +184,15 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
                    seed_users=config.seed_users)
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        require(not isinstance(value, float) or math.isfinite(value), f.name, value, "finite")
     # eps_k starts positive and decays, eta_k is >= 0 and never grows; w, b start in w >= 1, b >= 0
     for name, low in (("eps_scale", 0), ("eps_power", 0), ("eta_scale", 0), ("eta_power", 0),
                       ("eta0", 0), ("w0", 1), ("b0", 0)):
         value, op = getattr(config, name), ">" if name.startswith("eps") else ">="
-        if value < low or (op == ">" and value == low):
-            raise ValueError(f"{name} must be {op} {low}, got {value!r}")
-    if not 1.0 - post.alpha_y_r / post.alpha_x_r <= config.kappa < 1.0:
-        raise ValueError(f"kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got {config.kappa!r}")
-    if not 0.0 <= target_beta <= 1.0:
-        raise ValueError(f"target_beta must be in [0, 1], got {target_beta!r}")
+        require(value > low or (op == ">=" and value == low), name, value, f"{op} {low}")
+    require(1.0 - post.alpha_y_r / post.alpha_x_r <= config.kappa < 1.0, "kappa", config.kappa,
+            "in [1 - alpha_y_r/alpha_x_r, 1)")
+    require(0.0 <= target_beta <= 1.0, "target_beta", target_beta, "in [0, 1]")
     budget, record_every, one_minus_kappa = config.budget, config.record_every, 1.0 - config.kappa
     eps_scale, neg_eps_power = config.eps_scale, -config.eps_power
     eta_scale, neg_eta_power = config.eta_scale, -config.eta_power

@@ -29,7 +29,7 @@ class TestGbeta:
             assert g(0.0) == 0.0 and g(1.0) == 0.0
 
     def test_attack_must_be_prominent(self):
-        with pytest.raises(ValueError, match="e_xy > 0"):
+        with pytest.raises(ValueError, match=r"^e_xy must be > 0 .*, got 0$"):
             AttackLimits(3, 0, 3, 1)
 
 

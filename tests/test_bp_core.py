@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,12 @@ from bpviral.bp_attack import AttackLimits, attack_model
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
                              death_weights, dichotomy_study, make_rng,
                              ratios_and_dichotomy, replication_seed, simulate)
+from bpviral.game import random_study
+from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp, tef
+from bpviral.market_graph import build_graph, propagate_on_graph
+from bpviral.ode_engine import ScalarField, classify_scalar, finite_time_gap
+from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
+                        limit_proportions, naive_mix)
 from oracles import (extinction_prob_pgf, make_poisson_sampler, sa_recursion_ratios,
                      simulate_scalar)
 
@@ -453,6 +461,60 @@ def test_event_counts_below_one_rejected(kernel, name):
     for bad in (0, -1):
         with pytest.raises(ValueError, match=name):
             call(**{**counts, name: bad})
+
+
+def test_require_states_name_rule_and_value():
+    bp_core.require(1 > 0, "x", 1, "> 0")
+    with pytest.raises(ValueError, match=r"^x must be > 0, got nan$"):
+        bp_core.require(np.nan > 0, "x", np.nan, "> 0")
+    with pytest.raises(TypeError, match=r"^f must be callable, got 2$"):
+        bp_core.require(callable(2), "f", 2, "callable", TypeError)
+
+
+_SNAP = TefParams(rho=0.6, **SNAP_FIT)
+# one call per module that breaks one parameter bound, and its message
+_CHECKS = {
+    "TefParams rho": (lambda: TefParams(rho=np.nan, **SNAP_FIT),
+                      "rho must be in (0, 1], got nan"),
+    "TefParams kappa1": (lambda: TefParams(rho=0.6, **dict(SNAP_FIT, kappa2=6e-4)),
+                         "kappa1 must be > kappa2 = 0.0006, got 0.000532"),
+    "TefParams rho*m_bar": (lambda: TefParams(rho=0.04, **SNAP_FIT),
+                            "rho*m_bar must be > 1 (initial super-criticality), got 0.852841"),
+    "tef a": (lambda: tef(-1.0, _SNAP), "total shares a must be >= 0, got -1.0"),
+    "simulate_stpbp offspring": (lambda: simulate_stpbp(_SNAP, 2, 10, 1, offspring="geometric"),
+                                 "offspring must be 'poisson' or 'binomial', got 'geometric'"),
+    "AttackLimits e_xx": (lambda: AttackLimits(np.inf, 1, 3, 1),
+                          "e_xx must be finite and >= 0, got inf"),
+    "AttackLimits e_yx": (lambda: AttackLimits(3, 1, 3, np.nan),
+                          "e_yx must be finite and >= 0, got nan"),
+    "DeathModel kinds_y": (lambda: DeathModel(kinds_y=()),
+                           "kinds_y must be one or more death kinds, got ()"),
+    "classify_scalar grid_points": (
+        lambda: classify_scalar(ScalarField(g=lambda b: b), grid_points=10),
+        "grid_points must be >= 100, got 10"),
+    "finite_time_gap n_start": (lambda: finite_time_gap(np.zeros((5, 4)), None, 6, 1.0),
+                                "n_start must be in [1, 5] (the trajectory), got 6"),
+    "propagate_on_graph rho": (
+        lambda: propagate_on_graph(build_graph([0], [1]), [0], 1.5, make_rng(1)),
+        "rho must be in [0, 1], got 1.5"),
+    "UserMix": (lambda: UserMix(0.5, 0.5, 0.5, 0.0),
+                "user proportions must be nonnegative and sum to 1, got (0.5, 0.5, 0.5, 0.0)"),
+    "design_for_kind kind": (lambda: design_for_kind("eo2", NAIVE_POST, naive_mix(0.1), 0.05),
+                             "kind must be one of eo, ea, eh, eh2, got 'eo2'"),
+    "limit_proportions mu2": (
+        lambda: limit_proportions(MechanismDesign(kind="eo", w=1.0, b=0.1), NAIVE_POST,
+                                  UserMix(1.0, 0.0, 0.0, 0.0)),
+        "mu2 must be > 0 (the crowd signal), got 0.0"),
+    "random_study theta": (lambda: random_study(5, 0.1, 1, theta=-1.0),
+                           "theta must be in (0, 1], got -1.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", _CHECKS.values(), ids=_CHECKS.keys())
+def test_parameter_check_names_field_and_value(call, message):
+    """Every module's bound checks fail in the one form of ``bp_core.require``."""
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
 
 
 class TestRatioVector:

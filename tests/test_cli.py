@@ -176,7 +176,8 @@ def test_every_numeric_flag_at_bad_values(cmd, tmp_path, wm_params_file, game_pa
             captured = capsys.readouterr()
             assert "Traceback" not in captured.err, case
             if rc == 0:
-                assert not _NONFINITE_TOKEN.search(captured.out + out.read_text()), case
+                sidecar = Path(str(out) + ".config.json").read_text()
+                assert not _NONFINITE_TOKEN.search(captured.out + out.read_text() + sidecar), case
             else:
                 line = next((ln for ln in captured.err.splitlines() if "error: " in ln), "")
                 assert any(re.search(rf"(?<!\w){re.escape(n)}\b", line) for n in names), \
@@ -404,9 +405,12 @@ def test_bp_ratios_lam_must_be_positive(lam, tmp_path, capsys):
     main(["bp", "simulate", "--seed", "3", "--max-events", "500", "--out", str(out)])
     rc = main(["bp", "ratios", "--in", str(out), "--lam", lam, "--offspring-low-mean", "1.5",
                "--out", str(tmp_path / "r.json")])
-    assert rc == 1
+    # resolution refuses a NaN or infinite flag (exit 2) before the library's check
+    finite = math.isfinite(float(lam))
+    assert rc == (1 if finite else 2)
     err = capsys.readouterr().err
-    assert f"lam must be finite and > 0, got {float(lam)}" in err and "Traceback" not in err
+    rule = "finite and > 0" if finite else "finite"
+    assert f"lam must be {rule}, got {float(lam)}" in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -416,10 +420,66 @@ def test_bp_ratios_low_mean_must_be_finite(low_mean, tmp_path, capsys):
     main(["bp", "simulate", "--seed", "3", "--max-events", "500", "--out", str(out)])
     rc = main(["bp", "ratios", "--in", str(out), "--offspring-low-mean", low_mean,
                "--out", str(tmp_path / "r.json")])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
-    assert f"low_mean must be finite, got {float(low_mean)}" in err and "Traceback" not in err
+    assert f"offspring-low-mean must be finite, got {float(low_mean)}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--m-xx", "nan"], None, "m-xx must be finite, got nan"),
+    ([], '{"m0": NaN}', "m0 must be finite, got nan"),
+    ([], '{"params": {"slope": -Infinity}}', "slope must be finite, got -inf"),
+], ids=["flag the ramp model ignores", "config NaN", "sidecar form -Infinity"])
+def test_nonfinite_float_refused_at_resolution(argv, config, message, tmp_path, capsys):
+    """No parameter takes NaN or an infinity, so no sidecar holds one: the
+    run stops before it writes anything."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(config or "{}")
+    out = tmp_path / "a.csv"
+    assert main(["bp", "simulate", "--seed", "1", *argv, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not Path(str(out) + ".config.json").exists()
+
+
+@pytest.mark.parametrize("theta", ["-1", "0"])
+def test_game_study_theta_at_or_below_zero_names_theta(theta, capsys):
+    assert main(["game", "study", "--samples", "5", "--seed", "1", "--theta", theta]) == 1
+    assert capsys.readouterr().err == f"error: theta must be in (0, 1], got {float(theta)}\n"
+
+
+def _strict_json(text):
+    """``json.loads`` refusing NaN and +-Infinity, as strict JSON readers do."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+_NON_FINITE_RESULTS = {
+    # one phase: the TeF reaches one below the break, so there is no switch time
+    "market metrics one phase": (["market", "metrics", "--rho", "0.6", "--a-break", "45000"],
+                                 ["tau_s"]),
+    "market metrics start past the break": (["market", "metrics", "--rho", "0.6", "--a0",
+                                             "40000"], ["tau_s"]),
+    # theta = 1 leaves no participation: an infeasible design has no values
+    "game design infeasible": (["game", "design", "--params", "{game_theta_1}"],
+                               ["eta", "eta_bar", "eta_star", "gamma", "reward", "theta_tilde",
+                                "w", "x_eta"]),
+}
+
+
+@pytest.mark.parametrize("argv, nulls", _NON_FINITE_RESULTS.values(),
+                         ids=_NON_FINITE_RESULTS.keys())
+def test_non_finite_result_is_written_as_null(argv, nulls, tmp_path):
+    params = tmp_path / "game.json"
+    params.write_text(json.dumps(dict(GAME_BLOB, theta=1.0)))
+    out = tmp_path / "a.json"
+    assert main([*(a.format(game_theta_1=params) for a in argv), "--out", str(out)]) == 0
+    blob = _strict_json(out.read_text())
+    assert sorted(k for k, v in blob.items() if v is None) == nulls
+    _strict_json(Path(str(out) + ".config.json").read_text())
 
 
 def test_attack_analyze_payload(capsys):
@@ -501,6 +561,13 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
     assert "malformed edge on line 2" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """2 where a flag's value is NaN or infinite, which resolution refuses;
+    1 for any other bad value, which fails where it is used."""
+    values = [a.split("=", 1)[-1].lower().lstrip("+-") for a in argv]
+    return 2 if {"nan", "inf"} & set(values) else 1
+
+
 @pytest.mark.parametrize("argv, name", [
     (["bp", "simulate", "--seed", "1", "--record-every", "0"], "record_every"),
     (["bp", "simulate", "--seed", "1", "--replications", "0"], "replications"),
@@ -515,20 +582,20 @@ def test_market_propagate_label_outside_int64(tmp_path, capsys):
     (["game", "study", "--seed", "1", "--samples", "3", "--d", "0.8"],
      "d must be <= 1 - 0.30/theta = 0.6 at theta=0.75"),
     (["game", "study", "--samples", "20", "--d", "0.1", "--seed", "11", "--theta", "1.2"],
-     "theta must be <= 1, got 1.2"),
+     "theta must be in (0, 1], got 1.2"),
     (["game", "study", "--samples", "5", "--d", "0.8", "--seed", "1", "--theta", "1.2"],
-     "theta must be <= 1, got 1.2"),
+     "theta must be in (0, 1], got 1.2"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--seed-users", "0"], "seed_users"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--budget", "2000",
-      "--target-beta", "nan"], "target_beta must be in [0, 1], got nan"),
+      "--target-beta", "nan"], "target-beta must be finite, got nan"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--budget", "2000",
       "--target-beta", "1.5"], "target_beta must be in [0, 1], got 1.5"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "0.9"],
      "kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got 1.15"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "nan"],
-     "kappa must be finite, got nan"),
+     "kappa-margin must be finite, got nan"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "inf"],
-     "eps_power must be finite, got inf"),
+     "eps-power must be finite, got inf"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-scale", "-2.2"],
      "eps_scale must be > 0, got -2.2"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "0"],
@@ -577,7 +644,7 @@ def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     game_nan.write_text('{"alpha_r": 0.27, "alpha_f": 0.3, "mua": 0.1, "p": 0.3, '
                         '"theta": 0.75, "delta": 0.28, "c_e": NaN}')
     rc = main([a.format(wm=wm_params_file, graph=graph, game_nan=game_nan) for a in argv])
-    assert rc == 1
+    assert rc == _exit_code(argv)
     assert name in capsys.readouterr().err
 
 
@@ -586,31 +653,31 @@ ATTACK_LIMITS = ["--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"]
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["market", "metrics", "--m-bar", "nan"], "m_bar must be finite and > 0, got nan"),
-    (["market", "metrics", "--m-bar", "inf"], "m_bar must be finite and > 0, got inf"),
+    (["market", "metrics", "--m-bar", "nan"], "m-bar must be finite, got nan"),
+    (["market", "metrics", "--m-bar", "inf"], "m-bar must be finite, got inf"),
     (["market", "simulate", "--a-break", "nan", "--seed", "1"],
-     "a_break must be finite and > 0, got nan"),
-    (["market", "closed-form", "--a-break", "inf"], "a_break must be finite and > 0, got inf"),
+     "a-break must be finite, got nan"),
+    (["market", "closed-form", "--a-break", "inf"], "a-break must be finite, got inf"),
     (["attack", "analyze", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "nan"],
-     "e_yx must be finite and >= 0, got nan"),
+     "e-yx must be finite, got nan"),
     (["attack", "simulate", "--e-xx", "3", "--e-xy", "1", "--e-yy", "3", "--e-yx", "nan",
-      "--seed", "1"], "e_yx must be finite and >= 0, got nan"),
+      "--seed", "1"], "e-yx must be finite, got nan"),
     (["attack", "analyze", "--e-xx", "inf", "--e-xy", "1", "--e-yy", "3", "--e-yx", "1"],
-     "e_xx must be finite and >= 0, got inf"),
+     "e-xx must be finite, got inf"),
     (["market", "closed-form", "--a0", "-5"], "a0 must be >= 1, got -5"),
     (["market", "metrics", "--a0", "0"], "a0 must be >= 1, got 0"),
     (["market", "fit", *_MARKET_FLAGS, "--rho", "0"], "rho must be in (0, 1], got 0.0"),
-    (["market", "fit", *_MARKET_FLAGS, "--rho", "nan"], "rho must be in (0, 1], got nan"),
+    (["market", "fit", *_MARKET_FLAGS, "--rho", "nan"], "rho must be finite, got nan"),
     (["market", "propagate", *_MARKET_FLAGS, "--rho", "-1"], "rho must be in [0, 1], got -1.0"),
-    (["market", "propagate", *_MARKET_FLAGS, "--rho", "inf"], "rho must be in [0, 1], got inf"),
+    (["market", "propagate", *_MARKET_FLAGS, "--rho", "inf"], "rho must be finite, got inf"),
     (["bp", "simulate", "--m0", "nan", "--seed", "1"], "m0 must be finite, got nan"),
     (["bp", "simulate", "--slope", "inf", "--seed", "1"], "slope must be finite, got inf"),
     (["bp", "simulate", "--floor=-inf", "--seed", "1"], "floor must be finite, got -inf"),
-    (["bp", "simulate", "--a-break", "nan", "--seed", "1"], "a_break must be finite, got nan"),
+    (["bp", "simulate", "--a-break", "nan", "--seed", "1"], "a-break must be finite, got nan"),
     (["bp", "simulate", "--model", "constant", "--m-xx", "inf", "--seed", "1"],
-     "m_xx must be finite, got inf"),
+     "m-xx must be finite, got inf"),
     (["bp", "simulate", "--model", "constant", "--m-yx", "nan", "--seed", "1"],
-     "m_yx must be finite, got nan"),
+     "m-yx must be finite, got nan"),
     (["bp", "simulate", "--cx0", "-1", "--seed", "1"], "error: cx must be >= 0, got -1"),
     (["attack", "simulate", *ATTACK_LIMITS, "--cy0", "-1", "--seed", "1"],
      "error: cy must be >= 0, got -1"),
@@ -628,7 +695,7 @@ def test_bad_model_parameter_names_it(argv, name, tmp_path, capsys, monkeypatch)
     monkeypatch.setattr("bpviral.market_graph.make_rng", None)
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")
-    assert main([a.format(graph=graph) for a in argv]) == 1
+    assert main([a.format(graph=graph) for a in argv]) == _exit_code(argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert name in err

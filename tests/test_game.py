@@ -289,7 +289,7 @@ def test_random_study_d_bound():
         with pytest.raises(ValueError, match=rf"^d must be <= .* at theta={theta}, got {d}"):
             random_study(5, d=d, seed=1, theta=theta)
     # theta is checked first, so an invalid theta is named, not d
-    with pytest.raises(ValueError, match=r"^theta must be <= 1, got 1.2$"):
+    with pytest.raises(ValueError, match=r"^theta must be in \(0, 1\], got 1.2$"):
         random_study(5, d=0.8, seed=1, theta=1.2)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -228,7 +229,7 @@ class TestOptimizeEo:
         designs += [lambda k=k: design_for_kind(k, naive_post, mix, delta)
                     for k in (EO, EA, EH, EH2)]
         for design in designs:
-            with pytest.raises(ValueError, match=r"delta in \(0,1\)"):
+            with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\), got {delta}$"):
                 design()
 
     def test_roots_monotone_in_w_and_b(self):
@@ -354,6 +355,35 @@ def test_learned_design_handles_large_w(naive_post, naive_mix):
 def test_user_mix_rejects_bad_proportions(vals):
     with pytest.raises(ValueError, match="user proportions"):
         UserMix(*vals)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m_f", -30.0, "m_f must be finite and > 0, got -30.0"),
+    ("m_f", _NAN, "m_f must be finite and > 0, got nan"),
+    ("eta_a", 1.5, "eta_a must be in (0, 1], got 1.5"),
+    ("eta_f", 0.55, "eta_f must be in (0, eta_a = 0.55), got 0.55"),
+    ("eta_r", 0.0, "eta_r must be in (0, eta_f = 0.52), got 0.0"),
+    ("alpha_x_f", 1.5, "alpha_x_f must be in (0, 1], got 1.5"),
+    ("alpha_y_f", 0.3, "alpha_y_f must be in (0, alpha_x_f = 0.3), got 0.3"),
+    ("alpha_x_r", 0.31, "alpha_x_r must be in (0, alpha_x_f = 0.3), got 0.31"),
+    ("alpha_y_r", 0.23, "alpha_y_r must be in (0, min(alpha_x_r, alpha_y_f) = 0.12), got 0.23"),
+    ("rho", 1.0, "rho must be in (0, 1), got 1.0"),
+    ("gamma", _NAN, "gamma must be finite and > 0, got nan"),
+    ("gamma", _INF, "gamma must be finite and > 0, got inf"),
+    ("share_bonus_k", -1.0, "share_bonus_k must be finite and >= 0, got -1.0"),
+    ("share_bonus_k", _NAN, "share_bonus_k must be finite and >= 0, got nan"),
+], ids=["m_f negative", "m_f nan", "eta_a above 1", "eta_f at eta_a", "eta_r zero",
+        "alpha_x_f above 1", "alpha_y_f at alpha_x_f", "alpha_x_r above alpha_x_f",
+        "alpha_y_r above alpha_y_f", "rho 1", "gamma nan", "gamma inf", "share_bonus_k negative",
+        "share_bonus_k nan"])
+def test_post_model_bound_names_field_and_value(naive_post, field, value, message):
+    """A bad post parameter fails when the post is built, before any design
+    turns it into a proportion above one or an internal error."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(naive_post, **{field: value})
 
 
 def test_crowd_signal_required_for_designs(naive_post):

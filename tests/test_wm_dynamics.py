@@ -95,15 +95,15 @@ class TestSimulateTagging:
     def test_unknown_kind_rejected_before_reading(self, naive_post, mix, monkeypatch):
         d = optimize_eo(naive_post, UserMix(0.25, 0.15, 0.5, 0.1), 0.05)
         monkeypatch.setattr(wm_dynamics, "make_rng", lambda seed: pytest.fail("drew"))
-        with pytest.raises(ValueError, match="kind must be one of .*; got 'eo2'"):
+        with pytest.raises(ValueError, match="kind must be one of .*, got 'eo2'"):
             simulate_tagging("eo2", d, naive_post, mix, FAKE, 1, 1, max_events=1000, seed=1)
         # a valid kind that is not the design's
-        with pytest.raises(ValueError, match="kind 'ea' does not match the design's kind 'eo'"):
+        with pytest.raises(ValueError, match="kind must be the design's kind 'eo', got 'ea'"):
             simulate_tagging(EA, d, naive_post, mix, FAKE, 1, 1, max_events=1000, seed=1)
 
     def test_negative_initial_count_rejected(self, naive_post, naive_mix):
         d = optimize_eo(naive_post, naive_mix(0.1), 0.05)
-        with pytest.raises(ValueError, match="init_fake=-1"):
+        with pytest.raises(ValueError, match="init_fake must be >= 0, got -1"):
             simulate_tagging(EO, d, naive_post, naive_mix(0.1), FAKE, -1, 3,
                              max_events=50, seed=1, record_every=10)
 
