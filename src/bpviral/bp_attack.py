@@ -126,8 +126,8 @@ def attack_model(limits: AttackLimits) -> MeanModel:
             own_mean, att_mean, other = e.e_xx, e.e_xy, state.cy
         else:
             own_mean, att_mean, other = e.e_yy, e.e_yx, state.cx
-        own = int(rng.poisson(own_mean))
-        captured = min(int(rng.poisson(att_mean)), other)
+        own = rng.poisson(own_mean)
+        captured = min(rng.poisson(att_mean), other)
         return own + captured, -captured
 
     return MeanModel(

@@ -152,7 +152,7 @@ def constant_matrix_model(m: np.ndarray) -> MeanModel:
 
     def sampler(ptype, kind, state, rng):
         own, cross = (mxx, mxy) if ptype == "x" else (myy, myx)
-        return int(rng.poisson(own)), int(rng.poisson(cross))
+        return rng.poisson(own), rng.poisson(cross)
 
     return MeanModel(lambda phi: m, lambda beta: m, sampler)
 
@@ -166,7 +166,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
         return m0 - slope * ax if ax <= a_break else floor
 
     def sampler(ptype, kind, state, rng):
-        return (int(rng.poisson(max(mxx(state[2]), 0.0))) if ptype == "x" else 0), 0
+        return (rng.poisson(max(mxx(state[2]), 0.0)) if ptype == "x" else 0), 0
 
     return MeanModel(mean_matrix=lambda phi: np.array([[mxx(phi[2]), 0.0], [0.0, 0.0]]),
                      limit_mean_matrix=lambda beta: np.array([[floor, 0.0], [0.0, 0.0]]),

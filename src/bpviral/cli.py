@@ -103,6 +103,7 @@ def resolve(args, config_section, spec):
             out[name] = default
         if typ is float and out[name] is not None:
             bp_core.require(math.isfinite(out[name]), name, out[name], "finite", ParamError)
+    bp_core.require(out.get("out") != "", "out", "''", "a file name", ParamError)
     return out
 
 
@@ -115,7 +116,10 @@ def _typed(value, typ, where, error=ValueError):
     """``typ(value)`` if JSON ``value`` has ``typ``'s type (an int passes as a float)."""
     if type(value) not in ((int, float) if typ is float else (typ,)):
         raise error(f"{where}: not {_JSON_TYPES[typ]}: {value!r}")
-    return typ(value)
+    try:
+        return typ(value)
+    except OverflowError:
+        raise error(f"{where}: not a number: an integer beyond the float range") from None
 
 
 def _record(cls, blob, where):

@@ -52,17 +52,6 @@ class TefParams:
 SNAP_FIT = dict(m_bar=21.321042, kappa1=532e-6, kappa2=83e-6, a_break=35000.0)
 
 
-def tef(a: float, params: TefParams) -> float:
-    """Expected effective forwards at total shares a (clamped at zero)."""
-    if a < 0:    # no call unless it fails: the market kernels run tef once per event
-        require(False, "total shares a", a, ">= 0")
-    if a <= params.a_break:
-        val = params.rho * (params.m_bar - params.kappa1 * a)
-    else:
-        val = params.rho * (params.m_tilde - params.kappa2 * a)
-    return max(val, 0.0)
-
-
 @dataclass
 class MarketPath:
     """Embedded STP-BP path: counts and ratios at recorded epochs."""
@@ -79,31 +68,37 @@ class MarketPath:
 
 def simulate_stpbp(params: TefParams, a0: int, max_events: int, seed: int,
                    record_every: int = 1, offspring: str = "poisson") -> MarketPath:
-    """Simulate reads of a post whose forwards have mean tef(A).
-
-    One unread copy is consumed per event (A_n - C_n = n); inter-read times
-    are exponential with rate C_n.  ``offspring='poisson'`` draws
-    Poisson(tef(A)); ``'binomial'``
-    draws a geometric friend count with mean m_bar and forwards each friend
-    with the TeF-matching probability.
+    """Simulate reads of a post whose forwards have the two-slope TeF mean
+    rho (m_bar - kappa1 A) at total shares A <= a_break, rho (m_tilde - kappa2 A)
+    past it, clamped at zero.  One unread copy is consumed per event
+    (A_n - C_n = n); inter-read times are exponential with rate C_n.
+    ``offspring='poisson'`` draws Poisson(mean); ``'binomial'`` draws a
+    geometric friend count with mean m_bar and forwards each friend with the
+    TeF-matching probability.
     """
     require_counts(a0=a0, max_events=max_events, record_every=record_every)
     require(offspring in ("poisson", "binomial"), "offspring", repr(offspring),
             "'poisson' or 'binomial'")
     rng = make_rng(seed)
+    exponential, poisson, geometric, binomial = (
+        rng.exponential, rng.poisson, rng.geometric, rng.binomial)
+    rho, m_bar, kappa1, a_break = params.rho, params.m_bar, params.kappa1, params.a_break
+    m_tilde, kappa2 = params.m_tilde, params.kappa2
+    by_poisson = offspring == "poisson"
     a = c = int(a0)
     rec, rec_tau = [], []
     t = 0.0
-    p_geo = 1.0 / (1.0 + params.m_bar)    # success prob: mean m_bar on {0,1,..}
+    p_geo = 1.0 / (1.0 + m_bar)    # success prob: mean m_bar on {0,1,..}
     for n in range(1, max_events + 1):
-        t += rng.exponential(1.0 / c)
-        mean = tef(a, params)
-        if offspring == "poisson":
-            g = int(rng.poisson(mean))
+        t += exponential(1.0 / c)
+        mean = rho * (m_bar - kappa1 * a) if a <= a_break else rho * (m_tilde - kappa2 * a)
+        if mean < 0.0:    # max(mean, 0.0), -0.0 included
+            mean = 0.0
+        if by_poisson:
+            g = poisson(mean)
         else:
-            friends = int(rng.geometric(p_geo)) - 1
-            p_fwd = min(mean / params.m_bar, 1.0)
-            g = int(rng.binomial(friends, p_fwd)) if friends > 0 else 0
+            friends = geometric(p_geo) - 1
+            g = binomial(friends, min(mean / m_bar, 1.0)) if friends > 0 else 0
         a += g
         c += g - 1
         if n % record_every == 0 or c == 0 or n == max_events:

@@ -91,9 +91,9 @@ def _reads(rng, post, mix, u, warning, bufs, cx, cy, ax, ay):
         if bonus == 0.0:
             shares = geo()
         else:
-            friends = int(rng.geometric(p_friends)) - 1
+            friends = rng.geometric(p_friends) - 1
             p = min(eta + bonus / max(ax + ay, 1) ** 2, 1.0)
-            shares = int(rng.binomial(friends, p)) if friends > 0 else 0
+            shares = rng.binomial(friends, p) if friends > 0 else 0
         if tagged_fake:
             cx += shares
             ax += shares

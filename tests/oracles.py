@@ -8,10 +8,10 @@ import numpy as np
 
 from bpviral.bp_attack import AttackLimits
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
-                             death_weights, make_rng, require_counts)
+                             death_weights, make_rng, require, require_counts)
 from bpviral.game import (FAKE, AiDesign, GameParams, GameVerificationError,
                           gamma_floor, participant_fractions)
-from bpviral.market import TefParams, tef
+from bpviral.market import MarketPath, TefParams
 from bpviral.market_graph import Graph
 from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
                                 epochs_before, harmonic_number, make_h,
@@ -136,6 +136,50 @@ def nonauto_rhs(upsilon, t, model) -> np.ndarray:
     m = np.asarray(model.mean_matrix(phi), dtype=float)
     ind = 1.0 if psi_c > 0 else 0.0
     return make_h(lambda _: m)(beta) * ind - np.array([psi_c, theta_c, psi_a, theta_a])
+
+
+def tef(a: float, params: TefParams) -> float:
+    """Expected effective forwards at total shares a (clamped at zero)."""
+    if a < 0:    # no call unless it fails: the scalar kernel runs tef once per event
+        require(False, "total shares a", a, ">= 0")
+    if a <= params.a_break:
+        val = params.rho * (params.m_bar - params.kappa1 * a)
+    else:
+        val = params.rho * (params.m_tilde - params.kappa2 * a)
+    return max(val, 0.0)
+
+
+def simulate_stpbp_scalar(params: TefParams, a0: int, max_events: int, seed: int,
+                          record_every: int = 1, offspring: str = "poisson") -> MarketPath:
+    """Per-event reference for ``market.simulate_stpbp``: every event calls
+    ``tef`` and chooses its offspring branch by name."""
+    require_counts(a0=a0, max_events=max_events, record_every=record_every)
+    require(offspring in ("poisson", "binomial"), "offspring", repr(offspring),
+            "'poisson' or 'binomial'")
+    rng = make_rng(seed)
+    a = c = int(a0)
+    rec, rec_tau = [], []
+    t = 0.0
+    p_geo = 1.0 / (1.0 + params.m_bar)    # success prob: mean m_bar on {0,1,..}
+    for n in range(1, max_events + 1):
+        t += rng.exponential(1.0 / c)
+        mean = tef(a, params)
+        if offspring == "poisson":
+            g = int(rng.poisson(mean))
+        else:
+            friends = int(rng.geometric(p_geo)) - 1
+            p_fwd = min(mean / params.m_bar, 1.0)
+            g = int(rng.binomial(friends, p_fwd)) if friends > 0 else 0
+        a += g
+        c += g - 1
+        if n % record_every == 0 or c == 0 or n == max_events:
+            rec.extend((n, a, c))
+            rec_tau.append(t)
+        if c == 0:
+            break
+    epoch, a_rec, c_rec = np.array(rec, dtype=np.int64).reshape(-1, 3).T
+    return MarketPath(epoch=epoch, tau=np.asarray(rec_tau, dtype=float),
+                      a=a_rec, c=c_rec, extinct=c == 0)
 
 
 def stpbp_nonauto_rhs(params: TefParams, n_start: int):

@@ -11,13 +11,13 @@ from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
                              death_weights, dichotomy_study, make_rng,
                              ratios_and_dichotomy, replication_seed, simulate)
 from bpviral.game import random_study
-from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp, tef
+from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp
 from bpviral.market_graph import build_graph, propagate_on_graph
 from bpviral.ode_engine import ScalarField, classify_scalar, finite_time_gap
 from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
                         limit_proportions, naive_mix)
 from oracles import (extinction_prob_pgf, make_poisson_sampler, sa_recursion_ratios,
-                     simulate_scalar)
+                     simulate_scalar, tef)
 
 
 def unit_deaths():
@@ -480,6 +480,7 @@ _CHECKS = {
                          "kappa1 must be > kappa2 = 0.0006, got 0.000532"),
     "TefParams rho*m_bar": (lambda: TefParams(rho=0.04, **SNAP_FIT),
                             "rho*m_bar must be > 1 (initial super-criticality), got 0.852841"),
+    # tef is the TeF reference of tests/oracles.py; it checks its argument too
     "tef a": (lambda: tef(-1.0, _SNAP), "total shares a must be >= 0, got -1.0"),
     "simulate_stpbp offspring": (lambda: simulate_stpbp(_SNAP, 2, 10, 1, offspring="geometric"),
                                  "offspring must be 'poisson' or 'binomial', got 'geometric'"),

@@ -256,13 +256,18 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      ["in: ", "lacks column(s) ['cy', 'ax', 'ay']"]),
     (["bp", "simulate", "--config"], json.dumps({"params": {"max-events": 100}, "seed": 5}),
      2, ["beside its 'params' object: ['seed']"]),
+    (["bp", "simulate", "--config"], '{"m0": 1' + "0" * 400 + "}", 2,
+     ["m0: not a number: an integer beyond the float range"]),
+    (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, q_p=-10**400)), 1,
+     ["q_p: not a number: an integer beyond the float range"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
         "game params invalid JSON", "config invalid JSON", "config unknown key",
         "wm delta not a number", "wm delta missing", "game params q_p not a number",
         "game params alpha_r a string", "bp ratios missing columns",
-        "config key beside params"])
+        "config key beside params", "config m0 beyond the float range",
+        "game params q_p beyond the float range"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -442,6 +447,17 @@ def test_nonfinite_float_refused_at_resolution(argv, config, message, tmp_path, 
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and not Path(str(out) + ".config.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["market", "metrics"], ["market", "closed-form"]],
+                         ids=["json", "csv"])
+def test_empty_out_rejected(argv, tmp_path, monkeypatch, capsys):
+    """An empty ``--out`` is not "print to stdout": it fails naming ``out``
+    before anything runs, and no artifact or sidecar is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--rho", "0.6", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: out must be a file name, got ''\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("theta", ["-1", "0"])

@@ -6,12 +6,12 @@ import pytest
 
 from bpviral.bp_core import make_rng
 from bpviral.market import (EULER_GAMMA, SNAP_FIT, TefParams, closed_form,
-                            metrics, simulate_stpbp, tef)
+                            metrics, simulate_stpbp)
 from bpviral.market_graph import (build_graph, estimate_tef, fit_two_slope,
                                   parse_graph, propagate_on_graph)
 from bpviral.ode_engine import finite_time_gap, picard_solve
 from oracles import (build_graph_pairs, extinction_prob_pgf, per_row,
-                     stpbp_nonauto_rhs)
+                     simulate_stpbp_scalar, stpbp_nonauto_rhs, tef)
 
 
 class TestTef:
@@ -180,6 +180,31 @@ class TestSimulate:
             peak_idx = int(np.argmax(path.c))
             assert 0 < peak_idx < len(path.c) - 1
             assert path.c[-1] == 0
+
+
+def test_stpbp_matches_scalar():
+    """The bound-locals kernel and the per-event ``tef`` loop give the same
+    bytes: a small market that dies out within the cap, one whose mean is
+    clamped at zero (exactly 0.0 from a0 = 3, negative from a0 = 40,000) and
+    the SNAP fit, in both offspring modes, from a0 1, 3 and 40,000 (past
+    every break), with a cap of 2,000 events (not a multiple of 7)."""
+    markets = [TefParams(m_bar=3.0, kappa1=0.01, kappa2=0.002, a_break=150.0, rho=0.9),
+               TefParams(m_bar=2.0, kappa1=1.0, kappa2=0.5, a_break=1.0, rho=1.0),
+               TefParams(rho=0.6, **SNAP_FIT)]
+    ends = set()
+    for params in markets:
+        for offspring in ("poisson", "binomial"):
+            for a0 in (1, 3, 40_000):
+                for record_every in (1, 7):
+                    for seed in (1, 2):
+                        args = (params, a0, 2_000, seed, record_every, offspring)
+                        got, ref = simulate_stpbp(*args), simulate_stpbp_scalar(*args)
+                        for col in ("epoch", "tau", "a", "c"):
+                            x, y = getattr(got, col), getattr(ref, col)
+                            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (args, col)
+                        assert got.extinct is ref.extinct, args
+                        ends.add((got.extinct, int(got.epoch[-1]) == 2_000))
+    assert ends == {(True, False), (False, True)}    # extinct and capped paths
 
 
 class TestPgf:
