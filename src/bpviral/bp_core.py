@@ -12,6 +12,7 @@ stochastic-approximation recursion analysed elsewhere in the package.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,11 +58,12 @@ def require_finite(**values: float) -> None:
 def replicate(run, seed: int, replications: int, jobs: int = 1) -> list:
     """``[run(replication_seed(seed, r)) for r in range(replications)]``: the
     one place that applies the stream rule.  ``jobs`` > 1 maps the seeds over
-    up to that many worker processes, so ``run`` must pickle."""
+    min(jobs, replications, CPUs) worker processes, so ``run`` must pickle."""
     require_counts(replications=replications, jobs=jobs)
     seeds = [replication_seed(seed, r) for r in range(replications)]
-    if jobs > 1 and replications > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, replications)) as ex:
+    workers = min(jobs, replications, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(run, seeds))
     return [run(s) for s in seeds]
 

@@ -213,6 +213,12 @@ def cmd_bp_ratios(p):
     missing = [c for c in ("epoch", "tau", "cx", "cy", "ax", "ay") if c not in data.dtype.names]
     if missing:
         raise ValueError(f"in: {p['in']} lacks column(s) {missing}")
+    for col, low in (("epoch", 1), ("cx", 0), ("cy", 0), ("ax", 0), ("ay", 0), ("tau", None)):
+        v = data[col]  # a cell that is not a number reads as NaN, which fails both checks
+        ok = np.isfinite(v) if low is None else (v >= low) & (v < 2.0**63) & (v == np.floor(v))
+        row = int(np.argmin(ok))
+        bp_core.require(ok[row], f"in: {p['in']} column {col} data row {row + 1}", v[row],
+                        "finite" if low is None else f"an integer >= {low}")
     traj = bp_core.Trajectory(epoch=data["epoch"].astype(np.int64), tau=data["tau"],
                               **{c: data[c].astype(np.int64) for c in ("cx", "cy", "ax", "ay")},
                               extinct=bool(data["cx"][-1] + data["cy"][-1] == 0))
@@ -252,13 +258,8 @@ def cmd_wm_design(p):
 def cmd_wm_learn(p):
     post, mix, delta = _post_mix_from(p["params"])
     target = p["target-beta"] if p["target-beta"] is not None else delta
-    cfg = wm_dynamics.LearnConfig(
-        budget=p["budget"],
-        kappa=1.0 - post.alpha_y_r / post.alpha_x_r + p["kappa-margin"],
-        w0=p["w0"], b0=p["b0"], eta0=p["eta0"],
-        eps_scale=p["eps-scale"], eps_power=p["eps-power"],
-        eta_scale=p["eta-scale"], eta_power=p["eta-power"],
-        seed_users=p["seed-users"], record_every=p["record-every"])
+    cfg = wm_dynamics.LearnConfig(p["budget"], 1.0 - post.alpha_y_r / post.alpha_x_r + 1e-3,
+                                  p["seed-users"], p["record-every"])
     res = wm_dynamics.learn_wm(cfg, post, mix, target, seed=p["seed"])
     if p["out"]:
         write_csv(p["out"], "k,w,b,beta",
@@ -433,9 +434,6 @@ _COMMANDS = {
     ("wm", "design"): (cmd_wm_design, WM_DESIGN_SPEC),
     ("wm", "learn"): (cmd_wm_learn, {
         "params": (str, REQUIRED), "budget": (int, 100_000), "seed": (int, None),
-        "kappa-margin": (float, 1e-3), "w0": (float, 6.0), "b0": (float, 1e-4),
-        "eta0": (float, 0.008), "eps-scale": (float, 2.2), "eps-power": (float, 0.7),
-        "eta-scale": (float, 1.5), "eta-power": (float, 0.8),
         "seed-users": (int, 20), "record-every": (int, 1000),
         "target-beta": (float, None), "out": (str, None)}),
     ("wm", "simulate"): (cmd_wm_simulate, {

@@ -5,8 +5,7 @@ stream of reads of a known real post.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -138,23 +137,20 @@ def simulate_tagging(kind: str, design: MechanismDesign, post: PostModel,
                        cx=cx, cy=cy, ax=ax, ay=ay, extinct=bool(s[-1] == 0))
 
 
+# The two-timescale schedule of learning (w, b) from a real-post stream.
+# The b-iterate steps with eps_k = EPS_SCALE * k^-EPS_POWER at every read
+# epoch k; the sparse w-updates step on their own clock (the j-th w-update
+# uses eps_j), which keeps the w-timescale effective even though special
+# epochs thin out.  The special-warning coin is ETA0 at the first epoch and
+# eta_k = ETA_SCALE * k^-ETA_POWER after it; (w, b) start at (W0, B0).
+W0, B0, ETA0 = 6.0, 1e-4, 0.008
+EPS_SCALE, EPS_POWER, ETA_SCALE, ETA_POWER = 2.2, 0.7, 1.5, 0.8
+
+
 @dataclass
 class LearnConfig:
-    """Two-timescale schedule for learning (w, b) from a real-post stream.
-
-    The b-iterate steps with eps_k at every read epoch k; the sparse
-    w-updates step on their own clock (j-th w-update uses eps_j), which
-    keeps the w-timescale effective even though special epochs thin out.
-    """
     budget: int
     kappa: float
-    w0: float = 6.0
-    b0: float = 1e-4
-    eta0: float = 0.008                 # special-warning coin at the first epoch
-    eps_scale: float = 2.2              # eps_k = eps_scale * (1/k)^eps_power
-    eps_power: float = 0.7
-    eta_scale: float = 1.5              # eta_k = eta_scale * (1/k)^eta_power
-    eta_power: float = 0.8
     seed_users: int = 20
     record_every: int = 1000
 
@@ -182,27 +178,19 @@ def learn_wm(config: LearnConfig, post: PostModel, mix: UserMix,
     """
     require_counts(budget=config.budget, record_every=config.record_every,
                    seed_users=config.seed_users)
-    for f in fields(config):
-        value = getattr(config, f.name)
-        require(not isinstance(value, float) or math.isfinite(value), f.name, value, "finite")
-    # eps_k starts positive and decays, eta_k is >= 0 and never grows; w, b start in w >= 1, b >= 0
-    for name, low in (("eps_scale", 0), ("eps_power", 0), ("eta_scale", 0), ("eta_power", 0),
-                      ("eta0", 0), ("w0", 1), ("b0", 0)):
-        value, op = getattr(config, name), ">" if name.startswith("eps") else ">="
-        require(value > low or (op == ">=" and value == low), name, value, f"{op} {low}")
     require(1.0 - post.alpha_y_r / post.alpha_x_r <= config.kappa < 1.0, "kappa", config.kappa,
             "in [1 - alpha_y_r/alpha_x_r, 1)")
     require(0.0 <= target_beta <= 1.0, "target_beta", target_beta, "in [0, 1]")
     budget, record_every, one_minus_kappa = config.budget, config.record_every, 1.0 - config.kappa
-    eps_scale, neg_eps_power = config.eps_scale, -config.eps_power
-    eta_scale, neg_eta_power = config.eta_scale, -config.eta_power
+    eps_scale, neg_eps_power = EPS_SCALE, -EPS_POWER
+    eta_scale, neg_eta_power = ETA_SCALE, -ETA_POWER
     rng = make_rng(seed)
     unif_tag, unif_user, unif_decide, unif_coin = _Buf(rng), _Buf(rng), _Buf(rng), _Buf(rng)
     bufs = (unif_tag, unif_user, unif_decide,
             _Buf(rng, post.m_f * post.eta_r), _Buf(rng, post.m_f * post.eta_a))
     coin, gamma = unif_coin.draw, post.gamma
-    w, b = config.w0, config.b0
-    eta_coin = config.eta0
+    w, b = W0, B0
+    eta_coin = ETA0
 
     def warning(beta, fake_copy):
         nonlocal special

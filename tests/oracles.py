@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from bpviral import wm_dynamics
 from bpviral.bp_attack import AttackLimits
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
                              death_weights, make_rng, require, require_counts)
@@ -467,15 +468,16 @@ def simulate_tagging_scalar(kind: str, design: MechanismDesign, post: PostModel,
 def learn_wm_scalar(config: LearnConfig, post: PostModel, mix: UserMix,
                     target_beta: float, seed: int) -> LearnResult:
     """Reference for ``wm_dynamics.learn_wm`` on valid input: the loop with
-    the ``config`` fields read at each epoch, the updates through
-    ``w_update``/``b_update`` and the reads through ``reads_scalar``."""
+    the ``config`` fields and the schedule constants of ``wm_dynamics`` read
+    at each epoch, the updates through ``w_update``/``b_update`` and the
+    reads through ``reads_scalar``."""
     rng = make_rng(seed)
     unif_tag, unif_user, unif_decide, unif_coin = _Buf(rng), _Buf(rng), _Buf(rng), _Buf(rng)
     bufs = (unif_tag, unif_user, unif_decide,
             _Buf(rng, post.m_f * post.eta_r), _Buf(rng, post.m_f * post.eta_a))
     gamma = post.gamma
-    w, b = config.w0, config.b0
-    eta_coin = config.eta0
+    w, b = wm_dynamics.W0, wm_dynamics.B0
+    eta_coin = wm_dynamics.ETA0
 
     def warning(beta, fake_copy):
         nonlocal special
@@ -492,14 +494,14 @@ def learn_wm_scalar(config: LearnConfig, post: PostModel, mix: UserMix,
     for k, (cx, cy, _, _, tagged_fake) in zip(range(1, config.budget + 1), reads):
         s2 = cx + cy
         beta_post = cx / s2 if s2 > 0 else 0.0
-        eps = config.eps_scale * k ** (-config.eps_power)
+        eps = wm_dynamics.EPS_SCALE * k ** (-wm_dynamics.EPS_POWER)
         if special:
             special = False
             n_w_updates += 1
-            eps_w = config.eps_scale * n_w_updates ** (-config.eps_power)
+            eps_w = wm_dynamics.EPS_SCALE * n_w_updates ** (-wm_dynamics.EPS_POWER)
             w = w_update(w, eps_w, float(tagged_fake), config.kappa)
         b = b_update(b, eps, beta_post, target_beta)
-        eta_coin = min(config.eta_scale * k ** (-config.eta_power), 1.0)
+        eta_coin = min(wm_dynamics.ETA_SCALE * k ** (-wm_dynamics.ETA_POWER), 1.0)
         if k % config.record_every == 0 or k == config.budget or s2 == 0:
             trace.append((k, w, b, beta_post))
     return LearnResult(w=w, b=b, trace=np.asarray(trace, dtype=float),

@@ -81,9 +81,7 @@ def test_criterion_4_learning_wm():
     perfect = design_eh2(NAIVE_POST, mix, 0.05, iqos=True)
     cfg = LearnConfig(budget=100_000,
                       kappa=1 - NAIVE_POST.alpha_y_r / NAIVE_POST.alpha_x_r + 1e-3,
-                      w0=6.0, b0=1e-4, eta0=0.008,
-                      eps_scale=2.2, eps_power=0.7,
-                      eta_scale=1.5, eta_power=0.8, seed_users=20)
+                      seed_users=20)
     runs = 150
     hits = 0
     for s in range(runs):

@@ -387,8 +387,13 @@ def test_replicate_pool_no_wider_than_replications(monkeypatch):
         return ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(bp_core, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(bp_core.os, "cpu_count", lambda: 4)
     assert bp_core.replicate(int, 6, 2, jobs=64) == [replication_seed(6, r) for r in range(2)]
     assert widths == [2]
+    # nor wider than the CPUs: 1,000 jobs on 4 CPUs start 4 workers, results in order
+    assert bp_core.replicate(int, 6, 1000, jobs=1000) == [replication_seed(6, r)
+                                                          for r in range(1000)]
+    assert widths == [2, 4]
 
 
 @pytest.mark.parametrize("call, name", [

@@ -137,8 +137,8 @@ _SWEEP_SIZES = {"market simulate": ["--max-events", "300"],
                 "wm simulate": ["--max-events", "300"],
                 "game simulate": ["--k-max", "300"], "game study": ["--samples", "50"]}
 # the library parameter an error names instead of the flag that sets it
-_FLAG_PARAMS = {"offspring-low-mean": "low_mean", "kappa-margin": "kappa",
-                "cx0": "cx", "cy0": "cy", "samples": "n_samples"}
+_FLAG_PARAMS = {"offspring-low-mean": "low_mean", "cx0": "cx", "cy0": "cy",
+                "samples": "n_samples"}
 _NONFINITE_TOKEN = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 
 
@@ -227,6 +227,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "not-a-key" in capsys.readouterr().err
 
 
+_RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
+
+
 @pytest.mark.parametrize("argv, text, rc, names", [
     (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, bogus=1)), 1, ["'bogus'"]),
     (["game", "verify", "--params"], json.dumps({"alpha_r": 0.27}), 1, ["'alpha_f'"]),
@@ -260,6 +263,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      ["m0: not a number: an integer beyond the float range"]),
     (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, q_p=-10**400)), 1,
      ["q_p: not a number: an integer beyond the float range"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n2,0.9,x,0,3,0\n", 1,
+     ["column cx data row 2 must be an integer >= 0, got nan"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2.5,0,2,0\n", 1,
+     ["column cx data row 1 must be an integer >= 0, got 2.5"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,-3,2,0\n", 1,
+     ["column cy data row 1 must be an integer >= 0, got -3.0"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n0,0.9,1,0,2,0\n", 1,
+     ["column epoch data row 2 must be an integer >= 1, got 0.0"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n2,0.9,1,0,2,1e30\n", 1,
+     ["column ay data row 2 must be an integer >= 0, got 1e+30"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n2,inf,1,0,2,0\n", 1,
+     ["column tau data row 2 must be finite, got inf"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,,2,0,2,0\n", 1,
+     ["column tau data row 1 must be finite, got nan"]),
+    (["wm", "learn", "--seed", "1", "--config"], json.dumps({"params": {"eps-scale": 2.2}}), 2,
+     ["unknown keys: ['eps-scale']"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
@@ -267,7 +286,10 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         "wm delta not a number", "wm delta missing", "game params q_p not a number",
         "game params alpha_r a string", "bp ratios missing columns",
         "config key beside params", "config m0 beyond the float range",
-        "game params q_p beyond the float range"])
+        "game params q_p beyond the float range", "bp ratios cx not a number",
+        "bp ratios cx not an integer", "bp ratios cy negative", "bp ratios epoch 0",
+        "bp ratios ay beyond int64", "bp ratios tau infinite", "bp ratios tau empty",
+        "wm learn sidecar with a removed key"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -606,26 +628,6 @@ def _exit_code(argv):
       "--target-beta", "nan"], "target-beta must be finite, got nan"),
     (["wm", "learn", "--params", "{wm}", "--seed", "1", "--budget", "2000",
       "--target-beta", "1.5"], "target_beta must be in [0, 1], got 1.5"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "0.9"],
-     "kappa must be in [1 - alpha_y_r/alpha_x_r, 1), got 1.15"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--kappa-margin", "nan"],
-     "kappa-margin must be finite, got nan"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "inf"],
-     "eps-power must be finite, got inf"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-scale", "-2.2"],
-     "eps_scale must be > 0, got -2.2"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eps-power", "0"],
-     "eps_power must be > 0, got 0.0"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta-scale", "-1.5"],
-     "eta_scale must be >= 0, got -1.5"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta-power", "-0.8"],
-     "eta_power must be >= 0, got -0.8"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--eta0", "-0.01"],
-     "eta0 must be >= 0, got -0.01"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--w0", "0.5", "--b0", "-3"],
-     "w0 must be >= 1, got 0.5"),
-    (["wm", "learn", "--params", "{wm}", "--seed", "1", "--b0", "-3"],
-     "b0 must be >= 0, got -3.0"),
     (["game", "study", "--seed", "1", "--samples", "5", "--gamma-margin", "-1"],
      "gamma_margin must be finite and >= 0, got -1.0"),
     (["game", "design", "--params", "{game_nan}"], "c_e must be finite, got nan"),
@@ -645,11 +647,7 @@ def _exit_code(argv):
         "game study --d 0.65", "game study --d 0.8", "game study --theta 1.2",
         "game study --theta 1.2 --d 0.8",
         "wm learn --seed-users 0", "wm learn --target-beta nan",
-        "wm learn --target-beta 1.5", "wm learn --kappa-margin 0.9",
-        "wm learn --kappa-margin nan", "wm learn --eps-power inf",
-        "wm learn --eps-scale -2.2", "wm learn --eps-power 0", "wm learn --eta-scale -1.5",
-        "wm learn --eta-power -0.8", "wm learn --eta0 -0.01", "wm learn --w0 0.5 --b0 -3",
-        "wm learn --b0 -3", "game study --gamma-margin -1", "game design c_e NaN",
+        "wm learn --target-beta 1.5", "game study --gamma-margin -1", "game design c_e NaN",
         "game study --samples 0", "market fit --bin-width 0",
         "market fit --seeds-per-run 0", "market propagate --n-seeds 0",
         "market propagate --seeds 0,x", "market propagate --seeds ''"])
