@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import secrets
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
 
@@ -207,7 +208,15 @@ def _rep_path(out, rep, total):
 def cmd_bp_ratios(p):
     if not Path(p["in"]).read_text().strip():
         raise ValueError(f"in: {p['in']} is empty")
-    data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
+    try:
+        data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
+    except ValueError as exc:
+        # genfromtxt lists every ragged line; name the first one it reports
+        ragged = re.search(r"Line #(\d+) \(got (\d+) columns instead of (\d+)\)", str(exc))
+        if ragged is None:
+            raise
+        line, got, want = ragged.groups()
+        raise ValueError(f"in: {p['in']} line {line} has {got} columns, not {want}") from None
     if data.size == 0:
         raise ValueError(f"in: {p['in']} has no rows below its header")
     missing = [c for c in ("epoch", "tau", "cx", "cy", "ax", "ay") if c not in data.dtype.names]
@@ -219,6 +228,14 @@ def cmd_bp_ratios(p):
         row = int(np.argmin(ok))
         bp_core.require(ok[row], f"in: {p['in']} column {col} data row {row + 1}", v[row],
                         "finite" if low is None else f"an integer >= {low}")
+    # the rows form one path: epochs increase, and no total is below its
+    # current count (the rule of PopulationState.validate)
+    for col, low, rule in (("epoch", np.r_[0, data["epoch"][:-1] + 1], "the previous epoch + 1"),
+                           ("ax", data["cx"], "cx"), ("ay", data["cy"], "cy")):
+        ok = data[col] >= low
+        row = int(np.argmin(ok))
+        bp_core.require(ok[row], f"in: {p['in']} column {col} data row {row + 1}",
+                        data[col][row], f">= {rule} ({int(low[row])})")
     traj = bp_core.Trajectory(epoch=data["epoch"].astype(np.int64), tau=data["tau"],
                               **{c: data[c].astype(np.int64) for c in ("cx", "cy", "ax", "ay")},
                               extinct=bool(data["cx"][-1] + data["cy"][-1] == 0))
@@ -480,7 +497,10 @@ def _add_flags(parser, spec):
                         help="JSON file with parameter values (flags win)")
 
 
+@cache
 def build_parser():
+    """The parser of ``_COMMANDS``' specs, built once per process and shared
+    by every ``main`` call, so no caller may add to it."""
     parser = argparse.ArgumentParser(prog="bpviral",
                                      description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="module", required=True)

@@ -49,27 +49,33 @@ def parse_graph(path) -> Graph:
     integers, or has a label outside int64, raises with its line number.
     """
     try:
-        return build_graph(*_read_edges(path, int))
-    except OverflowError:
-        # a label outside int64: read again, checked, to name its line
+        us, vs = _read_edges(path)
+        # numpy converts each label with Python's int(), then checks int64
+        us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # read again, checked, to name a line: the first that is not two
+        # int() labels, else the first with a label outside int64
+        _read_edges(path, int)
         _read_edges(path, lambda text: np.int64(int(text)))
         raise
+    return build_graph(us, vs)
 
 
-def _read_edges(path, label):
+def _read_edges(path, label=None):
+    """The two label columns, as strings, of the edge lines of ``path``; a
+    line that is not two labels, or fails ``label``, raises naming it."""
     us, vs = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
             try:
-                if len(parts) != 2:
-                    raise ValueError
-                u, v = label(parts[0]), label(parts[1])
+                u, v = parts
+                if label is not None:
+                    label(u), label(v)
             except (ValueError, OverflowError):
-                raise ValueError(f"malformed edge on line {lineno}: {line!r}") from None
+                raise ValueError(f"malformed edge on line {lineno}: {line.strip()!r}") from None
             us.append(u)
             vs.append(v)
     return us, vs
@@ -86,9 +92,8 @@ def build_graph(us, vs) -> Graph:
     # np.sort is about 20x faster on it than np.unique, which hashes it
     key = np.sort(np.concatenate([ui * n + vi, vi * n + ui]))
     src, dst = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    # np.split of nothing gives one chunk, so no edges needs the empty list
-    neighbors = np.split(dst, np.searchsorted(src, np.arange(1, n))) if n else []
-    return Graph(neighbors=neighbors, node_ids=labels)
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    return Graph(neighbors=[dst[i:j] for i, j in zip(bounds, bounds[1:])], node_ids=labels)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpviral.cli import _COMMANDS, main, write_csv
+from bpviral.cli import _COMMANDS, build_parser, main, write_csv
 from oracles import write_csv_per_value
 
 
@@ -279,6 +279,12 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
      ["column tau data row 1 must be finite, got nan"]),
     (["wm", "learn", "--seed", "1", "--config"], json.dumps({"params": {"eps-scale": 2.2}}), 2,
      ["unknown keys: ['eps-scale']"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n2,0.9,1,0,2\n3,1.1,1,0,2,0,7\n", 1,
+     ["in: ", "line 3 has 5 columns, not 6"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0\n1,0.9,1,0,2,0\n", 1,
+     ["column epoch data row 2 must be >= the previous epoch + 1 (2), got 1.0"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,5,0,1,0\n", 1,
+     ["column ax data row 1 must be >= cx (5), got 1.0"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
@@ -289,7 +295,8 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
         "game params q_p beyond the float range", "bp ratios cx not a number",
         "bp ratios cx not an integer", "bp ratios cy negative", "bp ratios epoch 0",
         "bp ratios ay beyond int64", "bp ratios tau infinite", "bp ratios tau empty",
-        "wm learn sidecar with a removed key"])
+        "wm learn sidecar with a removed key", "bp ratios ragged", "bp ratios epoch repeated",
+        "bp ratios ax below cx"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)
@@ -370,6 +377,15 @@ def test_sidecar_replays_only_into_its_command(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'bp simulate'" in err and "'attack simulate'" in err and "Traceback" not in err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["market", "metrics", "--rho", "0.4", "--out", str(a)]) == 0
+    assert main(["market", "metrics", "--out", str(b)]) == 0
+    sidecar = json.loads(Path(str(b) + ".config.json").read_text())
+    assert sidecar["params"]["rho"] == _COMMANDS[("market", "metrics")][1]["rho"][1] != 0.4
 
 
 def test_flags_override_config(tmp_path):

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from bpviral import market_graph
 from bpviral.bp_core import make_rng
 from bpviral.market import (EULER_GAMMA, SNAP_FIT, TefParams, closed_form,
                             metrics, simulate_stpbp)
@@ -304,6 +306,22 @@ class TestGraph:
         f.write_text(f"# c\n0 1\n1 {label}\n{label} 0\n")
         with pytest.raises(ValueError, match=f"malformed edge on line 3: '1 {label}'"):
             parse_graph(f)
+
+    @pytest.mark.parametrize("text, line", [("0 1\n1 x\n", "line 2: '1 x'"),
+                                            ("0 1\n# c\n2 1.0\n3 4\n0x10 5\n", "line 3: '2 1.0'")],
+                             ids=["one bad label", "first of two bad labels"])
+    def test_bad_label_named_by_the_checked_reread(self, text, line, tmp_path, monkeypatch):
+        # the labels are converted in one numpy pass; its failure reads the
+        # file again, label by label, to name the line
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        calls = []
+        read = market_graph._read_edges
+        monkeypatch.setattr(market_graph, "_read_edges",
+                            lambda *args: calls.append(args) or read(*args))
+        with pytest.raises(ValueError, match=f"^malformed edge on {re.escape(line)}$"):
+            parse_graph(f)
+        assert [len(args) for args in calls] == [1, 2]     # unchecked, then checked
 
     def test_int64_extremes_accepted(self, tmp_path):
         f = tmp_path / "g.txt"
