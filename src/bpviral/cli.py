@@ -209,7 +209,8 @@ def cmd_bp_ratios(p):
     if not Path(p["in"]).read_text().strip():
         raise ValueError(f"in: {p['in']} is empty")
     try:
-        data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True))
+        data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True,
+                                           comments=None))
     except ValueError as exc:
         # genfromtxt lists every ragged line; name the first one it reports
         ragged = re.search(r"Line #(\d+) \(got (\d+) columns instead of (\d+)\)", str(exc))

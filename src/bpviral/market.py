@@ -17,7 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .bp_core import make_rng, require, require_counts
-from .ode_engine import EULER_GAMMA, bisect_root
+from .ode_engine import bisect_root
+
+EULER_GAMMA = float(np.euler_gamma)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,8 @@ def parse_graph(path) -> Graph:
         # numpy converts each label with Python's int(), then checks int64
         us, vs = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
     except (ValueError, OverflowError):
-        # read again, checked, to name a line: the first that is not two
-        # int() labels, else the first with a label outside int64
-        _read_edges(path, int)
+        # read again, checked, to name the first line that is not two int()
+        # labels inside int64
         _read_edges(path, lambda text: np.int64(int(text)))
         raise
     return build_graph(us, vs)

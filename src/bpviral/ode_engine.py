@@ -13,11 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma
 
 from .bp_core import require, require_counts
-
-EULER_GAMMA = float(np.euler_gamma)
 
 ATTRACTOR = "attractor"
 REPELLER = "repeller"
@@ -319,27 +316,6 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
                          cycle_from=cycle_from)
 
 
-# -- epoch/time bookkeeping for the 1/n step-size scheme ---------------------
-
-def harmonic_number(n: int) -> float:
-    """Exact partial sum 1 + 1/2 + ... + 1/n (digamma identity)."""
-    if n <= 0:
-        return 0.0
-    return float(digamma(n + 1)) + EULER_GAMMA
-
-
-def epochs_before(t: float) -> int:
-    """eta(t) = max{n : t_n <= t} for the harmonic time scale."""
-    if t < 1.0:
-        return 0
-    n = max(1, int(math.exp(t - EULER_GAMMA)))
-    while harmonic_number(n + 1) <= t:
-        n += 1
-    while n >= 1 and harmonic_number(n) > t:
-        n -= 1
-    return n
-
-
 def _drift(f, m):
     """The 4 components of h for x-death weight f and 2x2 mean matrix m."""
     mxx, mxy = m[0, 0], m[0, 1]
@@ -386,24 +362,23 @@ def finite_time_gap(sa_traj, ode: OdeTrajectory, n_start: int, T: float) -> floa
 
     ``sa_traj`` holds the ratio iterates indexed from epoch 1; the ODE is
     assumed initialised at the epoch-``n_start`` iterate.  Returns
-    sup { |Y_k - y(t_k - t_{n_start})|_inf : t_k in [t_n, t_n + T] } with
-    t_n the exact harmonic partial sums.
+    sup { |Y_k - y(t_k - t_{n_start})|_inf : t_k in [t_n, t_n + T] } on the
+    harmonic clock t_k = 1 + 1/2 + ... + 1/k, summed left to right.  Raises
+    ``ValueError`` when the window reaches past the trajectory's last epoch.
     """
     sa = np.asarray(sa_traj, dtype=float)
     n_total = sa.shape[0]
     require(1 <= n_start <= n_total, "n_start", n_start, f"in [1, {n_total}] (the trajectory)")
     require(0 <= T < math.inf, "T", T, "finite and >= 0")
-    t_start = harmonic_number(n_start)
-    k_end = epochs_before(t_start + T)
+    # one entry past the trajectory, so a window that ends at epoch n_total is told
+    # apart from one that runs on
+    t = np.cumsum(1.0 / np.arange(1, n_total + 2))
+    k_end = int(np.searchsorted(t, t[n_start - 1] + T, side="right"))
     if k_end > n_total:
-        raise ValueError(
-            f"trajectory too short: need {k_end} epochs to cover the window, "
-            f"have {n_total}")
-    # t_k for k = n_start..k_end, summed left to right as the exact t_k are
-    t_k = np.add.accumulate(np.concatenate(
-        ([t_start], 1.0 / np.arange(n_start + 1, k_end + 1))))
+        raise ValueError(f"trajectory too short: the window runs past its {n_total} epochs")
+    t_k = t[n_start - 1:k_end]
     rows = sa[n_start - 1:k_end].reshape(len(t_k), -1)
-    return float(np.max(np.abs(rows - ode.at(t_k - t_start))))
+    return float(np.max(np.abs(rows - ode.at(t_k - t_k[0]))))
 
 
 CONVERGED_ATTRACTOR = "converged_attractor"

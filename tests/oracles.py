@@ -14,8 +14,7 @@ from bpviral.game import (FAKE, AiDesign, GameParams, GameVerificationError,
                           gamma_floor, participant_fractions)
 from bpviral.market import MarketPath, TefParams
 from bpviral.market_graph import Graph
-from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root,
-                                epochs_before, harmonic_number, make_h,
+from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root, make_h,
                                 picard_solve)
 from bpviral.wm import (REAL, MechanismDesign, PostModel, UserMix, eo_warning,
                         warning_value)
@@ -120,6 +119,23 @@ def harmonic_times(n: int) -> np.ndarray:
     t = np.zeros(n + 1)
     t[1:] = np.cumsum(1.0 / np.arange(1, n + 1))
     return t
+
+
+# the clock of the drifts below; test_market's windows reach about epoch 21,000
+_CLOCK = harmonic_times(40_000)
+
+
+def harmonic_number(n: int) -> float:
+    """t_n = 1 + 1/2 + ... + 1/n, read from the clock's table."""
+    require(0 <= n < len(_CLOCK), "n", n, f"in [0, {len(_CLOCK) - 1}] (the clock's table)")
+    return float(_CLOCK[n])
+
+
+def epochs_before(t: float) -> int:
+    """eta(t) = max{n : t_n <= t} on the harmonic clock; fails past its table."""
+    n = int(np.searchsorted(_CLOCK, t, side="right")) - 1
+    require(n < len(_CLOCK) - 1, "t", t, f"< t_{len(_CLOCK) - 1} (the clock's table)")
+    return max(n, 0)
 
 
 def nonauto_rhs(upsilon, t, model) -> np.ndarray:

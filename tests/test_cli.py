@@ -63,6 +63,17 @@ def test_module_entry_help_exits_zero():
     assert b"usage" in proc.stdout.lower()
 
 
+def test_importing_the_cli_loads_every_module_and_no_scipy():
+    # numpy is the package's one runtime dependency
+    code = ("import sys, bpviral.cli; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('bpviral', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["bpviral"] + [
+        f"bpviral.{m}" for m in ("bp_attack", "bp_core", "cli", "game", "market",
+                                 "market_graph", "ode_engine", "wm", "wm_dynamics")]
+
+
 def test_missing_required_parameter_names_key(capsys):
     rc = main(["game", "design"])
     assert rc == 2
@@ -285,6 +296,8 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
      ["column epoch data row 2 must be >= the previous epoch + 1 (2), got 1.0"]),
     (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,5,0,1,0\n", 1,
      ["column ax data row 1 must be >= cx (5), got 1.0"]),
+    (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0 # note\n", 1,
+     ["column ay data row 1 must be an integer >= 0, got nan"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
@@ -296,7 +309,7 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
         "bp ratios cx not an integer", "bp ratios cy negative", "bp ratios epoch 0",
         "bp ratios ay beyond int64", "bp ratios tau infinite", "bp ratios tau empty",
         "wm learn sidecar with a removed key", "bp ratios ragged", "bp ratios epoch repeated",
-        "bp ratios ax below cx"])
+        "bp ratios ax below cx", "bp ratios comment after a row"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)

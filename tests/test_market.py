@@ -308,8 +308,11 @@ class TestGraph:
             parse_graph(f)
 
     @pytest.mark.parametrize("text, line", [("0 1\n1 x\n", "line 2: '1 x'"),
-                                            ("0 1\n# c\n2 1.0\n3 4\n0x10 5\n", "line 3: '2 1.0'")],
-                             ids=["one bad label", "first of two bad labels"])
+                                            ("0 1\n# c\n2 1.0\n3 4\n0x10 5\n", "line 3: '2 1.0'"),
+                                            ("1 99999999999999999999\n1 x\n",
+                                             "line 1: '1 99999999999999999999'")],
+                             ids=["one bad label", "first of two bad labels",
+                                  "label outside int64 before a non-integer"])
     def test_bad_label_named_by_the_checked_reread(self, text, line, tmp_path, monkeypatch):
         # the labels are converted in one numpy pass; its failure reads the
         # file again, label by label, to name the line

@@ -11,13 +11,12 @@ from bpviral.bp_core import (DeathModel, PopulationState, simulate,
                              single_type_ramp_model)
 from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE, DegenerateFieldError,
                                 OdeTrajectory, ScalarField, bisect_root, classify_scalar,
-                                epochs_before, finite_time_gap, harmonic_number,
-                                hover_classify, lift_limits, make_autonomous_rhs,
-                                make_h, picard_solve)
+                                finite_time_gap, hover_classify, lift_limits,
+                                make_autonomous_rhs, make_h, picard_solve)
 from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, NAIVE_POST, REAL,
                         MechanismDesign, gbeta_field, naive_mix)
-from oracles import (build_gbeta, harmonic_times, nonauto_rhs, per_row,
-                     picard_chain, picard_solve_full)
+from oracles import (build_gbeta, epochs_before, harmonic_number, nonauto_rhs,
+                     per_row, picard_chain, picard_solve_full)
 
 
 class TestClassifyScalar:
@@ -416,21 +415,6 @@ class TestPicard:
             assert traj.values[-1, 0] == (0.0 if sweeps % 2 == 0 else traj.final_increment)
 
 
-class TestHarmonicClock:
-    def test_harmonic_number_matches_cumsum(self):
-        direct = harmonic_times(2000)
-        for n in (1, 7, 100, 2000):
-            assert harmonic_number(n) == pytest.approx(direct[n], abs=1e-12)
-
-    @given(st.floats(0.1, 12.0))
-    @settings(max_examples=50, deadline=None)
-    def test_epochs_before_is_maximal(self, t):
-        n = epochs_before(t)
-        if n >= 1:
-            assert harmonic_number(n) <= t
-        assert harmonic_number(n + 1) > t
-
-
 def test_array_rhs_rows_match_lift_map():
     # rows at beta = 0 and 1 (the attack matrix's indicators), an interior
     # beta and psi_c <= 0, against h(beta) 1_{psi_c>0} - upsilon per point
@@ -485,6 +469,20 @@ class TestFiniteTimeGap:
             sa[k - 1] = ode.at(max(harmonic_number(k) - t0, 0.0))
         gap = finite_time_gap(sa, ode, n_start=n_start, T=2.0)
         assert gap < 1e-9
+
+    def test_window_ends_at_the_last_epoch_within_T(self):
+        # t_k in [t_10, t_10 + 2] holds for k = 10..k_end: a trajectory of k_end
+        # rows covers it, one row fewer does not, and only rows 10..k_end count
+        ode = OdeTrajectory(times=np.linspace(0, 3, 10), values=np.zeros((10, 1)))
+        k_end = epochs_before(harmonic_number(10) + 2.0)
+        assert finite_time_gap(np.zeros((k_end, 1)), ode, n_start=10, T=2.0) == 0.0
+        with pytest.raises(ValueError, match=f"too short.*past its {k_end - 1} epochs"):
+            finite_time_gap(np.zeros((k_end - 1, 1)), ode, n_start=10, T=2.0)
+        sa = np.zeros((k_end + 1, 1))
+        sa[k_end] = 1e6                       # epoch k_end + 1: outside the window
+        assert finite_time_gap(sa, ode, n_start=10, T=2.0) == 0.0
+        sa[k_end - 1] = 1e6                   # epoch k_end: inside it
+        assert finite_time_gap(sa, ode, n_start=10, T=2.0) == 1e6
 
     def test_short_trajectory_raises(self):
         ode = OdeTrajectory(times=np.linspace(0, 3, 10), values=np.zeros((10, 1)))
