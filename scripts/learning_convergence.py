@@ -4,7 +4,9 @@ i-QoS within 0.05, as a function of the sample budget."""
 
 import argparse
 import sys
+from functools import partial
 
+from bpviral.bp_core import replicate
 from bpviral.wm import NAIVE_POST, design_eh2, learned_design, naive_mix
 from bpviral.wm_dynamics import LearnConfig, learn_wm
 
@@ -25,8 +27,7 @@ def main(argv=None):
     for budget in (int(b) for b in args.budgets.split(",")):
         cfg = LearnConfig(budget=budget, kappa=kappa)
         hits = 0
-        for s in range(args.runs):
-            res = learn_wm(cfg, post, mix, target_beta=0.05, seed=args.seed + s)
+        for res in replicate(partial(learn_wm, cfg, post, mix, 0.05), args.seed, args.runs):
             d = learned_design(res.w, res.b, post, mix, 0.05, iqos=True)
             hits += abs(d.iqos - perfect.iqos) <= 0.05
         print(f"budget {budget:>7d}: fraction within 0.05 = {hits / args.runs:.3f}")

@@ -10,13 +10,12 @@ import sys
 
 import numpy as np
 
-from bpviral.wm import (NAIVE_POST, SMART_POST, UserMix, design_ea, design_eh,
-                        design_eh2, naive_mix, optimize_eo)
+from bpviral.wm import (NAIVE_POST, SMART_POST, design_ea, design_eh, design_eh2,
+                        naive_mix, optimize_eo, smart_mix)
 
 # profile -> (post, user mix at adversary fraction mua, real-post target)
 PROFILES = {
-    "smart": (SMART_POST, lambda mua: UserMix(mu0=0.5 - mua, mu1=0.0, mu2=0.5, mua=mua),
-              0.02),
+    "smart": (SMART_POST, smart_mix, 0.02),
     "naive": (NAIVE_POST, naive_mix, 0.05),
 }
 

@@ -2,7 +2,9 @@
 closed forms that no library caller needs, against which the library's
 array code and Monte-Carlo kernels are checked."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,14 @@ from bpviral.ode_engine import (OdeTrajectory, ScalarField, bisect_root, make_h,
 from bpviral.wm import (REAL, MechanismDesign, PostModel, UserMix, eo_warning,
                         warning_value)
 from bpviral.wm_dynamics import LearnConfig, LearnResult, TaggingPath, _Buf
+
+PARAMS = Path(__file__).resolve().parents[1] / "params"
+
+
+def example_params(name):
+    """The worked parameter set ``params/<name>.json`` the README's examples
+    read: the one copy of each set that tests and CI use."""
+    return json.loads((PARAMS / f"{name}.json").read_text())
 
 
 def per_row(rhs):

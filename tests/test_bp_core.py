@@ -16,8 +16,8 @@ from bpviral.market_graph import build_graph, propagate_on_graph
 from bpviral.ode_engine import ScalarField, classify_scalar, finite_time_gap
 from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
                         limit_proportions, naive_mix)
-from oracles import (extinction_prob_pgf, make_poisson_sampler, sa_recursion_ratios,
-                     simulate_scalar, tef)
+from oracles import (example_params, extinction_prob_pgf, make_poisson_sampler,
+                     sa_recursion_ratios, simulate_scalar, tef)
 
 
 def unit_deaths():
@@ -415,8 +415,7 @@ def _kernels():
     limits, init = bp_attack.AttackLimits(3, 1, 3, 1), PopulationState(5, 5, 5, 5)
     mix = wm.naive_mix(0.1)
     design = wm.optimize_eo(wm.NAIVE_POST, mix, 0.05)
-    gp = game.GameParams(alpha_r=0.27, alpha_f=0.30, mua=0.1, p=0.3, theta=0.75,
-                         delta=0.28, resp_a=2.5)
+    gp = game.GameParams(**example_params("game"))
     gd = game.design_ai_game(gp)
     pair = {"max_events": 5, "record_every": 1}
     return {

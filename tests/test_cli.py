@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,33 +10,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bpviral import wm
 from bpviral.cli import _COMMANDS, build_parser, main, write_csv
-from oracles import write_csv_per_value
+from oracles import PARAMS, example_params, write_csv_per_value
 
 
-WM_BLOB = {
-    "post": {"m_f": 30, "eta_f": 0.52, "eta_r": 0.4, "eta_a": 0.55,
-             "gamma": 0.1, "rho": 0.9, "alpha_x_f": 0.3, "alpha_y_f": 0.225,
-             "alpha_x_r": 0.12, "alpha_y_r": 0.09},
-    "mix": {"mu0": 0.25, "mu1": 0.15, "mu2": 0.5, "mua": 0.1},
-    "delta": 0.05,
-}
-GAME_BLOB = {"alpha_r": 0.27, "alpha_f": 0.30, "mua": 0.1, "p": 0.3,
-             "theta": 0.75, "delta": 0.28, "resp_a": 2.5}
+WM_BLOB = example_params("wm")
+GAME_BLOB = example_params("game")
 
 
 @pytest.fixture
-def wm_params_file(tmp_path):
-    path = tmp_path / "wm.json"
-    path.write_text(json.dumps(WM_BLOB))
-    return str(path)
+def wm_params_file():
+    return str(PARAMS / "wm.json")
 
 
 @pytest.fixture
-def game_params_file(tmp_path):
-    path = tmp_path / "game.json"
-    path.write_text(json.dumps(GAME_BLOB))
-    return str(path)
+def game_params_file():
+    return str(PARAMS / "game.json")
 
 
 ALL_SUBCOMMANDS = [
@@ -559,6 +551,35 @@ def test_attack_analyze_payload(capsys):
     assert {"equilibria", "lifted"} <= set(blob)
 
 
+def test_readme_examples_run(tmp_path, monkeypatch):
+    """Every ``bpviral`` line of the README's example block exits 0 from a
+    checkout, except ``market fit``, whose SNAP graph is a download."""
+    readme = (PARAMS.parent / "README.md").read_text()
+    block = readme.split("Examples:\n\n```bash\n", 1)[1].split("```", 1)[0]
+    shutil.copytree(PARAMS, tmp_path / "params")
+    monkeypatch.chdir(tmp_path)
+    skipped = []
+    for line in block.splitlines():
+        if not line.startswith("bpviral "):
+            continue
+        argv = shlex.split(line)[1:]
+        if argv[:2] == ["market", "fit"]:
+            skipped.append(argv)
+        else:
+            assert main(argv) == 0, line
+    assert skipped == [["market", "fit", "--graph", "data/twitter_combined.txt",
+                        "--rho", "1.0", "--runs", "200", "--seed", "5"]]
+
+
+def test_wm_params_file_is_the_naive_benchmark():
+    assert wm.PostModel(**WM_BLOB["post"]) == wm.NAIVE_POST
+    mix, bench = WM_BLOB["mix"], wm.naive_mix(0.1)
+    assert (mix["mu1"], mix["mu2"], mix["mua"]) == (bench.mu1, bench.mu2, bench.mua)
+    # 0.35 - 0.1 is 0.24999999999999997; mu0 does not enter the wm fields
+    assert mix["mu0"] == pytest.approx(bench.mu0, abs=1e-15)
+    assert WM_BLOB["delta"] == 0.05
+
+
 def test_wm_design_json(wm_params_file, capsys):
     rc = main(["wm", "design", "--kind", "eh", "--params", wm_params_file])
     assert rc == 0
@@ -684,8 +705,7 @@ def test_counts_below_one_exit_1(argv, name, wm_params_file, tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("0 1\n1 2\n2 0\n")
     game_nan = tmp_path / "game_nan.json"
-    game_nan.write_text('{"alpha_r": 0.27, "alpha_f": 0.3, "mua": 0.1, "p": 0.3, '
-                        '"theta": 0.75, "delta": 0.28, "c_e": NaN}')
+    game_nan.write_text(json.dumps(dict(GAME_BLOB, c_e=math.nan)))
     rc = main([a.format(wm=wm_params_file, graph=graph, game_nan=game_nan) for a in argv])
     assert rc == _exit_code(argv)
     assert name in capsys.readouterr().err

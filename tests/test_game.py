@@ -10,15 +10,16 @@ from bpviral.game import (FAKE, REAL, AiDesign, GameParams,
                           design_ai_game, fp_residual, gamma_floor,
                           participant_fractions, payoffs, random_study,
                           simulate_tagging_game, tagging_rhs, verify_equilibria)
-from oracles import (design_ai_game_scalar, picard_chain, random_study_scalar,
-                     response, verify_equilibria_scalar, warning_mfg)
+from oracles import (design_ai_game_scalar, example_params, picard_chain,
+                     random_study_scalar, response, verify_equilibria_scalar,
+                     warning_mfg)
+
+
+GAME = example_params("game")
 
 
 def base_params(**kw):
-    defaults = dict(alpha_r=0.27, alpha_f=0.30, mua=0.1, p=0.3,
-                    theta=0.75, delta=0.28, resp_a=2.5)
-    defaults.update(kw)
-    return GameParams(**defaults)
+    return GameParams(**{**GAME, **kw})
 
 
 def random_params(rng, d=0.10):

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from bpviral import bp_core
+from bpviral.wm import SMART_POST, optimize_eo, smart_mix
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -42,6 +45,19 @@ def test_learning_convergence(capsys):
     assert "budget    2000: fraction within 0.05 = " in out
 
 
+def test_learning_convergence_runs_through_replicate(monkeypatch, capsys):
+    calls, replicate = [], bp_core.replicate
+
+    def spy(run, seed, replications, jobs=1):
+        calls.append((seed, replications))
+        return replicate(run, seed, replications, jobs)
+
+    monkeypatch.setattr(bp_core, "replicate", spy)
+    run_script("learning_convergence", ["--runs", "2", "--budgets", "1000,2000"], capsys)
+    # one driver call per budget, so run r draws from stream (seed, r)
+    assert calls == [(61_000, 2)] * 2
+
+
 def test_market_trajectories(tmp_path, capsys):
     out = run_script("market_trajectories", [], capsys)
     rows = (tmp_path / "market_trajectories.csv").read_text().splitlines()
@@ -56,3 +72,6 @@ def test_warning_mechanism_curves(tmp_path, capsys):
     assert rows[0] == "profile,mua,eo,ea,eh,eh2"
     assert [r.split(",")[:2] for r in rows[1:]] == [
         ["smart", "0.0"], ["smart", "0.3"], ["naive", "0.0"], ["naive", "0.3"]]
+    for row in rows[1:3]:
+        _, mua, eo = row.split(",")[:3]
+        assert float(eo) == optimize_eo(SMART_POST, smart_mix(float(mua)), 0.02).iqos
