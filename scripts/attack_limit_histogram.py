@@ -31,8 +31,8 @@ def main(argv=None):
                               init=PopulationState(args.init, args.init,
                                                    args.init, args.init))
     betas = res["terminal_betas"]
-    print(f"{len(betas)} surviving / {args.replications} runs, "
-          f"{res['hover_flags'].sum()} flagged hovering")
+    print(f"{len(betas)} surviving / {args.replications} runs; hover verdicts: "
+          + ", ".join(f"{k} {v}" for k, v in res["hover_verdicts"].items()))
     hist, edges = np.histogram(betas, bins=20, range=(0, 1))
     peak = hist.max() if hist.max() else 1
     for h, lo in zip(hist, edges[:-1]):

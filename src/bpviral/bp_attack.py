@@ -18,8 +18,9 @@ import numpy as np
 
 from .bp_core import (MeanModel, PopulationState, make_rng, replicate, require,
                       require_counts)
-from .ode_engine import (ATTRACTOR, HOVERING, REPELLER, SADDLE, Equilibrium,
-                         EquilibriumReport, hover_classify, lift_limits, make_h)
+from .ode_engine import (ATTRACTOR, CONVERGED_ATTRACTOR, CONVERGED_SADDLE, HOVERING,
+                         REPELLER, SADDLE, UNDECIDED, Equilibrium, EquilibriumReport,
+                         hover_classify, lift_limits, make_h)
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,11 @@ def classify_regime_and_limits(limits: AttackLimits):
 
 
 def attack_model(limits: AttackLimits) -> MeanModel:
-    """Mean model with population-independent Poisson own/attack draws at the
-    limit means.
-
-    The capped attack enters the conditional mean matrix as min(mean, count),
-    matching the saturation of attacks when both populations are large.
+    """Offspring law at the limit rates: a dying x-type draws Poisson(e_xx)
+    own-type offspring and a Poisson(e_xy) attack, which captures at most the
+    living y-type count into x; a dying y-type does the same with e_yy, e_yx.
     """
     e = limits
-
-    def mean_matrix(phi):
-        cx, cy = phi[0], phi[1]
-        att_x = min(e.e_xy, float(cy))
-        att_y = min(e.e_yx, float(cx))
-        return np.array([
-            [e.e_xx + att_x, -att_x],
-            [-att_y, e.e_yy + att_y],
-        ])
 
     def sampler(ptype, kind, state, rng):
         if ptype == "x":
@@ -130,11 +120,7 @@ def attack_model(limits: AttackLimits) -> MeanModel:
         captured = min(rng.poisson(att_mean), other)
         return own + captured, -captured
 
-    return MeanModel(
-        mean_matrix=mean_matrix,
-        limit_mean_matrix=limits.limit_mean_matrix,
-        sampler=sampler,
-    )
+    return MeanModel(limit_mean_matrix=limits.limit_mean_matrix, sampler=sampler)
 
 
 def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
@@ -209,13 +195,14 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
 def terminal_beta_study(limits: AttackLimits, replications: int,
                         max_events: int, seed: int,
                         init: PopulationState | None = None) -> dict:
-    """Replicated attack runs: terminal proportions and hover flags.
+    """Replicated attack runs: terminal proportions and hover verdicts.
 
     Reports, per surviving replication, the terminal beta, a finite-sample
     hover verdict against the theoretical limit set of the regime, read from
-    the proportions recorded every 200 events, and the first record at which
-    one type was gone (beta exactly 0 or 1; -1 if both types lived to the
-    end).  ``bp_core.replicate`` runs the replications on their streams.
+    the proportions recorded every 200 events (a flag if hovering, and a
+    count per verdict), and the first record at which one type was gone
+    (beta exactly 0 or 1; -1 if both types lived to the end).
+    ``bp_core.replicate`` runs the replications on their streams.
     """
     if init is None:
         init = PopulationState(cx=5, cy=5, ax=5, ay=5)
@@ -223,12 +210,15 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
     targets = {e.beta: (ATTRACTOR if e.kind == ATTRACTOR else SADDLE)
                for e in report.equilibria}
     terminal, hovering, absorbed = [], [], []
+    verdicts = dict.fromkeys((CONVERGED_ATTRACTOR, CONVERGED_SADDLE, HOVERING, UNDECIDED), 0)
     for betas, extinct in replicate(partial(simulate_attack_betas, limits, init, max_events,
                                             record_every=200), seed, replications):
         if extinct:
             continue
         terminal.append(float(betas[-1]))
-        hovering.append(hover_classify(betas, targets) == HOVERING)
+        verdict = hover_classify(betas, targets)
+        verdicts[verdict] += 1
+        hovering.append(verdict == HOVERING)
         one_type = (betas == 0.0) | (betas == 1.0)
         absorbed.append(int(one_type.argmax()) if one_type.any() else -1)
     return {
@@ -236,6 +226,7 @@ def terminal_beta_study(limits: AttackLimits, replications: int,
         "limit_betas": sorted(targets),
         "terminal_betas": np.asarray(terminal),
         "hover_flags": np.asarray(hovering, dtype=bool),
+        "hover_verdicts": verdicts,
         "absorbed_record": np.asarray(absorbed, dtype=int),
         "extinct": replications - len(terminal),
         "replications": replications,

@@ -129,19 +129,16 @@ def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
 
 @dataclass
 class MeanModel:
-    """Mean structure of the offspring law plus a concrete sampler.
+    """An offspring law and the limit of its mean matrix.
 
-    ``mean_matrix(phi)`` maps a ``PopulationState`` phi = (cx, cy, ax, ay)
-    to the 2x2 conditional mean matrix [[m_xx, m_xy], [m_yx, m_yy]];
-    ``limit_mean_matrix`` is its proportion-dependent limit.
-    ``sampler(ptype, kind, state, rng)`` draws the offspring of one death
-    of type ``ptype`` as ``(own, cross)``: own-type offspring (>= 0) and
-    other-type offspring, consistent with those means.  A negative cross
-    term is an attack that captures that many other-type individuals.
-    The built-in models draw Poisson offspring at the dying type's row of
-    ``mean_matrix``, clamped at zero; a zero mean draws nothing from the stream.
+    ``sampler(ptype, kind, state, rng)`` is the law: it draws the offspring
+    of one death of type ``ptype`` in the ``PopulationState`` ``state`` as
+    ``(own, cross)``, own-type offspring (>= 0) and other-type offspring.
+    A negative cross term is an attack that captures that many other-type
+    individuals.  ``limit_mean_matrix(beta)`` is the limit of the law's 2x2
+    mean matrix [[m_xx, m_xy], [m_yx, m_yy]] at proportion beta.  The
+    built-in models draw Poisson offspring at their means, clamped at zero.
     """
-    mean_matrix: callable
     limit_mean_matrix: callable
     sampler: callable
 
@@ -156,7 +153,7 @@ def constant_matrix_model(m: np.ndarray) -> MeanModel:
         own, cross = (mxx, mxy) if ptype == "x" else (myy, myx)
         return rng.poisson(own), rng.poisson(cross)
 
-    return MeanModel(lambda phi: m, lambda beta: m, sampler)
+    return MeanModel(lambda beta: m, sampler)
 
 
 def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
@@ -164,14 +161,13 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
     """Single-type model whose mean offspring decays linearly in the total
     population until a breakpoint, then stays at a super-critical floor."""
     require_finite(m0=m0, slope=slope, floor=floor, a_break=a_break)
-    def mxx(ax):
-        return m0 - slope * ax if ax <= a_break else floor
 
     def sampler(ptype, kind, state, rng):
-        return (rng.poisson(max(mxx(state[2]), 0.0)) if ptype == "x" else 0), 0
+        ax = state[2]
+        return (rng.poisson(max(m0 - slope * ax if ax <= a_break else floor, 0.0))
+                if ptype == "x" else 0), 0
 
-    return MeanModel(mean_matrix=lambda phi: np.array([[mxx(phi[2]), 0.0], [0.0, 0.0]]),
-                     limit_mean_matrix=lambda beta: np.array([[floor, 0.0], [0.0, 0.0]]),
+    return MeanModel(limit_mean_matrix=lambda beta: np.array([[floor, 0.0], [0.0, 0.0]]),
                      sampler=sampler)
 
 
@@ -354,7 +350,8 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
     S_n against tau_n.  Replications are drawn in blocks of 200, which fixes
     the draw layout of a seed.
     """
-    require_counts(replications=replications, cap=cap)
+    require_counts(s0=s0, replications=replications, cap=cap)
+    require(0 <= offspring_mean < math.inf, "offspring_mean", offspring_mean, "finite and >= 0")
     rng = make_rng(seed)
     rates = []
     all_grew = True

@@ -281,12 +281,13 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
     shapes; a non-finite drift raises one naming the first mesh time where
     it occurs.
     """
-    require_counts(sweeps=sweeps)
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    require(0 <= T < math.inf, "T", T, "finite and >= 0")
     if mesh is None:
         mesh = max(200, int(math.ceil(5000 * T)))
+    require_counts(sweeps=sweeps, mesh=mesh)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     ts = np.linspace(0.0, T, mesh + 1)
-    dt = ts[1] - ts[0] if mesh > 0 else 0.0
+    dt = ts[1] - ts[0]
     Y = back = np.tile(y0, (mesh + 1, 1))     # back: the iterate two sweeps back
     used, cycle_from, delta = 0, None, math.inf
     for sweep in range(sweeps):
@@ -302,7 +303,7 @@ def picard_solve(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> OdeTr
         Ynew = np.empty_like(Y)
         Ynew[0] = y0
         Ynew[1:] = y0 + np.cumsum(incr, axis=0)
-        delta = float(np.max(np.abs(Ynew - Y))) if mesh > 0 else 0.0
+        delta = float(np.max(np.abs(Ynew - Y)))
         used = sweep + 1
         if delta < 1e-15:
             Y = Ynew
@@ -401,6 +402,7 @@ def hover_classify(betas, targets) -> str:
     betas = np.asarray(betas, dtype=float)
     if betas.size == 0:
         raise ValueError("empty sequence")
+    require(targets, "targets", targets, "one or more target values")
     kinds = {float(k): v for k, v in targets.items()}
     pts = np.array(sorted(kinds))
     tail = betas[betas.size // 2:]

@@ -148,19 +148,20 @@ def epochs_before(t: float) -> int:
     return max(n, 0)
 
 
-def nonauto_rhs(upsilon, t, model) -> np.ndarray:
+def nonauto_rhs(upsilon, t, mean_matrix) -> np.ndarray:
     """Drift of the non-autonomous ratio ODE built from the transient means.
 
     The population vector is reconstructed from the ratios and the epoch
     count eta(t); the drift uses the exact, population-dependent mean matrix
-    and collapses to the autonomous drift when the means equal their limits.
+    ``mean_matrix(phi)`` and collapses to the autonomous drift when the
+    means equal their limits.
     """
     psi_c, theta_c, psi_a, theta_a = (float(v) for v in upsilon)
     n_eta = epochs_before(float(t))
     phi = (theta_c * n_eta, (psi_c - theta_c) * n_eta,
            theta_a * n_eta, (psi_a - theta_a) * n_eta)
     beta = theta_c / psi_c if psi_c > 0 else 0.0
-    m = np.asarray(model.mean_matrix(phi), dtype=float)
+    m = np.asarray(mean_matrix(phi), dtype=float)
     ind = 1.0 if psi_c > 0 else 0.0
     return make_h(lambda _: m)(beta) * ind - np.array([psi_c, theta_c, psi_a, theta_a])
 
@@ -302,6 +303,16 @@ def attack_betas_scalar(limits: AttackLimits, init: PopulationState,
     if cx + cy > 0 and max_events % record_every:
         betas.append(cx / (cx + cy))
     return np.asarray(betas), bool(cx + cy == 0)
+
+
+def ramp_mean_matrix(m0: float = 3.0, slope: float = 0.002, floor: float = 1.2,
+                     a_break: float = 400.0):
+    """Mean matrix at phi of ``single_type_ramp_model`` with these
+    parameters, in the float operations its sampler draws at."""
+    def mean_matrix(phi):
+        ax = phi[2]
+        return np.array([[m0 - slope * ax if ax <= a_break else floor, 0.0], [0.0, 0.0]])
+    return mean_matrix
 
 
 def make_poisson_sampler(mean_matrix):

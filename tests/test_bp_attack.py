@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+from bpviral import bp_attack
 from bpviral.bp_attack import (AttackLimits, attack_model,
                                classify_regime_and_limits, interior_repeller,
                                simulate_attack_betas,
                                terminal_beta_study)
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, make_rng,
                              simulate)
-from bpviral.ode_engine import ATTRACTOR, REPELLER, classify_scalar
+from bpviral.ode_engine import (ATTRACTOR, CONVERGED_ATTRACTOR, CONVERGED_SADDLE, HOVERING,
+                                REPELLER, UNDECIDED, classify_scalar)
 from oracles import attack_betas_scalar, build_gbeta
 
 
@@ -106,18 +110,22 @@ class TestSampling:
     def test_attack_step_conserves_transfer(self):
         # the transferred individuals cancel in the sum current population:
         # one death with 2 births and 3 captures, whichever type dies
-        scripted = MeanModel(mean_matrix=None, limit_mean_matrix=None,
+        scripted = MeanModel(limit_mean_matrix=None,
                              sampler=lambda p, k, state, rng: (2 + 3, -3))
         traj = simulate(scripted, DeathModel(), PopulationState(cx=5, cy=4, ax=5, ay=4),
                         max_events=1, seed=1)
         assert (traj.cx[0] + traj.cy[0]) - (5 + 4) == 2 - 1
 
-    def test_mean_matrix_caps_attack(self):
-        model = attack_model(AttackLimits(3, 1, 3, 1))
-        m = model.mean_matrix((10, 0, 12, 3))
-        assert m[0, 1] == 0.0                       # nothing left to attack
-        m2 = model.mean_matrix((10, 20, 12, 25))
-        assert m2[0, 1] == pytest.approx(-1.0)      # far from the cap
+    def test_sampler_capture_mean(self):
+        # the capture is min(Poisson(e_xy), cy), whose mean is the sum over
+        # k < cy of P(Poisson(e_xy) > k): 1 - 1/e at cy = 1, 2 - 3/e at cy = 2
+        sampler = attack_model(AttackLimits(3, 1, 3, 1)).sampler
+        for cy, mean in ((0, 0.0), (1, 1 - math.exp(-1)), (2, 2 - 3 * math.exp(-1)),
+                         (20, 1.0)):
+            rng, state = make_rng(5), PopulationState(cx=5, cy=cy, ax=5, ay=cy)
+            captured = np.array([-sampler("x", 0, state, rng)[1] for _ in range(100_000)])
+            assert captured.max() <= cy
+            assert abs(captured.mean() - mean) < 0.01, cy
 
 
 class TestFastPathEquivalence:
@@ -272,6 +280,22 @@ def test_study_reports_absorption_record():
     absorbed = np.concatenate(first)
     assert absorbed.dtype.kind == "i" and absorbed.min() >= -1
     assert np.mean(absorbed == 0) >= 0.95
+
+
+def test_terminal_beta_study_counts_verdicts(monkeypatch):
+    # every survivor of the pinned case has one verdict; hovering is the flag
+    res = terminal_beta_study(AttackLimits(3, 1, 3, 1), 3, 50_000, 777)
+    counts = res["hover_verdicts"]
+    assert list(counts) == [CONVERGED_ATTRACTOR, CONVERGED_SADDLE, HOVERING, UNDECIDED]
+    assert sum(counts.values()) == res["replications"] - res["extinct"]
+    assert counts[HOVERING] == res["hover_flags"].sum()
+    # each verdict the classifier returns is counted, zeros kept
+    verdicts = iter([HOVERING, UNDECIDED, HOVERING])
+    monkeypatch.setattr(bp_attack, "hover_classify", lambda betas, targets: next(verdicts))
+    res = terminal_beta_study(AttackLimits(3, 1, 3, 1), 3, 50_000, 777)
+    assert res["hover_verdicts"] == {CONVERGED_ATTRACTOR: 0, CONVERGED_SADDLE: 0,
+                                     HOVERING: 2, UNDECIDED: 1}
+    assert res["hover_flags"].tolist() == [True, False, True]
 
 
 def test_terminal_beta_study_pinned(sha256):

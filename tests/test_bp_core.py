@@ -13,11 +13,12 @@ from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
 from bpviral.game import random_study
 from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp
 from bpviral.market_graph import build_graph, propagate_on_graph
-from bpviral.ode_engine import ScalarField, classify_scalar, finite_time_gap
+from bpviral.ode_engine import (ScalarField, classify_scalar, finite_time_gap,
+                                hover_classify, picard_solve)
 from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
                         limit_proportions, naive_mix)
 from oracles import (example_params, extinction_prob_pgf, make_poisson_sampler,
-                     sa_recursion_ratios, simulate_scalar, tef)
+                     ramp_mean_matrix, sa_recursion_ratios, simulate_scalar, tef)
 
 
 def unit_deaths():
@@ -71,11 +72,8 @@ class TestDeathProbabilities:
 def scripted_model(own, cross):
     """Every death draws the fixed (own, cross); the means are those draws."""
     m = np.array([[own, cross], [cross, own]], dtype=float)
-    return MeanModel(
-        mean_matrix=lambda phi: m,
-        limit_mean_matrix=lambda beta: m,
-        sampler=lambda p, k, state, rng: (own, cross),
-    )
+    return MeanModel(limit_mean_matrix=lambda beta: m,
+                     sampler=lambda p, k, state, rng: (own, cross))
 
 
 def identity_model():
@@ -93,7 +91,7 @@ def one_x_death(init, own, cross):
     def sampler(ptype, kind, state, rng):
         assert (ptype, kind, state) == ("x", 0, init)
         return own, cross
-    traj = simulate(MeanModel(None, None, sampler), X_DEATHS, init, max_events=1, seed=1)
+    traj = simulate(MeanModel(None, sampler), X_DEATHS, init, max_events=1, seed=1)
     assert traj.epoch.tolist() == [1]
     return traj, (traj.cx[0], traj.cy[0], traj.ax[0], traj.ay[0])
 
@@ -161,28 +159,34 @@ class TestSimulate:
             assert list(traj.epoch) == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
 
 
-def _reference(model):
-    """The same means, drawn by the reference sampler at ``mean_matrix``."""
-    return MeanModel(model.mean_matrix, model.limit_mean_matrix,
-                     make_poisson_sampler(model.mean_matrix))
+def _reference(model, mean_matrix):
+    """The model's limit, drawn by the reference sampler at the oracle's
+    ``mean_matrix(phi)``."""
+    return MeanModel(model.limit_mean_matrix, make_poisson_sampler(mean_matrix))
 
 
 def _scalar_cases():
     """(name, library model, reference model): the built-in models against
-    the reference sampler at their own means; the rest share their sampler."""
-    def builtin(name, model):
-        return name, model, _reference(model)
+    the reference sampler at their oracle means (a constant model's mean is
+    its matrix); the rest share their sampler."""
+    def ramp(name, *params):
+        model = bp_core.single_type_ramp_model(*params)
+        return name, model, _reference(model, ramp_mean_matrix(*params))
+
+    def constant(name, m):
+        model = bp_core.constant_matrix_model(m)
+        return name, model, _reference(model, lambda phi: np.array(m, dtype=float))
 
     def shared(name, model):
         return name, model, model
 
-    scripted = MeanModel(None, None, lambda p, k, s, rng: ((s.ax + k) % 3, int(p == "y")))
+    scripted = MeanModel(None, lambda p, k, s, rng: ((s.ax + k) % 3, int(p == "y")))
     return [
-        builtin("ramp", bp_core.single_type_ramp_model()),
-        builtin("ramp-to-zero", bp_core.single_type_ramp_model(2.0, 0.01, 0.0, 150.0)),
-        builtin("ramp-negative", bp_core.single_type_ramp_model(3.0, 0.0, -1.0, 10.0)),
-        builtin("constant-zero", bp_core.constant_matrix_model([[1.5, 0.0], [-0.0, 1.1]])),
-        builtin("constant-negative", bp_core.constant_matrix_model([[1.3, -0.5], [0.6, 0.9]])),
+        ramp("ramp"),
+        ramp("ramp-to-zero", 2.0, 0.01, 0.0, 150.0),
+        ramp("ramp-negative", 3.0, 0.0, -1.0, 10.0),
+        constant("constant-zero", [[1.5, 0.0], [-0.0, 1.1]]),
+        constant("constant-negative", [[1.3, -0.5], [0.6, 0.9]]),
         shared("attack-E", attack_model(AttackLimits(3, 1, 3, 1))),
         shared("attack-not-E", attack_model(AttackLimits(1.2, 0.5, 1.1, 0))),
         shared("scripted", scripted),
@@ -219,15 +223,16 @@ def test_simulate_matches_scalar():
                         assert (got.extinct, got.s0) == (ref.extinct, ref.s0), case
 
 
-@pytest.mark.parametrize("model, builtin, deaths, init, match", [
-    (bp_core.single_type_ramp_model(), True, DeathModel(rate=lambda p, k, s: 1e-13),
-     PopulationState(2, 0, 2, 0), "below floor"),
-    (scripted_model(-1, 0), False, DeathModel(), PopulationState(2, 0, 2, 0), "own-type"),
-    (scripted_model(1, -5), False, DeathModel(), PopulationState(3, 2, 3, 2), "cross term"),
+@pytest.mark.parametrize("model, mean_matrix, deaths, init, match", [
+    (bp_core.single_type_ramp_model(), ramp_mean_matrix(),
+     DeathModel(rate=lambda p, k, s: 1e-13), PopulationState(2, 0, 2, 0), "below floor"),
+    (scripted_model(-1, 0), None, DeathModel(), PopulationState(2, 0, 2, 0), "own-type"),
+    (scripted_model(1, -5), None, DeathModel(), PopulationState(3, 2, 3, 2), "cross term"),
 ], ids=["rate-below-floor", "negative-own", "negative-cross"])
-def test_simulate_errors_match_scalar(model, builtin, deaths, init, match):
+def test_simulate_errors_match_scalar(model, mean_matrix, deaths, init, match):
+    ref = _reference(model, mean_matrix) if mean_matrix else model
     errors = []
-    for run, m in ((simulate, model), (simulate_scalar, _reference(model) if builtin else model)):
+    for run, m in ((simulate, model), (simulate_scalar, ref)):
         with pytest.raises(ValueError, match=match) as err:
             run(m, deaths, init, max_events=50, seed=3)
         errors.append(str(err.value))
@@ -327,11 +332,11 @@ def test_dichotomy_study_statistics():
     assert stats.mean_rate >= stats.rate_threshold - 3 * stats.rate_se
 
 
-@pytest.mark.parametrize("name", ["replications", "cap"])
+@pytest.mark.parametrize("name", ["s0", "replications", "cap"])
 def test_dichotomy_counts_below_one_rejected(name):
-    counts = {"replications": 3, "cap": 20, name: 0}
+    counts = {"s0": 1, "replications": 3, "cap": 20, name: 0}
     with pytest.raises(ValueError, match=name):
-        dichotomy_study(1.5, 1, seed=1, **counts)
+        dichotomy_study(1.5, seed=1, **counts)
 
 
 def test_fit_growth_rate_recovers_exponent():
@@ -499,6 +504,24 @@ _CHECKS = {
         "grid_points must be >= 100, got 10"),
     "finite_time_gap n_start": (lambda: finite_time_gap(np.zeros((5, 4)), None, 6, 1.0),
                                 "n_start must be in [1, 5] (the trajectory), got 6"),
+    "picard_solve mesh": (lambda: picard_solve(lambda Y, ts: -Y, 1.0, T=1.0, mesh=-1),
+                          "mesh must be >= 1, got -1"),
+    "picard_solve T nan": (lambda: picard_solve(lambda Y, ts: -Y, 1.0, T=np.nan),
+                           "T must be finite and >= 0, got nan"),
+    "picard_solve T inf": (lambda: picard_solve(lambda Y, ts: -Y, 1.0, T=np.inf),
+                           "T must be finite and >= 0, got inf"),
+    "picard_solve T negative": (lambda: picard_solve(lambda Y, ts: -Y, 1.0, T=-1.0, mesh=10),
+                                "T must be finite and >= 0, got -1.0"),
+    "hover_classify targets": (lambda: hover_classify([0.5, 0.4], {}),
+                               "targets must be one or more target values, got {}"),
+    "dichotomy_study offspring_mean nan": (
+        lambda: dichotomy_study(np.nan, 1, 3, 20, 1),
+        "offspring_mean must be finite and >= 0, got nan"),
+    "dichotomy_study offspring_mean negative": (
+        lambda: dichotomy_study(-1.0, 1, 3, 20, 1),
+        "offspring_mean must be finite and >= 0, got -1.0"),
+    "dichotomy_study s0 negative": (lambda: dichotomy_study(1.5, -3, 3, 20, 1),
+                                    "s0 must be >= 1, got -3"),
     "propagate_on_graph rho": (
         lambda: propagate_on_graph(build_graph([0], [1]), [0], 1.5, make_rng(1)),
         "rho must be in [0, 1], got 1.5"),

@@ -16,7 +16,7 @@ from bpviral.ode_engine import (ATTRACTOR, REPELLER, SADDLE, DegenerateFieldErro
 from bpviral.wm import (EA, EH, EH2, EO, FAKE, LEARNED, NAIVE_POST, REAL,
                         MechanismDesign, gbeta_field, naive_mix)
 from oracles import (build_gbeta, epochs_before, harmonic_number, nonauto_rhs,
-                     per_row, picard_chain, picard_solve_full)
+                     per_row, picard_chain, picard_solve_full, ramp_mean_matrix)
 
 
 class TestClassifyScalar:
@@ -276,6 +276,10 @@ class TestPicard:
         exact = np.exp(-traj.times)
         assert np.max(np.abs(traj.values[:, 0] - exact)) < 1e-6
 
+    def test_zero_horizon_keeps_start(self):
+        traj = picard_solve(lambda y, t: -y, 1.0, T=0.0, sweeps=5, mesh=10)
+        assert traj.converged and np.all(traj.values == 1.0)
+
     def test_constant_slope_exact(self):
         traj = picard_solve(lambda y, t: np.ones_like(y), 0.0, T=2.0, sweeps=5, mesh=500)
         assert np.allclose(traj.values[:, 0], traj.times, atol=1e-12)
@@ -430,27 +434,19 @@ def test_array_rhs_rows_match_lift_map():
 class TestNonautoRhs:
     def test_collapses_to_autonomous_for_limit_means(self):
         m = np.array([[1.4, 0.3], [0.2, 1.5]])
-
-        class Model:
-            mean_matrix = staticmethod(lambda phi: m)
-
         g = make_autonomous_rhs(lambda beta: m)
         for ups in ([1.0, 0.4, 2.0, 0.9], [0.5, 0.5, 0.7, 0.7]):
             for t in (1.0, 5.0):
-                assert np.allclose(nonauto_rhs(ups, t, Model), g(np.array(ups)))
+                assert np.allclose(nonauto_rhs(ups, t, lambda phi: m), g(np.array(ups)))
 
     def test_dead_population_decays(self):
-        class Model:
-            mean_matrix = staticmethod(lambda phi: np.ones((2, 2)))
-
         ups = np.array([0.0, 0.0, 1.2, 0.6])
-        assert np.allclose(nonauto_rhs(ups, 3.0, Model), -ups)
+        assert np.allclose(nonauto_rhs(ups, 3.0, lambda phi: np.ones((2, 2))), -ups)
 
     def test_transient_mean_enters_drift(self):
-        model = single_type_ramp_model()
         t = harmonic_number(100)
         ups = np.array([1.0, 1.0, 2.0, 2.0])   # phi = (100, 0, 200, 0)
-        drift = nonauto_rhs(ups, t, model)
+        drift = nonauto_rhs(ups, t, ramp_mean_matrix())
         m_val = 3.0 - 0.002 * 200               # population mean at a = 200
         assert drift[0] == pytest.approx((m_val - 1.0) - 1.0)
         assert drift[2] == pytest.approx(m_val - 2.0)
