@@ -205,12 +205,6 @@ class Trajectory:
         s = self.cx + self.cy
         return np.where(s > 0, self.cx / np.maximum(s, 1), 0.0)
 
-    def rows(self):
-        """Per recorded epoch: epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta."""
-        cols = (self.epoch, self.tau, self.cx, self.cy, self.ax, self.ay,
-                *self.ratios().T, self.betas())
-        return zip(*(col.tolist() for col in cols))
-
 
 CSV_HEADER = "epoch,tau,cx,cy,ax,ay,psi_c,theta_c,psi_a,theta_a,beta"
 

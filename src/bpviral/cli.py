@@ -29,32 +29,29 @@ from . import bp_attack, bp_core, game, market, market_graph, wm, wm_dynamics
 from .market_graph import parse_graph
 
 
-def _csv_lines(rows):
-    """One line per row, formatted by one %-format per row-type signature."""
-    formats = {}
-    for row in rows:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        if types not in formats:
-            formats[types] = ",".join("%.12g" if issubclass(t, float) else "%s"
-                                      for t in types) + "\n"
-        yield formats[types] % row
+def _csv_lines(columns):
+    """One line per row of ``columns``, by the one %-format their dtypes fix."""
+    columns = [np.asarray(col) for col in columns]
+    fmt = ",".join("%.12g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
+    return map(fmt.__mod__, zip(*(col.tolist() for col in columns)))
 
 
-def write_csv(path, header, rows):
-    """Stable column order; a float cell is printed at 12 significant
-    digits, every other cell by ``str``."""
+def write_csv(path, header, columns):
+    """Write ``header`` and one line per row of ``columns``, a sequence of
+    equal-length arrays (or sequences ``np.asarray`` takes), in their order.
+    A float column is printed at 12 significant digits, any other column
+    by ``str`` of its values."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(_csv_lines(rows))
+        fh.writelines(_csv_lines(columns))
 
 
-def _emit_csv(out, header, rows):
+def _emit_csv(out, header, columns):
     """Write the CSV to ``out``, or print its first ten rows without one."""
     if out is None:
-        print("".join(islice(_csv_lines(rows), 10)), end="")
+        print("".join(islice(_csv_lines(columns), 10)), end="")
     else:
-        write_csv(out, header, rows)
+        write_csv(out, header, columns)
 
 
 def _dumps(obj, indent=None):
@@ -181,21 +178,22 @@ def _attack_model(p):
     return bp_attack.attack_model(_attack_limits(p))
 
 
-def _replication_rows(build_model, p, seed):
+def _replication_columns(build_model, p, seed):
     init = bp_core.PopulationState(cx=p["cx0"], cy=p["cy0"], ax=p["cx0"], ay=p["cy0"])
     traj = bp_core.simulate(build_model(p), bp_core.DeathModel(), init,
                             max_events=p["max-events"], seed=seed,
                             record_every=p["record-every"])
-    return list(traj.rows())
+    return (traj.epoch, traj.tau, traj.cx, traj.cy, traj.ax, traj.ay,
+            *traj.ratios().T, traj.betas())
 
 
 def cmd_simulate(build_model, p):
     """One CSV per replication, run by ``bp_core.replicate``; ``--jobs`` > 1
     runs them in a process pool."""
-    results = bp_core.replicate(partial(_replication_rows, build_model, p), p["seed"],
+    results = bp_core.replicate(partial(_replication_columns, build_model, p), p["seed"],
                                 p["replications"], p["jobs"])
-    for rep, rows in enumerate(results):
-        _emit_csv(_rep_path(p["out"], rep, p["replications"]), bp_core.CSV_HEADER, rows)
+    for rep, columns in enumerate(results):
+        _emit_csv(_rep_path(p["out"], rep, p["replications"]), bp_core.CSV_HEADER, columns)
 
 
 def _rep_path(out, rep, total):
@@ -206,20 +204,31 @@ def _rep_path(out, rep, total):
 
 
 def cmd_bp_ratios(p):
-    if not Path(p["in"]).read_text().strip():
+    text = Path(p["in"]).read_text()
+    if not text.strip():
         raise ValueError(f"in: {p['in']} is empty")
-    try:
-        data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True,
-                                           comments=None))
-    except ValueError as exc:
-        # genfromtxt lists every ragged line; name the first one it reports
-        ragged = re.search(r"Line #(\d+) \(got (\d+) columns instead of (\d+)\)", str(exc))
-        if ragged is None:
-            raise
-        line, got, want = ragged.groups()
-        raise ValueError(f"in: {p['in']} line {line} has {got} columns, not {want}") from None
-    if data.size == 0:
+    # genfromtxt's rules: the header is the first line with a cell, and a
+    # line of spaces holds no row
+    lines = text.split("\n")
+    head = next(i for i, line in enumerate(lines) if line.strip(" "))
+    if not any(line.strip(" ") for line in lines[head + 1:]):
         raise ValueError(f"in: {p['in']} has no rows below its header")
+    names = np.genfromtxt(lines[head:head + 1], delimiter=",", names=True,
+                          comments=None).dtype.names
+    try:  # numpy's C reader; a file it refuses is read again by genfromtxt
+        data = np.loadtxt(lines[head + 1:], delimiter=",", comments=None, ndmin=1,
+                          dtype=[(name, float) for name in names])
+    except ValueError:
+        try:
+            data = np.atleast_1d(np.genfromtxt(p["in"], delimiter=",", names=True,
+                                               comments=None))
+        except ValueError as exc:
+            # genfromtxt lists every ragged line; name the first one it reports
+            ragged = re.search(r"Line #(\d+) \(got (\d+) columns instead of (\d+)\)", str(exc))
+            if ragged is None:
+                raise
+            line, got, want = ragged.groups()
+            raise ValueError(f"in: {p['in']} line {line} has {got} columns, not {want}") from None
     missing = [c for c in ("epoch", "tau", "cx", "cy", "ax", "ay") if c not in data.dtype.names]
     if missing:
         raise ValueError(f"in: {p['in']} lacks column(s) {missing}")
@@ -281,7 +290,7 @@ def cmd_wm_learn(p):
     res = wm_dynamics.learn_wm(cfg, post, mix, target, seed=p["seed"])
     if p["out"]:
         write_csv(p["out"], "k,w,b,beta",
-                  [(int(k), w_, b_, beta) for k, w_, b_, beta in res.trace])
+                  (res.trace[:, 0].astype(np.int64), *res.trace[:, 1:].T))
     print(_dumps({"w": res.w, "b": res.b, "extinct": res.extinct}))
 
 
@@ -292,7 +301,7 @@ def cmd_wm_simulate(p):
         p["kind"], design, post, mix, p["actuality"],
         p["init-fake"], p["init-real"], p["max-events"], p["seed"],
         record_every=p["record-every"])
-    _emit_csv(p["out"], "k,beta", zip(path.epoch.tolist(), path.beta.tolist()))
+    _emit_csv(p["out"], "k,beta", (path.epoch, path.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +322,10 @@ def cmd_market_metrics(p):
 def cmd_market_closed_form(p):
     bp_core.require_counts(n_points=p["n-points"])
     cf = market.closed_form(_tef_params(p), a0=p["a0"])
-    ns = np.unique(np.round(np.geomspace(1, max(cf.n_e, 2), p["n-points"])).astype(np.int64))
-    rows = [(int(n), market.EULER_GAMMA + math.log(n), cf.a_epoch(float(n)), cf.c_epoch(float(n)))
-            for n in ns]
-    _emit_csv(p["out"], "n,t,a,c", rows)
+    ns = np.unique(np.round(np.geomspace(1, max(cf.n_e, 2), p["n-points"])).astype(int)).tolist()
+    _emit_csv(p["out"], "n,t,a,c", (ns, [market.EULER_GAMMA + math.log(n) for n in ns],
+                                     [cf.a_epoch(float(n)) for n in ns],
+                                     [cf.c_epoch(float(n)) for n in ns]))
 
 
 def cmd_market_simulate(p):
@@ -324,8 +333,7 @@ def cmd_market_simulate(p):
                                  max_events=p["max-events"], seed=p["seed"],
                                  record_every=p["record-every"],
                                  offspring=p["offspring"])
-    cols = (path.epoch, path.tau, path.a, path.c)
-    _emit_csv(p["out"], "n,t,a,c", zip(*(col.tolist() for col in cols)))
+    _emit_csv(p["out"], "n,t,a,c", (path.epoch, path.tau, path.a, path.c))
 
 
 def cmd_market_propagate(p):
@@ -342,9 +350,8 @@ def cmd_market_propagate(p):
         ids = market_graph.draw_seeds(g, p["n-seeds"], rng, name="n_seeds")
     log = market_graph.propagate_on_graph(g, ids, p["rho"], rng)
     if p["out"]:
-        cols = (log.epoch, log.reader, log.forwards, log.a, log.c)
         write_csv(p["out"], "epoch,reader,forwards,a,c",
-                  zip(*(col.tolist() for col in cols)))
+                  (log.epoch, log.reader, log.forwards, log.a, log.c))
     print(_dumps({"reach": log.reach, "events": int(log.epoch[-1])}))
 
 
@@ -387,7 +394,7 @@ def cmd_game_simulate(p):
                                            p["k-max"], p["seed"],
                                            record_every=p["record-every"])
     if p["out"]:
-        write_csv(p["out"], "k,beta", zip(ks.tolist(), betas))
+        write_csv(p["out"], "k,beta", (ks, betas))
     print(_dumps({"terminal_beta": float(betas[-1]),
                   "predicted": game.beta_fixed_point(
                       design.mu_eta(), design.w, design.params, p["actuality"])}))
@@ -397,7 +404,7 @@ def cmd_game_study(p):
     res = game.random_study(p["samples"], p["d"], p["seed"], theta=p["theta"],
                             gamma_margin=p["gamma-margin"], verify=False)
     if p["out"]:
-        write_csv(p["out"], "sample,feasible,ai,degradation_pct", res["rows"])
+        write_csv(p["out"], "sample,feasible,ai,degradation_pct", zip(*res["rows"]))
     print(_dumps({
         "feasible_fraction": res["feasible_fraction"],
         "second_ne_fraction": res["second_ne_fraction"],

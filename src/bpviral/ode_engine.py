@@ -400,8 +400,7 @@ def hover_classify(betas, targets) -> str:
     """
     delta, delta1 = 0.01, 0.05
     betas = np.asarray(betas, dtype=float)
-    if betas.size == 0:
-        raise ValueError("empty sequence")
+    require(betas.size, "betas", betas.tolist(), "one or more values")
     require(targets, "targets", targets, "one or more target values")
     kinds = {float(k): v for k, v in targets.items()}
     pts = np.array(sorted(kinds))

@@ -71,7 +71,7 @@ def picard_solve_full(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> 
     if mesh is None:
         mesh = max(200, int(math.ceil(5000 * T)))
     ts = np.linspace(0.0, T, mesh + 1)
-    dt = ts[1] - ts[0] if mesh > 0 else 0.0
+    dt = ts[1] - ts[0]
     Y = np.tile(y0, (mesh + 1, 1))
     used = 0
     delta = math.inf
@@ -88,7 +88,7 @@ def picard_solve_full(rhs, y0, T, sweeps: int = 60, mesh: int | None = None) -> 
         Ynew = np.empty_like(Y)
         Ynew[0] = y0
         Ynew[1:] = y0 + np.cumsum(incr, axis=0)
-        delta = float(np.max(np.abs(Ynew - Y))) if mesh > 0 else 0.0
+        delta = float(np.max(np.abs(Ynew - Y)))
         Y = Ynew
         used = sweep + 1
         if delta < 1e-15:

@@ -514,6 +514,8 @@ _CHECKS = {
                                 "T must be finite and >= 0, got -1.0"),
     "hover_classify targets": (lambda: hover_classify([0.5, 0.4], {}),
                                "targets must be one or more target values, got {}"),
+    "hover_classify betas": (lambda: hover_classify([], {0.0: "attractor"}),
+                             "betas must be one or more values, got []"),
     "dichotomy_study offspring_mean nan": (
         lambda: dichotomy_study(np.nan, 1, 3, 20, 1),
         "offspring_mean must be finite and >= 0, got nan"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bpviral import wm
-from bpviral.cli import _COMMANDS, build_parser, main, write_csv
+from bpviral.cli import _COMMANDS, _emit_csv, build_parser, main, write_csv
 from oracles import PARAMS, example_params, write_csv_per_value
 
 
@@ -412,23 +412,31 @@ def test_csv_float_format(tmp_path):
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
-def test_write_csv_matches_scalar(tmp_path):
-    """The cached per-signature %-format writes the per-cell writer's bytes."""
-    rows = [
-        (1, 0.1, True, "x", None),
-        (np.int64(7), np.float64(1 / 3), False, "", (1, 2.5)),
-        [2, math.nan, math.inf, -math.inf, -0.0],
-        (3, 5e-324, 1e300, np.float64(-1e-7), 12345678901234567.0),
-        (4, 0.25, False, "y", None),            # a signature seen before
-        [np.float64("nan"), np.float64("-inf"), "a,b", 2.0 ** 0.5, -1],
-        (),
-    ]
-    for name, make in [("mixed", lambda: iter(rows)), ("empty", lambda: iter(())),
-                       ("zip", lambda: zip(range(5), [0.1 * k for k in range(5)]))]:
-        write_csv(tmp_path / f"{name}.csv", "a,b,c,d,e", make())
-        write_csv_per_value(tmp_path / f"{name}_ref.csv", "a,b,c,d,e", make())
+def test_write_csv_matches_scalar(tmp_path, capsys):
+    """The one %-format the column dtypes fix writes the per-cell writer's
+    bytes for the same cells fed row by row, and the stdout preview is the
+    file's first ten rows."""
+    floats = [0.1, 1 / 3, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-7,
+              12345678901234567.0, 2.0 ** 0.5, 12.0]
+    n = len(floats)
+    ints = np.array([0, 1, -1, 7, 2**53 + 1, np.iinfo(np.int64).max, np.iinfo(np.int64).min,
+                     10, 11, 12, 13, 14])
+    strs = ["x", "a,b", "", "y z", "1.5", "nan"] * 2
+    cases = {
+        "arrays": [ints, np.array(floats), np.arange(n) % 3 == 0, np.array(strs)],
+        "lists": [ints.tolist(), floats, [k % 2 == 0 for k in range(n)], strs,
+                  [k / 7 for k in range(n)]],
+        "zero rows": [np.array([], dtype=np.int64), np.array([]), []],
+        "no columns": [],
+    }
+    for name, columns in cases.items():
+        write_csv(tmp_path / f"{name}.csv", "a,b,c,d,e", columns)
+        write_csv_per_value(tmp_path / f"{name}_ref.csv", "a,b,c,d,e", zip(*columns))
         assert (tmp_path / f"{name}.csv").read_bytes() == \
-            (tmp_path / f"{name}_ref.csv").read_bytes()
+            (tmp_path / f"{name}_ref.csv").read_bytes(), name
+        _emit_csv(None, "a,b,c,d,e", columns)
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines(keepends=True)
+        assert capsys.readouterr().out == "".join(lines[1:11]), name
 
 
 def test_bp_csv_header(tmp_path):
@@ -445,6 +453,26 @@ def test_bp_ratios_reads_trajectory(tmp_path, capsys):
     assert rc == 0
     info = json.loads(capsys.readouterr().out)
     assert "extinct" in info and "growth_rate" in info
+
+
+@pytest.mark.parametrize("layout", [
+    lambda text: "\n" + text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace(",", ", ", 1),
+    lambda text: "  \n" + text.replace("\n", "\n   \n", 3),
+    lambda text: text.replace("\n", "\n\n"),
+], ids=["leading blank line", "CRLF line ends", "header cell with a space",
+        "lines of spaces", "blank lines between rows"])
+def test_bp_ratios_reads_layout_variants_alike(layout, tmp_path):
+    """Blank lines, CRLF line ends and a space in a header cell leave the
+    JSON of a ``bp simulate`` CSV as it is."""
+    plain, variant = tmp_path / "plain.csv", tmp_path / "variant.csv"
+    assert main(["bp", "simulate", "--seed", "9", "--max-events", "500",
+                 "--out", str(plain)]) == 0
+    variant.write_bytes(layout(plain.read_text()).encode())
+    for path in (plain, variant):
+        assert main(["bp", "ratios", "--in", str(path), "--out", f"{path}.json"]) == 0
+    assert Path(f"{plain}.json").read_bytes() == Path(f"{variant}.json").read_bytes()
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-1", "0"])
@@ -810,3 +838,47 @@ def test_cli_replications_pinned(argv, digest, sha256, tmp_path):
     assert main([*argv, "--replications", "3", "--out", str(tmp_path / "r.csv")]) == 0
     reps = [(tmp_path / f"r_rep{rep:03d}.csv").read_bytes() for rep in range(3)]
     assert sha256(*reps) == digest
+
+
+_PIN_GRAPH = "".join(f"{i} {(i * 7 + 1) % 60}\n{i} {(i + 1) % 60}\n{i} {(i * 13 + 5) % 60}\n"
+                     for i in range(60))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["wm", "learn", "--params", "{wm}", "--budget", "3000", "--record-every", "100",
+      "--seed", "5"],
+     "b74b18c3c2653bd9ce3b9972d5a12a4a156ade81a3a3cb4010024322997544e1"),
+    (["wm", "simulate", "--params", "{wm}", "--max-events", "2000", "--record-every", "20",
+      "--seed", "6"],
+     "3228bb9777702bb6de7437e313757ea31da0edc5cdc0da01503aeee5a2a6b0b6"),
+    (["market", "simulate", "--rho", "0.6", "--max-events", "3000", "--seed", "2"],
+     "933d094ee05c75e47733b67aaa3bf00a9e32360abe84f08256916cb3c597c92c"),
+    (["market", "closed-form", "--rho", "0.6", "--n-points", "200"],
+     "03359fa5b0987fadb6971fe0e55904c854057d82c5d98f19eadab16ec3416656"),
+    (["market", "propagate", "--graph", "{graph}", "--rho", "0.6", "--seed", "3"],
+     "eec8f29f44455a0c57277f1b16a7e039a9b6d4170cb8be35b3c6c04e5e2f5ab9"),
+    (["game", "simulate", "--params", "{game}", "--k-max", "3000", "--record-every", "50",
+      "--seed", "4"],
+     "76a727fec5f15d3596a28c0a47246ad437b9fc465b776392e76f8cfc7de2cd51"),
+    (["game", "study", "--samples", "300", "--seed", "8"],
+     "77483282c0ff09d453ce92f740dd5fc32042a1db12f167d25a9c9e93e20e127f"),
+    (["game", "study", "--samples", "50", "--theta", "1", "--d", "0.3", "--seed", "8"],
+     "95bf8534192b2e43c99d33ab2ce25de708f91e5dc9a526e2c88f98d77a0ae763"),
+    (["bp", "ratios", "--in", "{bp_csv}"],
+     "beadc07f7c5e68a0bdeb3f3158f809137272be5a82576ef9c7a43f7394095251"),
+], ids=["wm learn", "wm simulate", "market simulate", "market closed-form",
+        "market propagate", "game simulate", "game study", "game study infeasible", "bp ratios"])
+def test_cli_artifacts_pinned(argv, digest, sha256, wm_params_file, game_params_file,
+                              tmp_path):
+    """Frozen single-run artifacts of every other command that writes a
+    CSV, and the JSON ``bp ratios`` reads from a ``bp simulate`` CSV."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text(_PIN_GRAPH)
+    bp_csv = tmp_path / "bp.csv"
+    assert main(["bp", "simulate", "--seed", "9", "--max-events", "500",
+                 "--out", str(bp_csv)]) == 0
+    files = {"wm": wm_params_file, "game": game_params_file, "graph": str(graph),
+             "bp_csv": str(bp_csv)}
+    out = tmp_path / "a.out"
+    assert main([*(a.format(**files) for a in argv), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
