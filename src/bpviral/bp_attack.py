@@ -111,7 +111,7 @@ def attack_model(limits: AttackLimits) -> MeanModel:
     """
     e = limits
 
-    def sampler(ptype, kind, state, rng):
+    def sampler(ptype, state, rng):
         if ptype == "x":
             own_mean, att_mean, other = e.e_xx, e.e_xy, state.cy
         else:
@@ -128,15 +128,14 @@ def simulate_attack_betas(limits: AttackLimits, init: PopulationState,
                           record_every: int = 100) -> tuple[np.ndarray, bool]:
     """Fast single-replication run recording the proportion of x-type.
 
-    Equivalent in law to the generic event loop on ``attack_model(limits)``
-    (single death kind, unit rates).  Pre-drawn uniform and Poisson blocks,
-    held as Python lists so the counts stay Python ints, keep the per-event
-    cost low while both types live.  Once one type is gone it never returns
-    (it has nothing to attack with and nothing left to lose), so the
-    survivor moves by own - 1 per event and the rest of each block is one
-    cumulative sum on the same draws.  Returns the beta recorded every
-    ``record_every`` events and at the last one, and whether the final
-    state is empty.
+    Equivalent in law to the generic event loop on ``attack_model(limits)``.
+    Pre-drawn uniform and Poisson blocks, held as Python lists so the counts
+    stay Python ints, keep the per-event cost low while both types live.
+    Once one type is gone it never returns (it has nothing to attack with
+    and nothing left to lose), so the survivor moves by own - 1 per event
+    and the rest of each block is one cumulative sum on the same draws.
+    Returns the beta recorded every ``record_every`` events and at the last
+    one, and whether the final state is empty.
     """
     require_counts(max_events=max_events, record_every=record_every)
     init.validate()

@@ -2,9 +2,9 @@
 continuous-time Markov branching processes.
 
 State is the tuple (cx, cy, ax, ay): living counts and ever-born totals per
-type.  Death events arrive at the minimum of per-individual exponential
-clocks (possibly several death kinds per type); on each death the dying
-type's current count drops by one and offspring of both types are added.
+type.  Death events arrive at the minimum of per-individual unit-rate
+exponential clocks; on each death the dying type's current count drops by
+one and offspring of both types are added.
 The scaled ratios (S_n/n, Cx_n/n, Sa_n/n, Ax_n/n) follow a 1/n
 stochastic-approximation recursion analysed elsewhere in the package.
 """
@@ -76,63 +76,23 @@ class PopulationState(NamedTuple):
     ax: int
     ay: int
 
-    @property
-    def extinct(self) -> bool:
-        return self.cx + self.cy == 0
-
     def validate(self):
         for name, bound in (("cx", 0), ("cy", 0), ("ax", self.cx), ("ay", self.cy)):
             require(getattr(self, name) >= bound, name, getattr(self, name), f">= {bound}")
         return self
 
 
-@dataclass
 class DeathModel:
-    """Death kinds and their (possibly population-dependent) rates.
-
-    ``rate(ptype, kind, state)`` of a dying type ('x' or 'y'), its death
-    kind and the ``PopulationState`` must be strictly positive; a lower
-    bound of 1e-12 is asserted, the thesis never fixes one numerically.
-    ``rate=None`` (the default) is unit rate for every kind.
-    """
-    kinds_x: tuple = (0,)
-    kinds_y: tuple = (0,)
-    rate: callable = None
-
-    def __post_init__(self):
-        for name in ("kinds_x", "kinds_y"):
-            require(getattr(self, name), name, getattr(self, name), "one or more death kinds")
-        require(self.rate is None or callable(self.rate), "rate", repr(self.rate),
-                "callable or None", TypeError)
-
-
-def death_weights(state: PopulationState, deaths: DeathModel) -> dict:
-    """Weight count * rate of each (type, kind) the next death can take.
-
-    By the memoryless-minimum rule the next death is (type, kind) with
-    probability weight / total weight, and the total is the rate of the
-    next death.  Types with no living member are left out.
-    """
-    if state.extinct:
-        raise ValueError("absorbing state has no death event")
-    weights = {}
-    for ptype, count, kinds in (("x", state.cx, deaths.kinds_x),
-                                ("y", state.cy, deaths.kinds_y)):
-        if count:
-            for d in kinds:
-                lam = 1.0 if deaths.rate is None else float(deaths.rate(ptype, d, state))
-                if not lam >= 1e-12:
-                    raise ValueError(f"death rate {lam} below floor for ({ptype},{d})")
-                weights[(ptype, d)] = count * lam
-    return weights
+    """Placeholder with no fields: every living individual dies at unit
+    rate.  ``simulate`` keeps a slot for it and reads nothing from it."""
 
 
 @dataclass
 class MeanModel:
     """An offspring law and the limit of its mean matrix.
 
-    ``sampler(ptype, kind, state, rng)`` is the law: it draws the offspring
-    of one death of type ``ptype`` in the ``PopulationState`` ``state`` as
+    ``sampler(ptype, state, rng)`` is the law: it draws the offspring of
+    one death of type ``ptype`` in the ``PopulationState`` ``state`` as
     ``(own, cross)``, own-type offspring (>= 0) and other-type offspring.
     A negative cross term is an attack that captures that many other-type
     individuals.  ``limit_mean_matrix(beta)`` is the limit of the law's 2x2
@@ -149,7 +109,7 @@ def constant_matrix_model(m: np.ndarray) -> MeanModel:
     require_finite(**dict(zip(("m_xx", "m_xy", "m_yx", "m_yy"), m.ravel().tolist())))
     (mxx, mxy), (myx, myy) = ([max(v, 0.0) for v in row] for row in m.tolist())
 
-    def sampler(ptype, kind, state, rng):
+    def sampler(ptype, state, rng):
         own, cross = (mxx, mxy) if ptype == "x" else (myy, myx)
         return rng.poisson(own), rng.poisson(cross)
 
@@ -162,7 +122,7 @@ def single_type_ramp_model(m0: float = 3.0, slope: float = 0.002,
     population until a breakpoint, then stays at a super-critical floor."""
     require_finite(m0=m0, slope=slope, floor=floor, a_break=a_break)
 
-    def sampler(ptype, kind, state, rng):
+    def sampler(ptype, state, rng):
         ax = state[2]
         return (rng.poisson(max(m0 - slope * ax if ax <= a_break else floor, 0.0))
                 if ptype == "x" else 0), 0
@@ -214,15 +174,15 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
              record_every: int = 1) -> Trajectory:
     """Run the embedded chain until extinction or the event cap.
 
-    Inter-death times are exponential with the total rate summed over living
-    individuals and death kinds; the trajectory is reproducible under a
-    fixed seed.  A type-z death takes one from z's current count and adds
-    ``own`` to z's counts and ``cross`` to the other type's: births never
-    lower a total, but a negative cross (an attack) moves the captured out
-    of the other type's current AND total count.  ``record_every=k`` keeps
-    every k-th epoch (and the last); ``record_every=1`` keeps the whole path.
-    ``DeathModel()`` (unit rates, one kind per type) weighs each type by its
-    count; any other death model draws from the ``death_weights`` dict.
+    Every living individual dies at unit rate, so inter-death times are
+    exponential with rate cx + cy and the dying type is x with probability
+    cx / (cx + cy); the trajectory is reproducible under a fixed seed.  A
+    type-z death takes one from z's current count and adds ``own`` to z's
+    counts and ``cross`` to the other type's: births never lower a total,
+    but a negative cross (an attack) moves the captured out of the other
+    type's current AND total count.  ``record_every=k`` keeps every k-th
+    epoch (and the last); ``record_every=1`` keeps the whole path.
+    ``deaths`` is read by nothing; callers pass ``DeathModel()``.
     """
     require_counts(max_events=max_events, record_every=record_every)
     cx, cy, ax, ay = init.validate()
@@ -231,30 +191,14 @@ def simulate(model: MeanModel, deaths: DeathModel, init: PopulationState,
     rec, rec_tau = [], []
     t = 0.0
     sample_offspring = model.sampler
-    by_counts = deaths.rate is None and len(deaths.kinds_x) == len(deaths.kinds_y) == 1
-    if by_counts:
-        (kind_x,), (kind_y,) = deaths.kinds_x, deaths.kinds_y
     for n in range(1, max_events + 1):
         if cx + cy == 0:
             break
-        state = PopulationState(cx, cy, ax, ay)
-        if by_counts:
-            total_rate = float(cx + cy)
-            t += exponential(1.0 / total_rate)
-            u = random() * total_rate
-            ptype, kind = ("x", kind_x) if cx and u <= cx else ("y", kind_y)
-        else:
-            weights = death_weights(state, deaths)
-            total_rate = sum(weights.values())
-            t += exponential(1.0 / total_rate)
-            # categorical draw over (type, kind); the last weight ends at total_rate
-            u = random() * total_rate
-            acc = 0.0
-            for (ptype, kind), w in weights.items():
-                acc += w
-                if u <= acc:
-                    break
-        own, cross = sample_offspring(ptype, kind, state, rng)
+        total_rate = float(cx + cy)
+        t += exponential(1.0 / total_rate)
+        u = random() * total_rate        # drawn even when cx == 0
+        ptype = "x" if cx and u <= cx else "y"
+        own, cross = sample_offspring(ptype, PopulationState(cx, cy, ax, ay), rng)
         if own < 0:
             raise ValueError("invalid offspring sample: own-type offspring negative")
         if ptype == "x":
@@ -335,9 +279,8 @@ def dichotomy_study(offspring_mean: float, s0: int, replications: int,
                     cap: int, seed: int) -> DichotomyStats:
     """Monte-Carlo dichotomy statistics for the population-independent case.
 
-    When both types share one death kind with unit rate and the total
-    offspring per death is an i.i.d. Poisson draw, the sum current
-    population is a random walk S_n = S_{n-1} - 1 + Gamma_n, which this
+    When the total offspring per death is an i.i.d. Poisson draw, the sum
+    current population is a random walk S_n = S_{n-1} - 1 + Gamma_n, which this
     routine simulates in vectorised blocks (the event loop gives the same
     law; see the regression tests).  Each replication is classified extinct
     or still-growing at the cap, and survivors get a fitted growth rate of

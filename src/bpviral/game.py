@@ -37,7 +37,6 @@ class GameParams:
     q_np: float = 0.5         # non-participation utility
     c_e: float = 1.0          # warning-processing cost
     resp_a: float = 2.0       # response exponent in the innate ability
-    resp_b: float = 1.0       # response exponent in the warning
     resp_c: float = 1.0       # response scale
 
     def __post_init__(self):
@@ -45,12 +44,11 @@ class GameParams:
         ar, af, theta, delta, mua, p = (self.alpha_r, self.alpha_f, self.theta, self.delta,
                                         self.mua, self.p)
         checks = [*((abs(getattr(self, n)) < math.inf, n + " must be finite, got {0.%s}" % n)
-                    for n in ("q_p", "q_np", "c_e", "resp_a", "resp_b", "resp_c")),
+                    for n in ("q_p", "q_np", "c_e", "resp_a", "resp_c")),
                   ((0 < ar) & (ar < af) & (af < 1), "need 0 < alpha_R < alpha_F < 1"),
                   ((0 <= mua) & (mua < 1) & (0 < p) & (p < 1), "mua in [0,1), p in (0,1)"),
                   ((self.q_p >= self.q_np) & (self.c_e > 0), "need Q_p >= Q_np and C_e > 0"),
-                  ((self.resp_a > 0) & (self.resp_b > 0) & (self.resp_c > 0),
-                   "response exponents/scale must be positive"),
+                  ((self.resp_a > 0) & (self.resp_c > 0), "response exponent/scale must be positive"),
                   (theta <= 1, "theta must be <= 1, got {0.theta}"),
                   ((theta > af) & (ar < delta) & (delta < theta),
                    "need theta > alpha_F and delta in (alpha_R, theta)")]

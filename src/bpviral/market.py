@@ -197,6 +197,8 @@ def closed_form(params: TefParams, a0: float) -> ClosedFormShares:
         lo = max(lo - 1.0, 0.0)
     cf.tau_e = bisect_root(cf.c, lo, hi, cf.c(lo), tol=1e-8)
     cf.n_e = _solve_life_span(cf)
+    if cf.tau_e <= cf.tau_s:   # the shares die out before a reaches the break
+        cf.w_phase2, cf.tau_s, cf.n_s = None, math.inf, math.inf
     return cf
 
 

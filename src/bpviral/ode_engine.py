@@ -330,8 +330,8 @@ def _drift(f, m):
 def make_h(m_inf):
     """Limit drift map h(beta) -> 4-vector for the autonomous ratio ODE.
 
-    ``m_inf(beta)`` is the 2x2 limit mean matrix; with one death kind at a
-    common rate the x-death weight is beta itself.
+    ``m_inf(beta)`` is the 2x2 limit mean matrix; with unit death rates the
+    x-death weight is beta itself.
     """
     def h(beta):
         return np.array(_drift(beta, np.asarray(m_inf(beta), dtype=float)))

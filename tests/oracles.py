@@ -10,8 +10,8 @@ import numpy as np
 
 from bpviral import wm_dynamics
 from bpviral.bp_attack import AttackLimits
-from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, Trajectory,
-                             death_weights, make_rng, require, require_counts)
+from bpviral.bp_core import (MeanModel, PopulationState, Trajectory, make_rng, require,
+                             require_counts)
 from bpviral.game import (FAKE, AiDesign, GameParams, GameVerificationError,
                           gamma_floor, participant_fractions)
 from bpviral.market import MarketPath, TefParams
@@ -318,7 +318,7 @@ def ramp_mean_matrix(m0: float = 3.0, slope: float = 0.002, floor: float = 1.2,
 def make_poisson_sampler(mean_matrix):
     """Reference sampler: independent Poisson offspring at the dying type's
     row of ``mean_matrix(state)``, clamped at zero, own then cross."""
-    def sampler(ptype, kind, state, rng):
+    def sampler(ptype, state, rng):
         m = np.asarray(mean_matrix(state), dtype=float)
         i = 0 if ptype == "x" else 1          # the dying type's row
         own_mean, cross_mean = m[i, i], m[i, 1 - i]
@@ -327,7 +327,18 @@ def make_poisson_sampler(mean_matrix):
     return sampler
 
 
-def simulate_scalar(model: MeanModel, deaths: DeathModel, init: PopulationState,
+def death_weights(state: PopulationState) -> dict:
+    """Weight of each (type, kind) the next death can take: one kind per
+    type at unit rate, so a type weighs its count.  By the memoryless-minimum
+    rule the next death is (type, kind) with probability weight / total
+    weight.  Types with no living member are left out."""
+    if state.cx + state.cy == 0:
+        raise ValueError("absorbing state has no death event")
+    return {(ptype, 0): float(count)
+            for ptype, count in (("x", state.cx), ("y", state.cy)) if count}
+
+
+def simulate_scalar(model: MeanModel, init: PopulationState,
                     max_events: int = 1_000_000, seed: int = 0,
                     record_every: int = 1) -> Trajectory:
     """Event-by-event reference for ``bp_core.simulate``: every death goes
@@ -342,17 +353,17 @@ def simulate_scalar(model: MeanModel, deaths: DeathModel, init: PopulationState,
         if cx + cy == 0:
             break
         state = PopulationState(cx, cy, ax, ay)
-        weights = death_weights(state, deaths)
+        weights = death_weights(state)
         total_rate = sum(weights.values())
         t += rng.exponential(1.0 / total_rate)
         # categorical draw over (type, kind); the last weight ends at total_rate
         u = rng.random() * total_rate
         acc = 0.0
-        for (ptype, kind), w in weights.items():
+        for (ptype, _), w in weights.items():
             acc += w
             if u <= acc:
                 break
-        own, cross = sample_offspring(ptype, kind, state, rng)
+        own, cross = sample_offspring(ptype, state, rng)
         if own < 0:
             raise ValueError("invalid offspring sample: own-type offspring negative")
         if ptype == "x":
@@ -369,21 +380,19 @@ def simulate_scalar(model: MeanModel, deaths: DeathModel, init: PopulationState,
                       s0=tuple(init), extinct=bool(cx + cy == 0))
 
 
-def warning_mfg(beta: float, w: float, params: GameParams) -> float:
-    """Warning level making the composed response linear in beta:
-    r(alpha_u, omega(beta)) = min{c w alpha_R (alpha_u/alpha_R)^a beta, 1}."""
+def warning_mfg(beta: float, w: float, params: GameParams, b: float = 1.0) -> float:
+    """Warning level making the composed response with warning exponent b
+    linear in beta: r(alpha_u, omega(beta)) = min{c w alpha_R (alpha_u/alpha_R)^a beta, 1}."""
     if beta <= 0:
         return 0.0
-    return (w ** (1.0 / params.resp_b)
-            * params.alpha_r ** ((1.0 - params.resp_a) / params.resp_b)
-            * beta ** (1.0 / params.resp_b))
+    return w ** (1.0 / b) * params.alpha_r ** ((1.0 - params.resp_a) / b) * beta ** (1.0 / b)
 
 
-def response(alpha: float, omega: float, params: GameParams) -> float:
+def response(alpha: float, omega: float, params: GameParams, b: float = 1.0) -> float:
     """Polynomial response min{c alpha^a omega^b, 1} of a warning-using tagger."""
     if not (0 < alpha < 1) or omega < 0:
         raise ValueError("alpha in (0,1), omega >= 0")
-    return min(params.resp_c * alpha ** params.resp_a * omega ** params.resp_b, 1.0)
+    return min(params.resp_c * alpha ** params.resp_a * omega ** b, 1.0)
 
 
 def build_graph_pairs(us, vs) -> Graph:

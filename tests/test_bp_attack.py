@@ -98,20 +98,20 @@ class TestSampling:
     def test_no_targets_pure_birth(self):
         sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=4, cy=0, ax=4, ay=0)
-        assert sampler("x", 0, state, make_rng(1)) == (0, 0)
+        assert sampler("x", state, make_rng(1)) == (0, 0)
 
     def test_attack_cap_arithmetic(self):
         sampler = attack_model(self.ATTACK_ONLY).sampler
         state = PopulationState(cx=9, cy=3, ax=9, ay=3)
         rng = make_rng(2)
-        assert sampler("x", 0, state, rng) == (3, -3)
-        assert sampler("y", 0, state, rng) == (9, -9)
+        assert sampler("x", state, rng) == (3, -3)
+        assert sampler("y", state, rng) == (9, -9)
 
     def test_attack_step_conserves_transfer(self):
         # the transferred individuals cancel in the sum current population:
         # one death with 2 births and 3 captures, whichever type dies
         scripted = MeanModel(limit_mean_matrix=None,
-                             sampler=lambda p, k, state, rng: (2 + 3, -3))
+                             sampler=lambda p, state, rng: (2 + 3, -3))
         traj = simulate(scripted, DeathModel(), PopulationState(cx=5, cy=4, ax=5, ay=4),
                         max_events=1, seed=1)
         assert (traj.cx[0] + traj.cy[0]) - (5 + 4) == 2 - 1
@@ -123,7 +123,7 @@ class TestSampling:
         for cy, mean in ((0, 0.0), (1, 1 - math.exp(-1)), (2, 2 - 3 * math.exp(-1)),
                          (20, 1.0)):
             rng, state = make_rng(5), PopulationState(cx=5, cy=cy, ax=5, ay=cy)
-            captured = np.array([-sampler("x", 0, state, rng)[1] for _ in range(100_000)])
+            captured = np.array([-sampler("x", state, rng)[1] for _ in range(100_000)])
             assert captured.max() <= cy
             assert abs(captured.mean() - mean) < 0.01, cy
 

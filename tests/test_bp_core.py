@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 
 from bpviral import bp_core
 from bpviral.bp_attack import AttackLimits, attack_model
-from bpviral.bp_core import (DeathModel, MeanModel, PopulationState,
-                             death_weights, dichotomy_study, make_rng,
-                             ratios_and_dichotomy, replication_seed, simulate)
+from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, dichotomy_study,
+                             make_rng, ratios_and_dichotomy, replication_seed, simulate)
 from bpviral.game import random_study
 from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp
 from bpviral.market_graph import build_graph, propagate_on_graph
@@ -17,18 +17,19 @@ from bpviral.ode_engine import (ScalarField, classify_scalar, finite_time_gap,
                                 hover_classify, picard_solve)
 from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
                         limit_proportions, naive_mix)
-from oracles import (example_params, extinction_prob_pgf, make_poisson_sampler,
-                     ramp_mean_matrix, sa_recursion_ratios, simulate_scalar, tef)
+from oracles import (death_weights, example_params, extinction_prob_pgf,
+                     make_poisson_sampler, ramp_mean_matrix, sa_recursion_ratios,
+                     simulate_scalar, tef)
 
 
 def unit_deaths():
     return DeathModel()
 
 
-def death_probabilities(state, deaths):
+def death_probabilities(state):
     """P(next death is (type, kind)): each weight over the total rate that
     simulate draws against."""
-    weights = death_weights(state, deaths)
+    weights = death_weights(state)
     total = sum(weights.values())
     return {k: w / total for k, w in weights.items()}
 
@@ -36,44 +37,20 @@ def death_probabilities(state, deaths):
 class TestDeathProbabilities:
     def test_equal_unit_rates(self):
         state = PopulationState(cx=3, cy=1, ax=3, ay=1)
-        probs = death_probabilities(state, unit_deaths())
+        probs = death_probabilities(state)
         assert probs[("x", 0)] == pytest.approx(0.75)
         assert probs[("y", 0)] == pytest.approx(0.25)
 
-    def test_type_dependent_rates(self):
-        deaths = DeathModel(rate=lambda p, k, s: 2.0 if p == "x" else 1.0)
-        state = PopulationState(cx=1, cy=1, ax=1, ay=1)
-        probs = death_probabilities(state, deaths)
-        assert probs[("x", 0)] == pytest.approx(2 / 3)
-
-    def test_multiple_kinds_unit_total(self):
-        # per-kind rates mu_d summing to one make the total death rate one,
-        # so P(type z, kind d) = mu_d * (share of z among currents)
-        mu = (0.2, 0.3, 0.4, 0.1)
-        deaths = DeathModel(kinds_x=(0, 1, 2, 3), kinds_y=(0, 1, 2, 3),
-                            rate=lambda p, k, s: mu[k])
-        state = PopulationState(cx=3, cy=1, ax=3, ay=1)
-        probs = death_probabilities(state, deaths)
-        for d in range(4):
-            assert probs[("x", d)] == pytest.approx(mu[d] * 0.75)
-            assert probs[("y", d)] == pytest.approx(mu[d] * 0.25)
-        assert sum(probs.values()) == pytest.approx(1.0)
-
     def test_absorbing_state_raises(self):
         with pytest.raises(ValueError, match="absorbing"):
-            death_probabilities(PopulationState(0, 0, 4, 4), unit_deaths())
-
-    @pytest.mark.parametrize("field", ["kinds_x", "kinds_y"])
-    def test_empty_kinds_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            DeathModel(**{field: ()})
+            death_probabilities(PopulationState(0, 0, 4, 4))
 
 
 def scripted_model(own, cross):
     """Every death draws the fixed (own, cross); the means are those draws."""
     m = np.array([[own, cross], [cross, own]], dtype=float)
     return MeanModel(limit_mean_matrix=lambda beta: m,
-                     sampler=lambda p, k, state, rng: (own, cross))
+                     sampler=lambda p, state, rng: (own, cross))
 
 
 def identity_model():
@@ -81,17 +58,14 @@ def identity_model():
     return scripted_model(1, 0)
 
 
-# y-type deaths at the 1e-12 rate floor: seed 1's first death is x-type
-X_DEATHS = DeathModel(rate=lambda p, k, s: 1.0 if p == "x" else 1e-12)
-
-
 def one_x_death(init, own, cross):
     """The trajectory and state after one x-type death from ``init`` that
-    draws (own, cross)."""
-    def sampler(ptype, kind, state, rng):
-        assert (ptype, kind, state) == ("x", 0, init)
+    draws (own, cross).  Seed 2's first uniform is 0.324, so its first death
+    is x-type from every start here, where x is at least 2/5 of the living."""
+    def sampler(ptype, state, rng):
+        assert (ptype, state) == ("x", init)
         return own, cross
-    traj = simulate(MeanModel(None, sampler), X_DEATHS, init, max_events=1, seed=1)
+    traj = simulate(MeanModel(None, sampler), DeathModel(), init, max_events=1, seed=2)
     assert traj.epoch.tolist() == [1]
     return traj, (traj.cx[0], traj.cy[0], traj.ax[0], traj.ay[0])
 
@@ -180,7 +154,7 @@ def _scalar_cases():
     def shared(name, model):
         return name, model, model
 
-    scripted = MeanModel(None, lambda p, k, s, rng: ((s.ax + k) % 3, int(p == "y")))
+    scripted = MeanModel(None, lambda p, s, rng: (s.ax % 3, int(p == "y")))
     return [
         ramp("ramp"),
         ramp("ramp-to-zero", 2.0, 0.01, 0.0, 150.0),
@@ -193,48 +167,33 @@ def _scalar_cases():
     ]
 
 
-_SCALAR_DEATHS = {
-    "default": DeathModel(),
-    "type-dependent": DeathModel(rate=lambda p, k, s: 2.0 if p == "x" else 1.0),
-    "multi-kind-state": DeathModel(kinds_x=(0, 1, 2), kinds_y=(0, 1),
-                                   rate=lambda p, k, s: 0.5 + k + s.cx / (1 + s.ax)),
-    "x-deaths": X_DEATHS,
-    "default-two-x-kinds": DeathModel(kinds_x=(0, 1)),
-    "default-relabelled": DeathModel(kinds_x=(3,), kinds_y=(5,)),
-    "default-set-kinds": DeathModel(kinds_x=frozenset({0, 1}), kinds_y=frozenset({2})),
-}
-
-
 def test_simulate_matches_scalar():
     """``simulate`` and its event-by-event reference give the same bytes."""
     starts = [PopulationState(2, 0, 2, 0), PopulationState(3, 2, 3, 2),
               PopulationState(1, 1, 1, 1), PopulationState(0, 4, 0, 4)]
     for name, model, ref_model in _scalar_cases():
-        for dname, deaths in _SCALAR_DEATHS.items():
-            for init in starts:
-                for record_every in (1, 7):
-                    for seed in (1, 2, 20240601):
-                        args = (deaths, init, 200, seed, record_every)
-                        got, ref = simulate(model, *args), simulate_scalar(ref_model, *args)
-                        case = (name, dname, init, record_every, seed)
-                        for col in ("epoch", "tau", "cx", "cy", "ax", "ay"):
-                            assert (getattr(got, col).tobytes()
-                                    == getattr(ref, col).tobytes()), (case, col)
-                        assert (got.extinct, got.s0) == (ref.extinct, ref.s0), case
+        for init in starts:
+            for record_every in (1, 7):
+                for seed in (1, 2, 20240601):
+                    args = (init, 200, seed, record_every)
+                    got = simulate(model, DeathModel(), *args)
+                    ref = simulate_scalar(ref_model, *args)
+                    case = (name, init, record_every, seed)
+                    for col in ("epoch", "tau", "cx", "cy", "ax", "ay"):
+                        assert (getattr(got, col).tobytes()
+                                == getattr(ref, col).tobytes()), (case, col)
+                    assert (got.extinct, got.s0) == (ref.extinct, ref.s0), case
 
 
-@pytest.mark.parametrize("model, mean_matrix, deaths, init, match", [
-    (bp_core.single_type_ramp_model(), ramp_mean_matrix(),
-     DeathModel(rate=lambda p, k, s: 1e-13), PopulationState(2, 0, 2, 0), "below floor"),
-    (scripted_model(-1, 0), None, DeathModel(), PopulationState(2, 0, 2, 0), "own-type"),
-    (scripted_model(1, -5), None, DeathModel(), PopulationState(3, 2, 3, 2), "cross term"),
-], ids=["rate-below-floor", "negative-own", "negative-cross"])
-def test_simulate_errors_match_scalar(model, mean_matrix, deaths, init, match):
-    ref = _reference(model, mean_matrix) if mean_matrix else model
+@pytest.mark.parametrize("model, init, match", [
+    (scripted_model(-1, 0), PopulationState(2, 0, 2, 0), "own-type"),
+    (scripted_model(1, -5), PopulationState(3, 2, 3, 2), "cross term"),
+], ids=["negative-own", "negative-cross"])
+def test_simulate_errors_match_scalar(model, init, match):
     errors = []
-    for run, m in ((simulate, model), (simulate_scalar, ref)):
+    for run in (partial(simulate, model, DeathModel()), partial(simulate_scalar, model)):
         with pytest.raises(ValueError, match=match) as err:
-            run(m, deaths, init, max_events=50, seed=3)
+            run(init, max_events=50, seed=3)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
 
@@ -251,12 +210,6 @@ def test_model_builders_reject_nonfinite(build, message):
     """A built-in model takes only finite means, so no NaN reaches a draw."""
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_non_callable_rate_rejected():
-    with pytest.raises(TypeError, match="rate"):
-        DeathModel(rate=2.0)
-    assert death_weights(PopulationState(1, 0, 1, 0), DeathModel()) == {("x", 0): 1.0}
 
 
 class TestRatios:
@@ -497,8 +450,6 @@ _CHECKS = {
                           "e_xx must be finite and >= 0, got inf"),
     "AttackLimits e_yx": (lambda: AttackLimits(3, 1, 3, np.nan),
                           "e_yx must be finite and >= 0, got nan"),
-    "DeathModel kinds_y": (lambda: DeathModel(kinds_y=()),
-                           "kinds_y must be one or more death kinds, got ()"),
     "classify_scalar grid_points": (
         lambda: classify_scalar(ScalarField(g=lambda b: b), grid_points=10),
         "grid_points must be >= 100, got 10"),

@@ -290,6 +290,7 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
      ["column ax data row 1 must be >= cx (5), got 1.0"]),
     (["bp", "ratios", "--in"], _RATIOS_HEAD + "1,0.5,2,0,2,0 # note\n", 1,
      ["column ay data row 1 must be an integer >= 0, got nan"]),
+    (["game", "design", "--params"], json.dumps(dict(GAME_BLOB, resp_b=1.0)), 1, ["'resp_b'"]),
 ], ids=["game params unknown key", "game params missing key", "config list",
         "config params not an object", "wm post unknown key", "wm mix unknown key",
         "wm params list", "bp ratios header only", "bp ratios empty file",
@@ -301,7 +302,8 @@ _RATIOS_HEAD = "epoch,tau,cx,cy,ax,ay\n"
         "bp ratios cx not an integer", "bp ratios cy negative", "bp ratios epoch 0",
         "bp ratios ay beyond int64", "bp ratios tau infinite", "bp ratios tau empty",
         "wm learn sidecar with a removed key", "bp ratios ragged", "bp ratios epoch repeated",
-        "bp ratios ax below cx", "bp ratios comment after a row"])
+        "bp ratios ax below cx", "bp ratios comment after a row",
+        "game params with the removed resp_b"])
 def test_malformed_input_file_names_it(argv, text, rc, names, tmp_path, capsys):
     path = tmp_path / "input.file"
     path.write_text(text)

@@ -35,15 +35,15 @@ class TestResponse:
         assert response(0.3, 0.0, base_params()) == 0.0
 
     def test_clamped_at_one(self):
-        p = base_params(resp_a=1.0, resp_b=1.0, resp_c=1.0)
-        assert response(0.5, 3.0, p) == 1.0
+        p = base_params(resp_a=1.0, resp_c=1.0)
+        assert response(0.5, 3.0, p, b=1.0) == 1.0
 
     def test_composition_linear_in_beta(self):
-        p = base_params(resp_a=2.5, resp_b=2.0, resp_c=1.3)
+        p = base_params(resp_a=2.5, resp_c=1.3)
         w = 1.7
         for u, alpha in ((FAKE, p.alpha_f), (REAL, p.alpha_r)):
             for beta in (0.05, 0.2, 0.4):
-                got = response(alpha, warning_mfg(beta, w, p), p)
+                got = response(alpha, warning_mfg(beta, w, p, b=2.0), p, b=2.0)
                 expect = min(p.resp_c * w * p.alpha_r
                              * (alpha / p.alpha_r) ** p.resp_a * beta, 1.0)
                 assert got == pytest.approx(expect, rel=1e-12)
@@ -459,7 +459,7 @@ def test_zero_gamma_margin_is_the_floor():
 
 @pytest.mark.parametrize("field, value", [
     ("q_p", np.nan), ("q_np", np.nan), ("c_e", np.nan), ("c_e", np.inf), ("resp_a", np.nan),
-    ("resp_a", np.inf), ("resp_b", np.nan), ("resp_c", np.nan), ("q_p", np.inf)])
+    ("resp_a", np.inf), ("resp_c", np.nan), ("q_p", np.inf)])
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
         base_params(**{field: value})

@@ -472,6 +472,21 @@ def test_start_past_breakpoint_uses_tail_slope():
     assert abs(path.a[-1] - m["max_reach"]) / m["max_reach"] < 0.01
 
 
+@pytest.mark.parametrize("rho", [0.05, 0.08, 0.1])
+def test_die_out_before_break_is_one_phase(rho):
+    """Weak posts on the SNAP fit die out before the total reaches the
+    break, so no switch comes after the extinction time."""
+    p = TefParams(rho=rho, **SNAP_FIT)
+    cf = closed_form(p, a0=2)
+    assert cf.w_phase2 is None and cf.tau_s == cf.n_s == math.inf
+    assert max(cf.a(cf.tau_e), cf.n_e) < p.a_break
+    m = metrics(p, a0=2)
+    assert m["tau_s"] == math.inf and m["tau_e"] < 11
+    if rho == 0.1:    # the values of the two-phase form, which this one keeps
+        assert [m[k].hex() for k in ("c_star", "n_e", "tau_e")] == [
+            "0x1.b8926c3f53ed8p+12", "0x1.03aef94ede717p+15", "0x1.5fa3b9bc55848p+3"]
+
+
 def _chung_lu(seed, nodes=2000, mean_degree=30.0):
     """Heavy-tailed edge list: Pareto(1.5) weights capped at
     2 sqrt(nodes x mean_degree), both endpoints drawn by weight; repeated
