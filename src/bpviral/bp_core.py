@@ -259,8 +259,7 @@ def ratios_and_dichotomy(traj: Trajectory, lam: float = 1.0,
     its mid-path value) and, given the mean lower offspring bound
     ``low_mean``, the growth-rate threshold lam * (low_mean - 1), lam > 0.
     """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
+    require(len(traj) >= 1, "len(traj)", len(traj), ">= 1")
     require(0 < lam < math.inf, "lam", lam, "finite and > 0")
     require(low_mean is None or math.isfinite(low_mean), "low_mean", low_mean, "finite")
     s = (traj.cx + traj.cy).astype(float)

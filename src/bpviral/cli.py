@@ -161,12 +161,12 @@ def _load_config(path, command):
 # bp and attack: replicated trajectories of the generic simulator
 
 def _bp_model(p):
+    bp_core.require(p["model"] in ("ramp", "constant"), "model", repr(p["model"]),
+                    "'ramp' or 'constant'", ParamError)
     if p["model"] == "ramp":
         return bp_core.single_type_ramp_model(p["m0"], p["slope"], p["floor"], p["a-break"])
-    if p["model"] == "constant":
-        m = np.array([[p["m-xx"], p["m-xy"]], [p["m-yx"], p["m-yy"]]])
-        return bp_core.constant_matrix_model(m)
-    raise ParamError(f"unknown bp model {p['model']!r}")
+    m = np.array([[p["m-xx"], p["m-xy"]], [p["m-yx"], p["m-yy"]]])
+    return bp_core.constant_matrix_model(m)
 
 
 def _attack_limits(p):

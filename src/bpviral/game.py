@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 import numpy as np
 
@@ -40,20 +39,22 @@ class GameParams:
     resp_c: float = 1.0       # response scale
 
     def __post_init__(self):
-        """All checks in one pass; the first that fails, in order, raises."""
-        ar, af, theta, delta, mua, p = (self.alpha_r, self.alpha_f, self.theta, self.delta,
-                                        self.mua, self.p)
-        checks = [*((abs(getattr(self, n)) < math.inf, n + " must be finite, got {0.%s}" % n)
-                    for n in ("q_p", "q_np", "c_e", "resp_a", "resp_c")),
-                  ((0 < ar) & (ar < af) & (af < 1), "need 0 < alpha_R < alpha_F < 1"),
-                  ((0 <= mua) & (mua < 1) & (0 < p) & (p < 1), "mua in [0,1), p in (0,1)"),
-                  ((self.q_p >= self.q_np) & (self.c_e > 0), "need Q_p >= Q_np and C_e > 0"),
-                  ((self.resp_a > 0) & (self.resp_c > 0), "response exponent/scale must be positive"),
-                  (theta <= 1, "theta must be <= 1, got {0.theta}"),
-                  ((theta > af) & (ar < delta) & (delta < theta),
-                   "need theta > alpha_F and delta in (alpha_R, theta)")]
-        if not np.all(reduce(and_, (ok for ok, _ in checks))):
-            raise ValueError(next(text for ok, text in checks if not np.all(ok)).format(self))
+        """Each rule through ``require``, in order; every lane of an array field must hold."""
+        ar, af, theta, delta = self.alpha_r, self.alpha_f, self.theta, self.delta
+        for name, ok, rule in (
+                *((n, abs(getattr(self, n)) < math.inf, "finite")
+                  for n in ("q_p", "q_np", "c_e", "resp_a", "resp_c")),
+                ("alpha_r", 0 < ar, "> 0"),
+                ("alpha_f", (ar < af) & (af < 1), "in (alpha_r, 1)"),
+                ("mua", (0 <= self.mua) & (self.mua < 1), "in [0, 1)"),
+                ("p", (0 < self.p) & (self.p < 1), "in (0, 1)"),
+                ("q_p", self.q_p >= self.q_np, ">= q_np"),
+                *((n, getattr(self, n) > 0, "> 0") for n in ("c_e", "resp_a", "resp_c")),
+                ("theta", theta <= 1, "<= 1"),
+                ("theta", theta > af, "> alpha_f"),
+                ("delta", (ar < delta) & (delta < theta), "in (alpha_r, theta)")):
+            # a Python bool skips np.all, which a scalar GameParams would pay per rule
+            require(ok is True or np.all(ok), name, getattr(self, name), rule)
 
     @property
     def delta_ratio(self) -> float:
@@ -84,8 +85,7 @@ def participant_fractions(mu, mua):
     """(eta, eta_a): type-1 and adversarial fractions among participants."""
     mu0, mu1, mu2 = mu
     total = mu1 + mu2 + mua
-    if np.any(total <= 0):
-        raise ValueError("no participants")
+    require(not np.any(total <= 0), "participants mu1 + mu2 + mua", total, "> 0")
     return mu1 / total, mua / total
 
 
@@ -342,6 +342,8 @@ def simulate_tagging_game(mu, design: AiDesign, u: str, k_max: int, seed: int,
     and the last) and the beta at each."""
     require(u in (FAKE, REAL), "actuality", repr(u), f"{FAKE!r} or {REAL!r}")
     require_counts(k_max=k_max, record_every=record_every)
+    if not design.feasible:
+        raise ValueError(f"design infeasible: {design.reason}")
     params = design.params
     eta, eta_a = participant_fractions(mu, params.mua)
     alpha_u = params.alpha(u)

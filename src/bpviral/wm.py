@@ -176,9 +176,8 @@ def warning_value(beta, design: MechanismDesign, post: PostModel, mix: UserMix):
                 * (beta * post.alpha_x_f + (1.0 - beta) * post.alpha_y_f)))
     if design.kind == EA:
         return base + boost
-    if design.kind == EH:
-        return design.zeta * (base + boost)
-    raise ValueError(f"unknown mechanism kind {design.kind!r}")
+    require(design.kind == EH, "kind", repr(design.kind), "one of eo, ea, eh, eh2, learned")
+    return design.zeta * (base + boost)
 
 
 def gbeta_wm(beta, design: MechanismDesign, post: PostModel, mix: UserMix, u: str):

@@ -10,13 +10,13 @@ from bpviral import bp_core
 from bpviral.bp_attack import AttackLimits, attack_model
 from bpviral.bp_core import (DeathModel, MeanModel, PopulationState, dichotomy_study,
                              make_rng, ratios_and_dichotomy, replication_seed, simulate)
-from bpviral.game import random_study
+from bpviral.game import participant_fractions, random_study
 from bpviral.market import SNAP_FIT, TefParams, simulate_stpbp
 from bpviral.market_graph import build_graph, propagate_on_graph
 from bpviral.ode_engine import (ScalarField, classify_scalar, finite_time_gap,
                                 hover_classify, picard_solve)
 from bpviral.wm import (NAIVE_POST, MechanismDesign, UserMix, design_for_kind,
-                        limit_proportions, naive_mix)
+                        limit_proportions, naive_mix, warning_value)
 from oracles import (death_weights, example_params, extinction_prob_pgf,
                      make_poisson_sampler, ramp_mean_matrix, sa_recursion_ratios,
                      simulate_scalar, tef)
@@ -482,12 +482,21 @@ _CHECKS = {
                 "user proportions must be nonnegative and sum to 1, got (0.5, 0.5, 0.5, 0.0)"),
     "design_for_kind kind": (lambda: design_for_kind("eo2", NAIVE_POST, naive_mix(0.1), 0.05),
                              "kind must be one of eo, ea, eh, eh2, got 'eo2'"),
+    "warning_value kind": (
+        lambda: warning_value(0.5, MechanismDesign(kind="zz", w=1.0, b=0.1), NAIVE_POST,
+                              naive_mix(0.1)),
+        "kind must be one of eo, ea, eh, eh2, learned, got 'zz'"),
     "limit_proportions mu2": (
         lambda: limit_proportions(MechanismDesign(kind="eo", w=1.0, b=0.1), NAIVE_POST,
                                   UserMix(1.0, 0.0, 0.0, 0.0)),
         "mu2 must be > 0 (the crowd signal), got 0.0"),
     "random_study theta": (lambda: random_study(5, 0.1, 1, theta=-1.0),
                            "theta must be in (0, 1], got -1.0"),
+    "participant_fractions": (lambda: participant_fractions((1.0, 0.0, 0.0), 0.0),
+                              "participants mu1 + mu2 + mua must be > 0, got 0.0"),
+    "ratios_and_dichotomy traj": (
+        lambda: ratios_and_dichotomy(bp_core.Trajectory(*np.zeros((6, 0), dtype=int))),
+        "len(traj) must be >= 1, got 0"),
 }
 
 

@@ -533,6 +533,23 @@ def test_empty_out_rejected(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unknown_bp_model_exits_2(capsys):
+    assert main(["bp", "simulate", "--model", "foo", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: model must be 'ramp' or 'constant', got 'foo'\n"
+
+
+def test_game_simulate_infeasible_design_exits_1(tmp_path, monkeypatch, capsys):
+    """``game verify`` and ``game simulate`` refuse the same infeasible
+    design, in the same words, and write nothing."""
+    monkeypatch.chdir(tmp_path)
+    Path("theta1.json").write_text(json.dumps(dict(GAME_BLOB, theta=1.0)))
+    for sub, extra in (("verify", []), ("simulate", ["--seed", "1"])):
+        assert main(["game", sub, "--params", "theta1.json", *extra, "--out", "x"]) == 1
+    err = "error: design infeasible: eta_star <= 0 at theta_tilde=1\n"
+    assert capsys.readouterr().err == err * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["theta1.json"]
+
+
 @pytest.mark.parametrize("theta", ["-1", "0"])
 def test_game_study_theta_at_or_below_zero_names_theta(theta, capsys):
     assert main(["game", "study", "--samples", "5", "--seed", "1", "--theta", theta]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -463,3 +464,54 @@ def test_zero_gamma_margin_is_the_floor():
 def test_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
         base_params(**{field: value})
+
+
+# one breach of each range rule of GameParams, and its message
+_RULES = [
+    ({"alpha_r": 0.0}, "alpha_r must be > 0, got 0.0"),
+    ({"alpha_r": np.nan}, "alpha_r must be > 0, got nan"),
+    ({"alpha_f": 0.27}, "alpha_f must be in (alpha_r, 1), got 0.27"),
+    ({"alpha_f": 1.0}, "alpha_f must be in (alpha_r, 1), got 1.0"),
+    ({"mua": -0.1}, "mua must be in [0, 1), got -0.1"),
+    ({"mua": 1.5}, "mua must be in [0, 1), got 1.5"),
+    ({"p": 0.0}, "p must be in (0, 1), got 0.0"),
+    ({"p": 1.0}, "p must be in (0, 1), got 1.0"),
+    ({"q_np": 2.0}, "q_p must be >= q_np, got 1.0"),
+    ({"c_e": 0.0}, "c_e must be > 0, got 0.0"),
+    ({"resp_a": -1.0}, "resp_a must be > 0, got -1.0"),
+    ({"resp_c": 0.0}, "resp_c must be > 0, got 0.0"),
+    ({"theta": 0.2}, "theta must be > alpha_f, got 0.2"),
+    ({"delta": 0.27}, "delta must be in (alpha_r, theta), got 0.27"),
+    ({"delta": 0.75}, "delta must be in (alpha_r, theta), got 0.75")]
+
+
+@pytest.mark.parametrize("change, message", _RULES,
+                         ids=[f"{k}={v}" for change, _ in _RULES for k, v in change.items()])
+def test_params_rule_names_field_and_value(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        base_params(**change)
+
+
+def test_params_rules_fail_in_order():
+    # the finiteness rules come first, then the ranges in field order
+    with pytest.raises(ValueError, match=r"^c_e must be finite, got nan$"):
+        base_params(alpha_r=0.0, c_e=np.nan)
+    with pytest.raises(ValueError, match=r"^mua must be in \[0, 1\), got 1.5$"):
+        base_params(mua=1.5, theta=0.2, delta=0.0)
+
+
+def test_array_params_name_the_field():
+    # one lane per configuration: a rule holds only when every lane holds
+    with pytest.raises(ValueError, match=r"^mua must be in \[0, 1\), got \[0.1 1.5\]$"):
+        GameParams(**{**GAME, "mua": np.array([0.1, 1.5])})
+    assert GameParams(**{**GAME, "mua": np.array([0.1, 0.2])}).mua.shape == (2,)
+
+
+def test_simulate_rejects_infeasible_design(monkeypatch):
+    # the theta = 1 design has no participation interval (its path would
+    # read beta = 0 at every record), so the simulator refuses it before
+    # it makes its generator
+    design = design_ai_game(base_params(theta=1.0))
+    monkeypatch.setattr(game, "make_rng", None)
+    with pytest.raises(ValueError, match=r"^design infeasible: eta_star <= 0 at theta_tilde=1$"):
+        simulate_tagging_game(design.mu_eta(), design, FAKE, 100, seed=1)
